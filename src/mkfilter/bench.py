@@ -125,6 +125,8 @@ def apply_filter(image: Raster, spec: FilterSpec) -> Raster:
 
 def derive_seed(master: int, *key) -> int:
     """Stable 64-bit seed from the master seed and a row key."""
+    if int(master) < 0:
+        raise ConfigError(f"seed must be non-negative, got {master}")
     entropy = [int(master)]
     for part in key:
         if isinstance(part, str):

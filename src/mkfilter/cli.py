@@ -50,15 +50,19 @@ def save_raster_any(r: Raster, path) -> None:
 
 def _parse_levels(text: str) -> list[float]:
     """Parse `lo:hi:step` (inclusive) or a comma list of levels."""
+    parts = text.split(":") if ":" in text else text.split(",")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"expected numbers, got {text!r}") from None
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+        if len(values) != 3:
             raise ConfigError(f"levels must be lo:hi:step, got {text!r}")
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = values
         if step <= 0 or hi < lo:
             raise ConfigError(f"bad level range {text!r}")
         return list(np.arange(lo, hi + step / 2, step))
-    return [float(p) for p in text.split(",")]
+    return values
 
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:

@@ -332,6 +332,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad-arguments:")
 
 
+@pytest.mark.parametrize("bad", [["--levels", "10,x"], ["--levels", "10:x:1"],
+                                 ["--seed", "-1"]])
+def test_cli_sweep_depth_bad_levels_or_seed_exit_two(tmp_path, capsys, bad):
+    src = tmp_path / "in.pgm"
+    write_test_pgm(src)
+    assert main(["sweep-depth", str(src), "--depths", "2:2:1", "--sizes", "20",
+                 *bad, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-arguments:")
+    assert err.count("\n") == 1
+
+
 def test_console_script_wiring(tmp_path):
     src = tmp_path / "in.pgm"
     write_test_pgm(src)

@@ -1,15 +1,22 @@
 """Histogram/EM/proximity operations and cluster-tree invariants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from tree_oracle import reference_em, reference_flood
+
+import mkfilter
 from mkfilter import (ClusterConfig, ClusterNode, ClusterTree, ConfigError,
-                      Raster, build_cluster_tree, build_histogram, context_of,
-                      em_similarity_cluster, initial_gauss_pair,
-                      proximity_cluster)
+                      GaussComponent, GaussPair, Raster, build_cluster_tree,
+                      build_histogram, context_of, em_similarity_cluster,
+                      initial_gauss_pair, proximity_cluster)
+from mkfilter.clustering import EM_MAX_ITERATIONS, _segmented_em
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -62,6 +69,16 @@ def flood_fill_components(labels, neighborhood):
             out[comp == c] = next_id
             next_id += 1
     return out
+
+
+def row_major_components(labels, neighborhood):
+    """The flood-fill oracle's components, renumbered in row-major order of
+    each component's first pixel."""
+    comp = flood_fill_components(labels, neighborhood).ravel()
+    _, first = np.unique(comp, return_index=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[comp].reshape(np.shape(labels))
 
 
 def partitions_equal(a, b):
@@ -163,6 +180,62 @@ def test_em_sigma_respects_floor():
     assert result.pair.theta2.sigma >= 1.0
 
 
+def pair_array(pair):
+    """(mu, sigma, weight) x component."""
+    comps = (pair.theta1, pair.theta2)
+    return np.array([[getattr(c, name) for c in comps]
+                     for name in ("mu", "sigma", "weight")])
+
+
+def test_segmented_em_matches_one_histogram_fits():
+    """A K-segment batch gives each segment the fit it gets alone, and the
+    per-cluster loop oracle agrees on labels, pair and iteration count."""
+    rng = np.random.default_rng(31)
+    samples = [
+        np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)]),
+        rng.uniform(0, 255, 300),
+        np.full(12, 7.25),  # one bin
+        rng.normal(100, 3, 60),
+        np.concatenate([rng.normal(-900, 40, 90), rng.normal(1200, 90, 60)]),
+        np.array([3.0, 3.5]),  # one bin
+        np.concatenate([rng.normal(60, 2, 30), rng.normal(64, 2, 30)]),
+    ]
+    inits = [initial_gauss_pair(float(v.max()), 1.0) for v in samples]
+    # a far, narrow second component gets no mass: that fit stops at once
+    samples.append(rng.normal(50, 5, 40))
+    inits.append(GaussPair(GaussComponent(50.0, 5.0, 0.5),
+                           GaussComponent(1e6, 1.0, 0.5)))
+    # equal components tie on every bin; ties go to the first component
+    samples.append(rng.normal(80, 10, 50))
+    inits.append(GaussPair(GaussComponent(80.0, 10.0, 0.5),
+                           GaussComponent(80.0, 10.0, 0.5)))
+    hists = [build_histogram(v, 1.0) for v in samples]
+    starts = np.cumsum([0] + [h.centers.size for h in hists[:-1]])
+    fits = _segmented_em(np.concatenate([h.centers for h in hists]),
+                         np.concatenate([h.counts for h in hists]), starts,
+                         np.stack([pair_array(p) for p in inits], axis=-1),
+                         1e-4, 1.0, EM_MAX_ITERATIONS)
+    ends = list(starts[1:]) + [None]
+    for k, (hist, init) in enumerate(zip(hists, inits)):
+        trace = fits.log_likelihood[k]
+        for single in (em_similarity_cluster(hist, init, 1e-4),
+                       reference_em(hist, init, 1e-4, 1.0)):
+            assert np.array_equal(fits.labels[starts[k]:ends[k]], single.labels)
+            assert bool(fits.degenerate[k]) == single.degenerate
+            assert trace.size == single.log_likelihood.size
+            np.testing.assert_allclose(fits.theta[:, :, k],
+                                       pair_array(single.pair),
+                                       rtol=1e-12, atol=0.0)
+        if trace.size > 1:
+            assert np.diff(trace).min() > -1e-9
+    assert fits.degenerate.tolist() == [False, False, True, False, False,
+                                        True, False, False, False]
+    assert fits.theta[2, :, 2].tolist() == [1.0, 0.0]
+    assert fits.log_likelihood[-2].size == 1
+    assert fits.theta[:, 1, -2].tolist() == [1e6, 1.0, 0.5]
+    assert not fits.labels[starts[-1]:].any()
+
+
 # ---------------------------------------------------------------------------
 # proximity clustering
 
@@ -202,6 +275,73 @@ def test_proximity_matches_flood_fill_oracle_on_random_maps():
             ref = flood_fill_components(labels, neighborhood)
             assert partitions_equal(out, ref)
             assert np.unique(out).size >= np.unique(labels).size
+
+
+def spiral(size):
+    """Two interleaved one-pixel spirals, key 1 starting at the top-left
+    corner and key 0 just below it: each is one region whose far end lies
+    (size/2)^2 steps along its path from its first pixel."""
+    grid = np.zeros((size, size), dtype=np.int64)
+    y, x, dy, dx = 0, 0, 0, 1
+    grid[y, x] = 1
+    while True:
+        for _ in range(2):  # step ahead, else turn clockwise and try once more
+            ny, nx, ay, ax = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+            if (0 <= ny < size and 0 <= nx < size and not grid[ny, nx]
+                    and not (0 <= ay < size and 0 <= ax < size and grid[ay, ax])):
+                y, x = ny, nx
+                grid[y, x] = 1
+                break
+            dy, dx = dx, -dy
+        else:
+            return grid
+
+
+@pytest.mark.parametrize("neighborhood", (4, 8))
+def test_proximity_labels_follow_row_major_first_pixel(neighborhood):
+    rng = np.random.default_rng(37)
+    maps = [
+        np.array([[5]]),
+        np.array([[0, 0, 1, 1, 0, 2, 2, 0]]),
+        np.array([[0, 0, 1, 1, 0, 2, 2, 0]]).T,
+        spiral(17),
+        np.indices((5, 6)).sum(axis=0) % 2,
+    ] + [rng.integers(0, 3, size=shape) for shape in
+         [(1, 9), (9, 1), (6, 6), (10, 12), (13, 7)] * 4]
+    for labels in maps:
+        out = proximity_cluster(labels, neighborhood)
+        assert out.dtype == np.int64 and out.shape == labels.shape
+        assert np.array_equal(out, row_major_components(labels, neighborhood))
+        assert np.array_equal(out, reference_flood(labels, neighborhood))
+
+
+def test_proximity_exact_labels_on_small_maps():
+    assert proximity_cluster(np.array([[5]]), 4).tolist() == [[0]]
+    row = np.array([[0, 0, 1, 1, 0, 2, 2, 0]])
+    assert proximity_cluster(row, 8).tolist() == [[0, 0, 1, 1, 2, 3, 3, 4]]
+    assert proximity_cluster(row.T, 4).ravel().tolist() == [0, 0, 1, 1, 2, 3, 3, 4]
+    board = np.indices((3, 4)).sum(axis=0) % 2
+    assert np.array_equal(proximity_cluster(board, 4),
+                          np.arange(12).reshape(3, 4))
+    assert np.array_equal(proximity_cluster(board, 8), board)
+    for neighborhood in (4, 8):
+        assert np.array_equal(proximity_cluster(spiral(17), neighborhood),
+                              1 - spiral(17))
+
+
+def test_tree_build_leaves_scipy_sparse_unimported():
+    code = ("import sys, numpy as np, mkfilter\n"
+            "mkfilter.build_cluster_tree(mkfilter.Raster("
+            "np.random.default_rng(0).uniform(0, 255, (32, 32))),"
+            " mkfilter.ClusterConfig(max_depth=3))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    src = os.path.dirname(os.path.dirname(mkfilter.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_proximity_rejects_bad_neighborhood():
