@@ -15,7 +15,7 @@ from .clustering import (ClusterConfig, ClusterNode, ClusterTree, GaussPair,
 from .filters import (BfParams, KernelField, MkfRule, MkfResult, bf_weight,
                       mkf_weight, contextual_gain, weighted_mean_filter,
                       weighted_mean_filter_residual, build_kernel_field,
-                      mkf_denoise)
+                      mkf_denoise, mkf_filter)
 from .baselines import (TvParams, CfParams, tv_denoise, tv_denoise_trace,
                         cf_gaussian_denoise, bf_denoise)
 from .noise import (NoiseSpec, PhaseSpec, add_integral_noise, normalized_level,
@@ -37,6 +37,7 @@ __all__ = [
     "BfParams", "KernelField", "MkfRule", "MkfResult", "bf_weight",
     "mkf_weight", "contextual_gain", "weighted_mean_filter",
     "weighted_mean_filter_residual", "build_kernel_field", "mkf_denoise",
+    "mkf_filter",
     "TvParams", "CfParams", "tv_denoise", "tv_denoise_trace",
     "cf_gaussian_denoise", "bf_denoise",
     "NoiseSpec", "PhaseSpec", "add_integral_noise", "normalized_level",

@@ -10,6 +10,7 @@ subcommands.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -49,12 +50,19 @@ def save_raster_any(r: Raster, path) -> None:
 
 
 def _parse_levels(text: str) -> list[float]:
-    """Parse `lo:hi:step` (inclusive) or a comma list of levels."""
+    """Parse `lo:hi:step` (inclusive) or a comma list of levels.
+
+    Entries must be non-negative integers (written as integers or as
+    floats): levels, depths and sizes all feed integer seeds or counts, and
+    a fractional level would share its seed with its integer part.
+    """
     parts = text.split(":") if ":" in text else text.split(",")
     try:
         values = [float(p) for p in parts]
     except ValueError:
         raise ConfigError(f"expected numbers, got {text!r}") from None
+    if not all(math.isfinite(v) and v >= 0 and v == int(v) for v in values):
+        raise ConfigError(f"expected non-negative integers, got {text!r}")
     if ":" in text:
         if len(values) != 3:
             raise ConfigError(f"levels must be lo:hi:step, got {text!r}")

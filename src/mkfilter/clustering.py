@@ -26,7 +26,7 @@ are the one-cluster cases of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,7 +141,8 @@ class ClusterTree:
     ``em_iterations`` holds the iteration count of every EM fit made while
     building the tree, level by level and by cluster id within a level;
     a single-bin cluster counts 0, and a fit that stopped at
-    ``EM_MAX_ITERATIONS`` counts that many.
+    ``EM_MAX_ITERATIONS`` counts that many. ``level_fits[t - 1]`` is the
+    number of those fits made while building level t.
     """
 
     nodes: dict[int, ClusterNode]
@@ -149,9 +150,36 @@ class ClusterTree:
     depth: int
     sigma_floor: float
     em_iterations: tuple[int, ...] = ()
+    level_fits: tuple[int, ...] = ()
 
     def node(self, node_id: int) -> ClusterNode:
         return self.nodes[node_id]
+
+    def truncated(self, depth: int) -> "ClusterTree":
+        """The tree :func:`build_cluster_tree` gives at ``max_depth=depth``.
+
+        Levels are built one after another and ``max_depth`` only stops the
+        loop, so a shallower tree is an exact prefix of a deeper one: the
+        same level maps, node ids, statistics and EM fits. The level-`depth`
+        nodes become leaves (fresh copies with no children); shallower nodes
+        are shared with this tree.
+        """
+        if not 2 <= depth <= self.depth:
+            raise ConfigError(
+                f"truncation depth must be in [2, {self.depth}], got {depth}")
+        if depth == self.depth:
+            return self
+        nodes = {}
+        for node_id, node in self.nodes.items():
+            if node.level < depth:
+                nodes[node_id] = node
+            elif node.level == depth:
+                nodes[node_id] = replace(node, children=[])
+        return ClusterTree(
+            nodes=nodes, levels=self.levels[:depth + 1], depth=depth,
+            sigma_floor=self.sigma_floor,
+            em_iterations=self.em_iterations[:sum(self.level_fits[:depth])],
+            level_fits=self.level_fits[:depth])
 
     def leaves(self) -> list[ClusterNode]:
         return [n for n in self.nodes.values() if not n.children]
@@ -486,6 +514,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
 
     nodes: dict[int, ClusterNode] = {}
     em_iterations: list[int] = []
+    level_fits: list[int] = []
     levels = []
 
     def add_level(level, label, count, parents):
@@ -511,6 +540,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         side, fit_iterations = _split_sides(flat, label,
                                             size > cfg.max_cluster, cfg)
         em_iterations += fit_iterations
+        level_fits.append(len(fit_iterations))
         keys = (label * 2 + side).reshape(height, width)
         label, first_pixel = _rank_roots(_region_roots(keys, cfg.neighborhood))
         parents = levels[-1].ravel()[first_pixel].tolist()
@@ -518,7 +548,8 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
 
     return ClusterTree(nodes=nodes, levels=levels, depth=cfg.max_depth,
                        sigma_floor=cfg.bin_width,
-                       em_iterations=tuple(em_iterations))
+                       em_iterations=tuple(em_iterations),
+                       level_fits=tuple(level_fits))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ of its ancestors, so the effective bandwidth is delta / sqrt(psi).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,6 +32,7 @@ __all__ = [
     "weighted_mean_filter_residual",
     "build_kernel_field",
     "mkf_denoise",
+    "mkf_filter",
     "write_kernel_csv",
 ]
 
@@ -240,20 +240,32 @@ def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = 3.0,
     Returns the filtered raster together with the intermediates so they
     can be inspected or dumped.
     """
-    tree = build_cluster_tree(image, cfg)
+    return mkf_filter(image, build_cluster_tree(image, cfg), h_x, radius)
+
+
+def mkf_filter(image: Raster, tree: ClusterTree, h_x: float = 3.0,
+               radius: int = 5) -> MkfResult:
+    """The multi-kernel pipeline after the tree: kernel field and filter,
+    for a context tree built from `image` (or truncated from one)."""
     field = build_kernel_field(tree)
     out = weighted_mean_filter(image, MkfRule(field, h_x), radius)
     return MkfResult(out, tree, field)
 
 
 def write_kernel_csv(field: KernelField, path) -> None:
-    """Per-pixel kernel dump: rows `x,y,cluster_id,delta,psi`."""
+    """Per-pixel kernel dump: rows `x,y,cluster_id,delta,psi`, in the
+    `csv` module's default dialect (CRLF line ends, nothing to quote).
+
+    Each leaf's row suffix is formatted once; the per-pixel rows are
+    whole-array concatenations of object (str) arrays.
+    """
+    suffix = np.empty(max(field.records) + 1, dtype=object)
+    for cluster, (delta, psi) in field.records.items():
+        suffix[cluster] = f"{cluster},{delta!r},{psi!r}\r\n"
+    height, width = field.leaf_map.shape
+    xs = np.array([f"{x}," for x in range(width)], dtype=object)
+    ys = np.array([f"{y}," for y in range(height)], dtype=object)
+    rows = xs[None, :] + ys[:, None] + suffix[field.leaf_map]
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "cluster_id", "delta", "psi"])
-        height, width = field.leaf_map.shape
-        for y in range(height):
-            for x in range(width):
-                cluster = int(field.leaf_map[y, x])
-                delta, psi = field.records[cluster]
-                writer.writerow([x, y, cluster, repr(delta), repr(psi)])
+        fh.write("x,y,cluster_id,delta,psi\r\n")
+        fh.write("".join(rows.ravel().tolist()))

@@ -159,6 +159,13 @@ def load_pgm(path) -> Raster:
         dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
         values = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     else:
+        # every sample takes at least a separator and a digit; checked
+        # first so a forged header cannot demand a huge allocation
+        if len(buf) - pos < 2 * count:
+            raise FormatError(
+                f"truncated payload at byte {len(buf)}: {width}x{height} "
+                f"ASCII samples need at least {2 * count} bytes, "
+                f"found {len(buf) - pos}")
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
             sample, pos = _header_int(buf, pos, "sample")

@@ -1,5 +1,6 @@
 """Benchmark harness rows, CSV/SVG emission, and the CLI surface."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -102,6 +103,32 @@ def test_sweep_depth_default_grid_has_240_rows():
     assert len(rows) == 240
     depths = {row.params for row in rows}
     assert len(depths) == 6 * 20
+
+
+def _without_ms(rows):
+    return [dataclasses.replace(row, ms=0.0) for row in rows]
+
+
+def test_sweep_depth_rows_match_per_case_path_and_threads():
+    clean = small_image()
+    depths, sizes, levels = (2, 3, 5), (20, 60), (10.0, 1000.0)
+    rows = sweep_depth("fix", clean, depths=depths, sizes=sizes,
+                       levels=levels, seed=5, radius=2)
+    # one fresh run_case per (level, depth, size), in that order
+    expected = []
+    for level in levels:
+        noise = NoiseSpec(kind="integral", level=level,
+                          seed=derive_seed(5, "fix", int(level)))
+        for depth in depths:
+            for size in sizes:
+                spec = parse_filter_spec(
+                    f"mkf:depth={depth},max_cluster={size},radius=2")
+                expected.append(run_case("fix", clean, spec, noise, 255.0))
+    assert _without_ms(rows) == _without_ms(expected)
+    assert all(row.ms > 0 for row in rows)
+    threaded = sweep_depth("fix", clean, depths=depths, sizes=sizes,
+                           levels=levels, seed=5, radius=2, threads=2)
+    assert _without_ms(threaded) == _without_ms(rows)
 
 
 def test_bench_integral_row_count():
@@ -333,7 +360,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [["--levels", "10,x"], ["--levels", "10:x:1"],
-                                 ["--seed", "-1"]])
+                                 ["--seed", "-1"], ["--levels", "-10"],
+                                 ["--levels", "nan"], ["--levels", "inf"],
+                                 ["--levels", "10.5"]])
 def test_cli_sweep_depth_bad_levels_or_seed_exit_two(tmp_path, capsys, bad):
     src = tmp_path / "in.pgm"
     write_test_pgm(src)

@@ -1,5 +1,7 @@
 """Weight formulas and the weighted-mean engine against brute-force sums."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from mkfilter import (BfParams, ClusterConfig, ConfigError, Coordinate,
                       KernelField, MkfRule, Raster, bf_weight, contextual_gain,
                       mkf_denoise, mkf_weight, weighted_mean_filter,
                       weighted_mean_filter_residual)
+from mkfilter.filters import write_kernel_csv
 
 # ---------------------------------------------------------------------------
 # oracle: per-pixel direct sums built on the scalar weight functions
@@ -286,3 +289,24 @@ def test_mkf_denoise_returns_inspectable_intermediates():
     assert set(np.unique(result.field.leaf_map)) == set(result.field.records)
     for delta, psi in result.field.records.values():
         assert delta >= 1.0 and psi > 0.0
+
+
+def test_write_kernel_csv_matches_csv_module_rows(tmp_path):
+    rng = np.random.default_rng(21)
+    img = Raster(rng.integers(0, 256, (9, 13)).astype(float))
+    field = mkf_denoise(img, ClusterConfig(max_depth=3, max_cluster=10,
+                                           min_cluster=4), radius=2).field
+    assert len(field.records) > 1
+    path = tmp_path / "k.csv"
+    write_kernel_csv(field, path)
+
+    # one csv.writer row per pixel, row-major
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["x", "y", "cluster_id", "delta", "psi"])
+    for y in range(9):
+        for x in range(13):
+            cluster = int(field.leaf_map[y, x])
+            delta, psi = field.records[cluster]
+            writer.writerow([x, y, cluster, repr(delta), repr(psi)])
+    assert path.read_bytes() == expected.getvalue().encode("ascii")

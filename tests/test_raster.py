@@ -63,6 +63,14 @@ def test_truncated_payload_names_offset(tmp_path):
         load_pgm(path)
 
 
+def test_p2_size_checked_against_file_before_allocating(tmp_path):
+    # 2^24 x 2^24 samples would be 2 PiB of float64; 4 bytes follow the header
+    path = tmp_path / "t.pgm"
+    path.write_bytes(b"P2 16777216 16777216 255 1 2")
+    with pytest.raises(FormatError, match="truncated"):
+        load_pgm(path)
+
+
 def test_malformed_header(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n2 x\n255\n")

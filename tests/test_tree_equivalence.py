@@ -7,8 +7,13 @@ connectivities. Level maps, topology and the iteration count of every EM fit
 must be identical; node means and deviations are summed in another order
 (``np.bincount`` instead of per-node pairwise sums), so they must agree
 within 1e-12 relative.
+
+On the same trees, a depth-7 tree truncated to depth d must be exactly the
+tree a fresh depth-d build gives, with the same kernel field and filtered
+output: the depth sweep filters with truncated trees.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +21,8 @@ import pytest
 
 from tree_oracle import reference_tree
 
-from mkfilter import ClusterConfig, Raster, build_cluster_tree, load_pgm, save_pgm
+from mkfilter import (ClusterConfig, ConfigError, Raster, build_cluster_tree,
+                      load_pgm, mkf_denoise, mkf_filter, save_pgm)
 from mkfilter.bench import derive_seed
 from mkfilter.clustering import EM_MAX_ITERATIONS
 from mkfilter.noise import NoiseSpec, apply_noise
@@ -70,18 +76,72 @@ def test_wide_tree_matches_oracle():
                      *reference_tree(values, cfg))
 
 
-@pytest.mark.parametrize("neighborhood", (4, 8))
-@pytest.mark.parametrize("max_cluster", (20, 100))
-@pytest.mark.parametrize("level", (10.0, 300.0, 1000.0))
-def test_sweep_trees_match_oracle(tmp_path, level, max_cluster, neighborhood):
+def sweep_input(tmp_path, level):
     path = tmp_path / "bsd.pgm"
     save_pgm(bsd_style(24, 24, seed=PHANTOM_SEED), path)  # 8-bit, as the CLI reads it
-    noisy = apply_noise(load_pgm(path), NoiseSpec(
+    return apply_noise(load_pgm(path), NoiseSpec(
         "integral", level, derive_seed(0, "bsd", int(level))))
+
+
+SWEEP_CELLS = pytest.mark.parametrize(
+    "level, max_cluster, neighborhood",
+    [(level, max_cluster, neighborhood) for level in (10.0, 300.0, 1000.0)
+     for max_cluster in (20, 100) for neighborhood in (4, 8)])
+
+
+@SWEEP_CELLS
+def test_sweep_trees_match_oracle(tmp_path, level, max_cluster, neighborhood):
+    noisy = sweep_input(tmp_path, level)
     cfg = ClusterConfig(max_depth=7, max_cluster=max_cluster,
                         neighborhood=neighborhood)
     assert_same_tree(build_cluster_tree(noisy, cfg),
                      *reference_tree(noisy.data, cfg))
+
+
+def assert_truncations_match_fresh_builds(image, cfg):
+    deep = build_cluster_tree(image, cfg)
+    assert deep.truncated(cfg.max_depth) is deep
+    for depth in range(2, cfg.max_depth):
+        tree = deep.truncated(depth)
+        fresh = mkf_denoise(image, dataclasses.replace(cfg, max_depth=depth))
+        want = fresh.tree
+        assert (tree.depth, tree.sigma_floor) == (want.depth, want.sigma_floor)
+        assert len(tree.levels) == len(want.levels) == depth + 1
+        for got, expected in zip(tree.levels, want.levels):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert tree.nodes == want.nodes  # ClusterNode ==: floats exactly
+        assert tree.em_iterations == want.em_iterations
+        assert tree.level_fits == want.level_fits
+        got = mkf_filter(image, tree)
+        assert got.field.records == fresh.field.records
+        assert np.array_equal(got.field.leaf_map, fresh.field.leaf_map)
+        assert np.array_equal(got.raster.data, fresh.raster.data)
+    # truncating leaves the deep tree intact
+    assert deep.nodes == build_cluster_tree(image, cfg).nodes
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_tree_truncations_match_fresh_builds(name):
+    assert_truncations_match_fresh_builds(Raster(deep_input(name)),
+                                          ClusterConfig(max_depth=7))
+
+
+@SWEEP_CELLS
+def test_sweep_tree_truncations_match_fresh_builds(tmp_path, level,
+                                                   max_cluster, neighborhood):
+    assert_truncations_match_fresh_builds(
+        sweep_input(tmp_path, level),
+        ClusterConfig(max_depth=7, max_cluster=max_cluster,
+                      neighborhood=neighborhood))
+
+
+@pytest.mark.parametrize("depth", (0, 1, 4))
+def test_truncation_depth_out_of_range(depth):
+    tree = build_cluster_tree(Raster(deep_input("bsd_style")),
+                              ClusterConfig(max_depth=3))
+    with pytest.raises(ConfigError, match="truncation depth"):
+        tree.truncated(depth)
 
 
 @pytest.mark.parametrize("name, fits, iterations, cap_hits", [
