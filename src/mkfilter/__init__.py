@@ -14,8 +14,7 @@ from .clustering import (ClusterConfig, ClusterNode, ClusterTree, GaussPair,
                          proximity_cluster, build_cluster_tree, context_of)
 from .filters import (BfParams, KernelField, MkfRule, MkfResult, bf_weight,
                       mkf_weight, contextual_gain, weighted_mean_filter,
-                      weighted_mean_filter_residual, build_kernel_field,
-                      mkf_denoise, mkf_filter)
+                      build_kernel_field, mkf_denoise, mkf_filter)
 from .baselines import (TvParams, CfParams, tv_denoise, tv_denoise_trace,
                         cf_gaussian_denoise, bf_denoise)
 from .noise import (NoiseSpec, PhaseSpec, add_integral_noise, normalized_level,
@@ -36,8 +35,7 @@ __all__ = [
     "context_of",
     "BfParams", "KernelField", "MkfRule", "MkfResult", "bf_weight",
     "mkf_weight", "contextual_gain", "weighted_mean_filter",
-    "weighted_mean_filter_residual", "build_kernel_field", "mkf_denoise",
-    "mkf_filter",
+    "build_kernel_field", "mkf_denoise", "mkf_filter",
     "TvParams", "CfParams", "tv_denoise", "tv_denoise_trace",
     "cf_gaussian_denoise", "bf_denoise",
     "NoiseSpec", "PhaseSpec", "add_integral_noise", "normalized_level",

@@ -52,13 +52,10 @@ class TvParams:
 @dataclass(frozen=True)
 class CfParams:
     iters: int = 10
-    mode: str = "gaussian"
 
     def __post_init__(self) -> None:
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.mode != "gaussian":
-            raise ConfigError(f"unsupported curvature mode {self.mode!r}")
 
 
 # ---------------------------------------------------------------------------

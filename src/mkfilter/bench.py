@@ -13,23 +13,28 @@ import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import bf_denoise, cf_gaussian_denoise, tv_denoise
-from .baselines import CfParams, TvParams
-from . import filters
-from .clustering import ClusterConfig
+from . import baselines, filters
+from .baselines import (CfParams, TvParams, bf_denoise, cf_gaussian_denoise,
+                        write_energy_csv)
+# unused here, but the benchmark tracer wraps the name bench.tv_denoise
+from .baselines import tv_denoise  # noqa: F401
+from .clustering import ClusterConfig, write_tree_dump
 from .errors import ConfigError
-from .filters import BfParams, mkf_denoise, mkf_filter
+from .filters import BfParams, mkf_denoise, mkf_filter, write_kernel_csv
 from .metrics import mae, ssim
-from .noise import NoiseSpec, apply_noise, parse_noise_spec
+from .noise import NoiseSpec, apply_noise, format_number, parse_noise_spec
 from .raster import Raster
 
 __all__ = [
+    "FILTERS",
     "FilterSpec",
     "ResultRow",
     "CSV_HEADER",
+    "filter_spec",
     "parse_filter_spec",
     "apply_filter",
     "derive_seed",
@@ -44,14 +49,53 @@ __all__ = [
 CSV_HEADER = ["image", "filter", "params", "noise", "seed", "component",
               "mae", "ssim", "ms"]
 
-_FILTER_DEFAULTS = {
-    "bf": {"hi": 57.0, "hx": 3.0, "radius": 5},
-    "mkf": {"depth": 2, "max_cluster": 20, "min_cluster": 9, "neigh": 8,
-            "bin_width": 1.0, "tol": 1e-4, "hx": 3.0, "radius": 5},
-    "tv": {"lam": 1.25, "iters": 100, "step": 0.1},
-    "cf": {"iters": 10},
+
+class Filter(NamedTuple):
+    """One filter: ``keys`` maps each spec key to its (params dataclass,
+    field name), whose default and type the key takes; ``run(image,
+    params)`` takes the built dataclasses by class and returns a tuple that
+    starts with the filtered raster; ``dumps`` maps a dump name to its
+    writer ``(that tuple, path)``.
+    """
+
+    keys: dict
+    run: Callable
+    dumps: dict
+
+    def defaults(self) -> dict:
+        return {key: getattr(cls, field)
+                for key, (cls, field) in self.keys.items()}
+
+
+def _fields(cls, **fields) -> dict:
+    return {key: (cls, field) for key, field in fields.items()}
+
+
+# The run functions look the filters up when they are called, so wrappers
+# installed on the modules afterwards (the benchmark tracer's) see each run.
+FILTERS = {
+    "bf": Filter(_fields(BfParams, hx="h_x", hi="h_I", radius="radius"),
+                 lambda image, p: (bf_denoise(image, p[BfParams]),), {}),
+    "mkf": Filter(
+        {**_fields(ClusterConfig, depth="max_depth", max_cluster="max_cluster",
+                   min_cluster="min_cluster", neigh="neighborhood",
+                   bin_width="bin_width", tol="em_tol"),
+         # the bilateral filter's spatial kernel
+         **_fields(BfParams, hx="h_x", radius="radius")},
+        lambda image, p: mkf_denoise(image, p[ClusterConfig], p[BfParams].h_x,
+                                     p[BfParams].radius),
+        {"dump_tree": lambda result, path: write_tree_dump(result.tree, path),
+         "dump_kernels": lambda result, path: write_kernel_csv(result.field,
+                                                               path)}),
+    "tv": Filter(_fields(TvParams, lam="lam", iters="iters", step="step"),
+                 lambda image, p: baselines.tv_denoise_trace(image,
+                                                             p[TvParams]),
+                 {"dump_energy": lambda result, path: write_energy_csv(
+                     result[1], path)}),
+    "cf": Filter(_fields(CfParams, iters="iters"),
+                 lambda image, p: (cf_gaussian_denoise(image, p[CfParams]),),
+                 {}),
 }
-_INT_PARAMS = {"radius", "depth", "max_cluster", "min_cluster", "neigh", "iters"}
 
 
 @dataclass(frozen=True)
@@ -63,14 +107,22 @@ class FilterSpec:
 
     def canonical(self) -> str:
         """Stable parameter digest, e.g. `depth=2,hx=3,radius=5`."""
-        return ",".join(f"{k}={self.params[k]:g}" for k in sorted(self.params))
+        return ",".join(f"{k}={format_number(self.params[k])}"
+                        for k in sorted(self.params))
 
     def label(self) -> str:
         """Short legend label: the non-default parameters only."""
-        defaults = _FILTER_DEFAULTS[self.name]
-        diff = [f"{k}={self.params[k]:g}" for k in sorted(self.params)
-                if self.params[k] != defaults[k]]
-        return self.name if not diff else f"{self.name}:{','.join(diff)}"
+        defaults = FILTERS[self.name].defaults()
+        diff = FilterSpec(self.name, {k: v for k, v in self.params.items()
+                                      if v != defaults[k]}).canonical()
+        return f"{self.name}:{diff}" if diff else self.name
+
+    def build(self) -> dict:
+        """The filter's params dataclasses, keyed by class."""
+        fields: dict = {}
+        for key, (cls, field) in FILTERS[self.name].keys.items():
+            fields.setdefault(cls, {})[field] = self.params[key]
+        return {cls: cls(**values) for cls, values in fields.items()}
 
 
 @dataclass(frozen=True)
@@ -86,46 +138,34 @@ class ResultRow:
     ms: float
 
 
+def filter_spec(name: str, given: dict) -> FilterSpec:
+    """Filter `name` with the `given` parameters; the rest take their
+    defaults."""
+    return FilterSpec(name=name, params={**FILTERS[name].defaults(), **given})
+
+
 def parse_filter_spec(text: str) -> FilterSpec:
-    """Parse `bf:hi=57,hx=3` style strings; unset parameters take the
-    benchmark defaults."""
+    """Parse `bf:hi=57,hx=3` style strings; unset parameters take their
+    defaults."""
     name, _, body = text.partition(":")
-    if name not in _FILTER_DEFAULTS:
+    if name not in FILTERS:
         raise ConfigError(f"unknown filter {name!r} in {text!r}")
-    params = dict(_FILTER_DEFAULTS[name])
-    if body:
-        for item in body.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep or key not in params:
-                raise ConfigError(f"bad filter option {item!r} in {text!r}")
-            try:
-                params[key] = int(value) if key in _INT_PARAMS else float(value)
-            except ValueError:
-                raise ConfigError(f"bad value for {key!r} in {text!r}") from None
-    return FilterSpec(name=name, params=params)
-
-
-def _mkf_config(p: dict) -> ClusterConfig:
-    return ClusterConfig(max_depth=p["depth"], max_cluster=p["max_cluster"],
-                         min_cluster=p["min_cluster"], neighborhood=p["neigh"],
-                         bin_width=p["bin_width"], em_tol=p["tol"])
+    defaults = FILTERS[name].defaults()
+    given = {}
+    for item in body.split(",") if body else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or key not in defaults:
+            raise ConfigError(f"bad filter option {item!r} in {text!r}")
+        try:
+            given[key] = type(defaults[key])(value)
+        except ValueError:
+            raise ConfigError(f"bad value for {key!r} in {text!r}") from None
+    return filter_spec(name, given)
 
 
 def apply_filter(image: Raster, spec: FilterSpec) -> Raster:
-    p = spec.params
-    if spec.name == "bf":
-        return bf_denoise(image, BfParams(h_x=p["hx"], h_I=p["hi"],
-                                          radius=p["radius"]))
-    if spec.name == "mkf":
-        return mkf_denoise(image, _mkf_config(p), h_x=p["hx"],
-                           radius=p["radius"]).raster
-    if spec.name == "tv":
-        return tv_denoise(image, TvParams(lam=p["lam"], iters=p["iters"],
-                                          step=p["step"]))
-    if spec.name == "cf":
-        return cf_gaussian_denoise(image, CfParams(iters=p["iters"]))
-    raise ConfigError(f"unknown filter {spec.name!r}")
+    return FILTERS[spec.name].run(image, spec.build())[0]
 
 
 def derive_seed(master: int, *key) -> int:
@@ -196,8 +236,8 @@ def sweep_depth(image_id: str, clean: Raster,
                 depths=range(2, 8),
                 sizes=range(10, 201, 10),
                 levels=(10.0, 1000.0),
-                seed: int = 0, h_x: float = 3.0, radius: int = 5,
-                threads: int = 1) -> list[ResultRow]:
+                seed: int = 0, h_x: float = BfParams.h_x,
+                radius: int = BfParams.radius, threads: int = 1) -> list[ResultRow]:
     """Tree-depth / cluster-size grid under two noise levels.
 
     The per-level seed depends only on (seed, level), so every (depth,
@@ -229,8 +269,8 @@ def _sweep_group(image_id: str, clean: Raster, depths: list, size: int,
     """One row per depth for one (noise level, cluster size) group."""
     if not depths:
         return []
-    specs = [parse_filter_spec(f"mkf:depth={depth},max_cluster={size},"
-                               f"hx={h_x:g},radius={radius}")
+    specs = [filter_spec("mkf", {"depth": depth, "max_cluster": size,
+                                 "hx": h_x, "radius": radius})
              for depth in depths]
     deepest = depths.index(max(depths))
     noisy = apply_noise(clean, noise)
@@ -238,7 +278,7 @@ def _sweep_group(image_id: str, clean: Raster, depths: list, size: int,
     # looked up on the filters module, as mkf_denoise does, so that
     # wrappers installed there (the benchmark tracer's) see the build
     tree = filters.build_cluster_tree(noisy,
-                                      _mkf_config(specs[deepest].params))
+                                      specs[deepest].build()[ClusterConfig])
     tree_ms = (time.perf_counter() - started) * 1e3
     rows = []
     for index, spec in enumerate(specs):

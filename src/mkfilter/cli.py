@@ -17,19 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .baselines import write_energy_csv
 from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
 from .errors import ConfigError, FormatError
-from .filters import mkf_denoise, write_kernel_csv
 from .metrics import mae, ssim
-from .noise import PhaseSpec, parse_noise_spec, apply_noise
+from .noise import PhaseSpec, apply_noise, format_number, parse_noise_spec
 from .raster import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
 from .charts import line_chart
 
-_FILTER_CHOICES = ("bf", "mkf", "tv", "cf")
 _BSD_DEFAULT_FILTERS = ("bf:hi=57", "bf:hi=5", "mkf:depth=2", "mkf:depth=7")
 _BRAINWEB_DEFAULT_FILTERS = ("bf:hi=57,radius=2", "mkf:depth=2,radius=2",
                              "tv", "cf")
+# the filter flags: registry parameters first, then the dumps
+_PARAM_FLAGS = tuple(dict.fromkeys(
+    key for entry in bench.FILTERS.values() for key in entry.keys))
+_DUMP_FLAGS = tuple(name for entry in bench.FILTERS.values()
+                    for name in entry.dumps)
+_TREE_FLAGS = tuple(key for key, (cls, _) in bench.FILTERS["mkf"].keys.items()
+                    if cls is ClusterConfig)
 
 
 def load_raster_any(path) -> Raster:
@@ -82,19 +86,27 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="directory for CSV/SVG outputs")
 
 
-def _cluster_config(args) -> ClusterConfig:
-    return ClusterConfig(max_depth=args.depth, max_cluster=args.max_cluster,
-                         min_cluster=args.min_cluster, neighborhood=args.neigh,
-                         bin_width=args.bin_width, em_tol=args.tol)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _add_cluster_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth", type=int, default=2)
-    parser.add_argument("--max-cluster", type=int, default=20)
-    parser.add_argument("--min-cluster", type=int, default=9)
-    parser.add_argument("--neigh", type=int, choices=(4, 8), default=8)
-    parser.add_argument("--bin-width", type=float, default=1.0)
-    parser.add_argument("--tol", type=float, default=1e-4)
+def _add_filter_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One flag per registry parameter (typed like its default) or dump
+    (a path). A flag left out is absent from the parsed namespace."""
+    for name in names:
+        defaults = {fid: entry.defaults()[name]
+                    for fid, entry in bench.FILTERS.items() if name in entry.keys}
+        text = ", ".join(f"{format_number(value)} ({fid})"
+                         for fid, value in defaults.items())
+        parser.add_argument(
+            _flag(name), default=argparse.SUPPRESS,
+            type=type(next(iter(defaults.values()))) if defaults else Path,
+            help=f"default {text}" if text else None)
+
+
+def _given(args, names) -> dict:
+    """The flags among `names` that the command line set."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,23 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denoise", help="filter one image")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--filter", required=True, choices=_FILTER_CHOICES)
-    p.add_argument("--hx", type=float, default=3.0)
-    p.add_argument("--hi", type=float, default=57.0)
-    p.add_argument("--radius", type=int, default=5)
-    _add_cluster_flags(p)
-    p.add_argument("--lam", type=float, default=1.25)
-    p.add_argument("--iters", type=int, default=None,
-                   help="iterations for tv (default 100) or cf (default 10)")
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--dump-tree", type=Path, default=None)
-    p.add_argument("--dump-kernels", type=Path, default=None)
-    p.add_argument("--dump-energy", type=Path, default=None,
-                   help="tv only: per-iteration energy CSV")
+    p.add_argument("--filter", required=True, choices=tuple(bench.FILTERS))
+    _add_filter_flags(p, _PARAM_FLAGS + _DUMP_FLAGS)
 
     p = sub.add_parser("cluster", help="build and export the context tree")
     p.add_argument("input", type=Path)
-    _add_cluster_flags(p)
+    _add_filter_flags(p, _TREE_FLAGS)
     p.add_argument("--dump-tree", type=Path, default=None)
     p.add_argument("--dump-labels", type=Path, default=None,
                    help="directory for per-level label maps (MKFR)")
@@ -145,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default="2:7:1")
     p.add_argument("--sizes", default="10:200:10")
     p.add_argument("--levels", default="10,1000")
-    p.add_argument("--hx", type=float, default=3.0)
-    p.add_argument("--radius", type=int, default=5)
+    _add_filter_flags(p, ("hx", "radius"))
     _shared_flags(p)
 
     p = sub.add_parser("bench-bsd",
@@ -179,39 +179,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_denoise(args) -> int:
-    image = load_raster_any(args.input)
-    if args.filter == "bf":
-        spec = bench.FilterSpec("bf", {"hi": args.hi, "hx": args.hx,
-                                       "radius": args.radius})
-        out = bench.apply_filter(image, spec)
-    elif args.filter == "mkf":
-        result = mkf_denoise(image, _cluster_config(args), h_x=args.hx,
-                             radius=args.radius)
-        out = result.raster
-        if args.dump_tree:
-            write_tree_dump(result.tree, args.dump_tree)
-        if args.dump_kernels:
-            write_kernel_csv(result.field, args.dump_kernels)
-    elif args.filter == "tv":
-        from .baselines import TvParams, tv_denoise_trace
-        iters = 100 if args.iters is None else args.iters
-        out, trace = tv_denoise_trace(
-            image, TvParams(lam=args.lam, iters=iters, step=args.step))
-        if args.dump_energy:
-            write_energy_csv(trace, args.dump_energy)
-    else:
-        from .baselines import CfParams, cf_gaussian_denoise
-        iters = 10 if args.iters is None else args.iters
-        out = cf_gaussian_denoise(image, CfParams(iters=iters))
-    if args.filter != "mkf" and (args.dump_tree or args.dump_kernels):
-        raise ConfigError("--dump-tree/--dump-kernels apply to --filter mkf")
-    save_raster_any(out, args.output)
+    entry = bench.FILTERS[args.filter]
+    given = _given(args, _PARAM_FLAGS + _DUMP_FLAGS)
+    stray = [_flag(name) for name in given
+             if name not in entry.keys and name not in entry.dumps]
+    if stray:
+        raise ConfigError(f"--filter {args.filter} does not take "
+                          f"{', '.join(stray)}")
+    spec = bench.filter_spec(args.filter, {key: given[key] for key in entry.keys
+                                           if key in given})
+    params = spec.build()  # the dataclasses check their values here
+    result = entry.run(load_raster_any(args.input), params)
+    save_raster_any(result[0], args.output)
+    for name, write in entry.dumps.items():
+        if name in given:
+            write(result, given[name])
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    image = load_raster_any(args.input)
-    tree = build_cluster_tree(image, _cluster_config(args))
+    cfg = bench.filter_spec("mkf", _given(args, _TREE_FLAGS)).build()[ClusterConfig]
+    tree = build_cluster_tree(load_raster_any(args.input), cfg)
     if args.dump_tree:
         write_tree_dump(tree, args.dump_tree)
     if args.dump_labels:
@@ -246,12 +234,13 @@ def _int_range(text: str) -> list[int]:
 
 def _cmd_sweep_depth(args) -> int:
     image = load_raster_any(args.input)
+    spatial = bench.filter_spec("mkf", _given(args, ("hx", "radius"))).params
     rows = bench.sweep_depth(
         args.input.stem, image,
         depths=_int_range(args.depths),
         sizes=_int_range(args.sizes),
         levels=_parse_levels(args.levels),
-        seed=args.seed, h_x=args.hx, radius=args.radius,
+        seed=args.seed, h_x=spatial["hx"], radius=spatial["radius"],
         threads=args.threads)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     bench.write_rows_csv(rows, args.out_dir / "sweep_depth.csv")

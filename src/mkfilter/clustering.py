@@ -100,7 +100,7 @@ class ClusterConfig:
     bin_width: float = 1.0
     em_tol: float = 1e-4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_depth < 2:
             raise ConfigError(f"max_depth must be >= 2, got {self.max_depth}")
         if self.min_cluster < 1:
@@ -508,7 +508,6 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     the image, one statistics pass. Node ids are issued level by level, in
     row-major order of each cluster's first pixel.
     """
-    cfg.validate()
     height, width = image.data.shape
     flat = image.data.ravel()
 

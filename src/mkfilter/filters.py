@@ -29,7 +29,6 @@ __all__ = [
     "mkf_weight",
     "contextual_gain",
     "weighted_mean_filter",
-    "weighted_mean_filter_residual",
     "build_kernel_field",
     "mkf_denoise",
     "mkf_filter",
@@ -160,37 +159,6 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     return num / den
 
 
-def _window_residual(values: np.ndarray, h_x: float, radius: int,
-                     delta, psi) -> np.ndarray:
-    """Residual form of the same filter: center minus the weighted mean of
-    the neighborhood differences. Kept as an independent check of the
-    direct form."""
-    height, width = values.shape
-    padded = np.pad(values, radius, mode="symmetric")
-    inv_space = 1.0 / (2.0 * h_x * h_x)
-    inv_range = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
-    num = np.zeros_like(values)
-    den = np.zeros_like(values)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            shifted = padded[radius + dy:radius + dy + height,
-                             radius + dx:radius + dx + width]
-            w = np.exp(-(dx * dx + dy * dy) * inv_space
-                       - (values - shifted) ** 2 * inv_range)
-            num += w * (values - shifted)
-            den += w
-    return values - num / den
-
-
-def _resolve_rule(weight_rule) -> tuple[float, object, object]:
-    if isinstance(weight_rule, BfParams):
-        return weight_rule.h_x, weight_rule.h_I, 1.0
-    if isinstance(weight_rule, MkfRule):
-        delta, psi = weight_rule.field.parameter_maps()
-        return weight_rule.h_x, delta, psi
-    raise ConfigError(f"unsupported weight rule {type(weight_rule).__name__}")
-
-
 def weighted_mean_filter(image: Raster, weight_rule, radius: int) -> Raster:
     """Run the filter engine over `image`.
 
@@ -200,20 +168,17 @@ def weighted_mean_filter(image: Raster, weight_rule, radius: int) -> Raster:
     """
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius}")
-    h_x, delta, psi = _resolve_rule(weight_rule)
-    if isinstance(weight_rule, MkfRule) \
-            and weight_rule.field.leaf_map.shape != image.data.shape:
-        raise ConfigError("kernel field was built for a different image size")
-    return image.with_data(_window_mean(image.data, h_x, radius, delta, psi))
-
-
-def weighted_mean_filter_residual(image: Raster, weight_rule,
-                                  radius: int) -> Raster:
-    """Same contract as :func:`weighted_mean_filter` via the residual form."""
-    if radius < 1:
-        raise ConfigError(f"radius must be >= 1, got {radius}")
-    h_x, delta, psi = _resolve_rule(weight_rule)
-    return image.with_data(_window_residual(image.data, h_x, radius, delta, psi))
+    if isinstance(weight_rule, BfParams):
+        delta, psi = weight_rule.h_I, 1.0
+    elif isinstance(weight_rule, MkfRule):
+        if weight_rule.field.leaf_map.shape != image.data.shape:
+            raise ConfigError("kernel field was built for a different image size")
+        delta, psi = weight_rule.field.parameter_maps()
+    else:
+        raise ConfigError(
+            f"unsupported weight rule {type(weight_rule).__name__}")
+    return image.with_data(_window_mean(image.data, weight_rule.h_x, radius,
+                                        delta, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +198,8 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
     return KernelField(records=records, leaf_map=tree.levels[tree.depth])
 
 
-def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = 3.0,
-                radius: int = 5) -> MkfResult:
+def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = BfParams.h_x,
+                radius: int = BfParams.radius) -> MkfResult:
     """Full multi-kernel pipeline: context tree, kernel field, filter.
 
     Returns the filtered raster together with the intermediates so they
@@ -243,8 +208,8 @@ def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = 3.0,
     return mkf_filter(image, build_cluster_tree(image, cfg), h_x, radius)
 
 
-def mkf_filter(image: Raster, tree: ClusterTree, h_x: float = 3.0,
-               radius: int = 5) -> MkfResult:
+def mkf_filter(image: Raster, tree: ClusterTree, h_x: float = BfParams.h_x,
+               radius: int = BfParams.radius) -> MkfResult:
     """The multi-kernel pipeline after the tree: kernel field and filter,
     for a context tree built from `image` (or truncated from one)."""
     field = build_kernel_field(tree)

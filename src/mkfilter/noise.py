@@ -35,6 +35,7 @@ __all__ = [
     "phase_map",
     "parse_noise_spec",
     "apply_noise",
+    "format_number",
 ]
 
 GENERATOR_ID = "numpy-pcg64"
@@ -44,6 +45,16 @@ EIGHT_BIT_VARIANCE = 65025.0  # 255^2
 DEFAULT_PHASE_COEFFS = (0.3, 0.5, -0.4, 0.25, 0.15, -0.2)
 # per-slice linear drift, small enough that adjacent slices stay close
 DEFAULT_PHASE_DRIFT = (0.03, 0.05, -0.04)
+
+
+def format_number(value) -> str:
+    """Spec text for a number: `:g` when it reads back as the same value,
+    `repr` otherwise, so a CSV row's recorded parameters replay exactly."""
+    text = f"{value:g}"
+    try:
+        return text if type(value)(text) == value else repr(value)
+    except ValueError:  # an int that `:g` wrote with an exponent
+        return repr(value)
 
 
 @dataclass(frozen=True)
@@ -73,9 +84,9 @@ class NoiseSpec:
         """Seedless descriptor; parse_noise_spec accepts it back, so a CSV
         row's noise column plus its seed column replays the realization."""
         if self.kind == "integral":
-            return f"integral:level={self.level:g}"
-        spread = "auto" if self.spread is None else f"{self.spread:g}"
-        out = f"field:peak={self.level:g},spread={spread}"
+            return f"integral:level={format_number(self.level)}"
+        spread = "auto" if self.spread is None else format_number(self.spread)
+        out = f"field:peak={format_number(self.level)},spread={spread}"
         if self.center is not None:
             out += f",cx={self.center.x},cy={self.center.y}"
         return out

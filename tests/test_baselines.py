@@ -81,7 +81,7 @@ def test_energy_csv(tmp_path):
 
 
 def test_cf_defaults_match_benchmark_protocol():
-    assert CfParams() == CfParams(iters=10, mode="gaussian")
+    assert CfParams() == CfParams(iters=10)
 
 
 def test_cf_constant_fixed_point():
@@ -130,8 +130,6 @@ def test_cf_deterministic():
 def test_cf_param_validation():
     with pytest.raises(ConfigError):
         CfParams(iters=0)
-    with pytest.raises(ConfigError):
-        CfParams(mode="mean")
 
 
 # ---------------------------------------------------------------------------

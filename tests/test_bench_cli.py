@@ -3,6 +3,8 @@
 import dataclasses
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,12 +77,25 @@ def test_run_case_row_fields():
 
 def test_replay_row_reproduces_metrics():
     clean = small_image(3)
-    noise = NoiseSpec(kind="integral", level=200.0, seed=11)
-    row = run_case("img3", clean, parse_filter_spec("mkf:radius=2"), noise,
-                   255.0)
-    mae_again, ssim_again = replay_row(clean, row, 255.0)
-    assert abs(mae_again - row.mae) < 1e-12
-    assert abs(ssim_again - row.ssim) < 1e-12
+    integral = NoiseSpec(kind="integral", level=200.0, seed=11)
+    # values that `:g` would round to 6 significant digits
+    field = NoiseSpec(kind="spatial-field", level=200.123456789, seed=11,
+                      spread=7.123456789)
+    rows = [run_case("img3", clean, parse_filter_spec(text), noise, 255.0)
+            for text, noise in (("mkf:radius=2", integral),
+                                ("bf:hi=57.123456789,radius=2", integral),
+                                ("bf:radius=2", field))]
+    rows += sweep_depth("img3", clean, depths=(2,), sizes=(20,),
+                        levels=(200.0,), seed=5, h_x=2.123456789, radius=2)
+    assert "hx=2.123456789" in rows[-1].params
+    for row in rows:
+        mae_again, ssim_again = replay_row(clean, row, 255.0)
+        assert abs(mae_again - row.mae) < 1e-12
+        assert abs(ssim_again - row.ssim) < 1e-12
+    # too slow to run; its digest must still parse back to the same spec
+    spec = parse_filter_spec("cf:iters=1234567")
+    assert spec.canonical() == "iters=1234567"
+    assert parse_filter_spec(f"cf:{spec.canonical()}") == spec
 
 
 def test_sweep_depth_grid_shape_and_shared_noise():
@@ -371,6 +386,65 @@ def test_cli_sweep_depth_bad_levels_or_seed_exit_two(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: bad-arguments:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--filter", "bf", "--dump-energy", "dump.csv"],
+    ["--filter", "tv", "--dump-tree", "dump.csv"],
+    ["--filter", "cf", "--dump-kernels", "dump.csv"],
+    ["--filter", "bf", "--lam", "2"],
+    ["--filter", "tv", "--depth", "3"],
+    ["--filter", "mkf", "--neigh", "5"],
+], ids=lambda flags: "-".join(f.lstrip("-") for f in flags[1:]
+                             if f != "dump.csv"))
+def test_cli_denoise_rejects_flags_the_filter_does_not_take(tmp_path, capsys,
+                                                            flags):
+    src = tmp_path / "in.pgm"
+    write_test_pgm(src)
+    flags = [str(tmp_path / f) if f == "dump.csv" else f for f in flags]
+    assert main(["denoise", str(src), str(tmp_path / "out.pgm"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-arguments:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
+def test_benchmark_tracer_sees_every_filter(tmp_path):
+    """The benchmark's tracer wraps filters by module attribute; every
+    filter the CLI runs must still pass through a wrapped name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer_module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracer_module.__dict__)
+    src = tmp_path / "in.pgm"
+    write_test_pgm(src)
+    volume = tmp_path / "vol"
+    volume.mkdir()
+    save_f64_raster(brain_slice(24, 24, slice_index=0),
+                    volume / "slice_000.mkfr")
+    runs = {"bf": (["--radius", "2"], {"filters.window"}),
+            "mkf": (["--radius", "2"], {"clustering.tree",
+                                        "filters.kernel_field",
+                                        "filters.window"}),
+            "tv": (["--iters", "2"], {"baselines.tv"}),
+            "cf": (["--iters", "2"], {"baselines.cf"})}
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        seen = {}
+        for name, (flags, _) in runs.items():
+            del tracer.spans[:]
+            assert main(["denoise", str(src), str(tmp_path / f"{name}.pgm"),
+                         "--filter", name, *flags]) == 0
+            seen[name] = {s["name"] for s in tracer.spans} - {
+                "raster.io", tracer_module.PROBE}
+        del tracer.spans[:]
+        assert main(["bench-brainweb", str(volume), "--filters", "tv:iters=2",
+                     "cf:iters=1", "--out-dir", str(tmp_path / "out")]) == 0
+        brainweb = {s["name"] for s in tracer.spans}
+    finally:
+        tracer.uninstall()
+    assert seen == {name: spans for name, (_, spans) in runs.items()}
+    assert {"baselines.tv", "baselines.cf"} <= brainweb
 
 
 def test_console_script_wiring(tmp_path):
