@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .filters import BfParams, weighted_mean_filter
 from .raster import Raster
 
@@ -43,8 +43,7 @@ class TvParams:
     step: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.step <= 0:
-            raise ConfigError(f"lam and step must be positive, got {self}")
+        require_positive(lam=self.lam, step=self.step)
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
 

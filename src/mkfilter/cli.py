@@ -19,6 +19,7 @@ import numpy as np
 from . import bench
 from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
 from .errors import ConfigError, FormatError
+from .filters import BfParams
 from .metrics import mae, ssim
 from .noise import PhaseSpec, apply_noise, format_number, parse_noise_spec
 from .raster import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
@@ -73,6 +74,8 @@ def _parse_levels(text: str) -> list[float]:
         lo, hi, step = values
         if step <= 0 or hi < lo:
             raise ConfigError(f"bad level range {text!r}")
+        if (hi - lo) / step >= 100_000:  # the list is allocated whole
+            raise ConfigError(f"level range {text!r} has over 100000 entries")
         return list(np.arange(lo, hi + step / 2, step))
     return values
 
@@ -234,13 +237,14 @@ def _int_range(text: str) -> list[int]:
 
 def _cmd_sweep_depth(args) -> int:
     image = load_raster_any(args.input)
-    spatial = bench.filter_spec("mkf", _given(args, ("hx", "radius"))).params
+    spatial = bench.filter_spec(
+        "mkf", _given(args, ("hx", "radius"))).build()[BfParams]
     rows = bench.sweep_depth(
         args.input.stem, image,
         depths=_int_range(args.depths),
         sizes=_int_range(args.sizes),
         levels=_parse_levels(args.levels),
-        seed=args.seed, h_x=spatial["hx"], radius=spatial["radius"],
+        seed=args.seed, h_x=spatial.h_x, radius=spatial.radius,
         threads=args.threads)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     bench.write_rows_csv(rows, args.out_dir / "sweep_depth.csv")
@@ -287,10 +291,13 @@ def _cmd_bench_bsd(args) -> int:
 
 
 def _parse_coeffs(text: str, count: int, what: str) -> tuple:
-    values = tuple(float(v) for v in text.split(","))
-    if len(values) != count:
-        raise ConfigError(f"{what} needs {count} comma-separated values, "
-                          f"got {text!r}")
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} expects {count} comma-separated finite "
+                          f"number(s), got {text!r}")
     return values
 
 
@@ -300,7 +307,8 @@ def _cmd_bench_brainweb(args) -> int:
         raise ConfigError(f"no .mkfr slices found in {args.volume}")
     slices = [(p.stem, load_f64_raster(p)) for p in paths]
     specs = [bench.parse_filter_spec(s) for s in args.filters]
-    spread = None if args.spread == "auto" else float(args.spread)
+    spread = (None if args.spread == "auto"
+              else _parse_coeffs(args.spread, 1, "--spread")[0])
     phase_extra = {}
     if args.phase_coeffs is not None:
         phase_extra["coefficients"] = _parse_coeffs(args.phase_coeffs, 6,
@@ -342,6 +350,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: bad-arguments: {exc}", file=sys.stderr)

@@ -26,11 +26,11 @@ are the one-cluster cases of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .raster import Raster
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "GaussPair",
     "Histogram",
     "ClusterConfig",
-    "ClusterNode",
+    "NODE_DTYPE",
     "ClusterTree",
     "EmResult",
     "build_histogram",
@@ -46,7 +46,6 @@ __all__ = [
     "em_similarity_cluster",
     "proximity_cluster",
     "build_cluster_tree",
-    "context_of",
     "write_tree_dump",
 ]
 
@@ -112,32 +111,26 @@ class ClusterConfig:
             )
         if self.neighborhood not in (4, 8):
             raise ConfigError(f"neighborhood must be 4 or 8, got {self.neighborhood}")
-        if self.bin_width <= 0:
-            raise ConfigError(f"bin_width must be positive, got {self.bin_width}")
-        if self.em_tol <= 0:
-            raise ConfigError(f"em_tol must be positive, got {self.em_tol}")
+        require_positive(bin_width=self.bin_width, em_tol=self.em_tol)
 
 
-@dataclass
-class ClusterNode:
-    id: int
-    level: int
-    mu: float
-    delta: float
-    size: int
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    eligible: bool = True
+NODE_DTYPE = np.dtype([("level", np.int64), ("parent", np.int64),
+                       ("size", np.int64), ("mu", np.float64),
+                       ("delta", np.float64), ("eligible", np.bool_)])
+"""One row per cluster, indexed by node id; ``parent`` is -1 for the root."""
 
 
 @dataclass
 class ClusterTree:
     """Cluster hierarchy plus one label map per level.
 
-    ``levels[t]`` assigns every pixel the id of its level-t cluster, so
-    each map partitions the image. ``sigma_floor`` is the lower bound
-    applied to deviations whenever they feed a kernel (a zero sample
-    deviation would otherwise collapse the range kernel).
+    ``nodes`` is the node table: a read-only structured array of
+    :data:`NODE_DTYPE`, one row per cluster, indexed by node id. Ids are
+    issued level by level, so the rows of levels 0..t are a prefix of the
+    table. ``levels[t]`` assigns every pixel the id of its level-t
+    cluster, so each map partitions the image. ``sigma_floor`` is the
+    lower bound applied to deviations whenever they feed a kernel (a zero
+    sample deviation would otherwise collapse the range kernel).
     ``em_iterations`` holds the iteration count of every EM fit made while
     building the tree, level by level and by cluster id within a level;
     a single-bin cluster counts 0, and a fit that stopped at
@@ -145,44 +138,36 @@ class ClusterTree:
     number of those fits made while building level t.
     """
 
-    nodes: dict[int, ClusterNode]
+    nodes: np.ndarray
     levels: list[np.ndarray]
     depth: int
     sigma_floor: float
     em_iterations: tuple[int, ...] = ()
     level_fits: tuple[int, ...] = ()
 
-    def node(self, node_id: int) -> ClusterNode:
-        return self.nodes[node_id]
-
     def truncated(self, depth: int) -> "ClusterTree":
         """The tree :func:`build_cluster_tree` gives at ``max_depth=depth``.
 
         Levels are built one after another and ``max_depth`` only stops the
         loop, so a shallower tree is an exact prefix of a deeper one: the
-        same level maps, node ids, statistics and EM fits. The level-`depth`
-        nodes become leaves (fresh copies with no children); shallower nodes
-        are shared with this tree.
+        same level maps, node ids, statistics and EM fits. Its node table
+        is the prefix of this one up to the last level-`depth` node.
         """
         if not 2 <= depth <= self.depth:
             raise ConfigError(
                 f"truncation depth must be in [2, {self.depth}], got {depth}")
         if depth == self.depth:
             return self
-        nodes = {}
-        for node_id, node in self.nodes.items():
-            if node.level < depth:
-                nodes[node_id] = node
-            elif node.level == depth:
-                nodes[node_id] = replace(node, children=[])
+        count = int(self.levels[depth].max()) + 1
         return ClusterTree(
-            nodes=nodes, levels=self.levels[:depth + 1], depth=depth,
-            sigma_floor=self.sigma_floor,
+            nodes=self.nodes[:count], levels=self.levels[:depth + 1],
+            depth=depth, sigma_floor=self.sigma_floor,
             em_iterations=self.em_iterations[:sum(self.level_fits[:depth])],
             level_fits=self.level_fits[:depth])
 
-    def leaves(self) -> list[ClusterNode]:
-        return [n for n in self.nodes.values() if not n.children]
+    def leaves(self) -> np.ndarray:
+        """Ids of the leaf clusters: every leaf sits at the last level."""
+        return np.flatnonzero(self.nodes["level"] == self.depth)
 
 
 @dataclass(frozen=True)
@@ -511,30 +496,28 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     height, width = image.data.shape
     flat = image.data.ravel()
 
-    nodes: dict[int, ClusterNode] = {}
+    tables: list[np.ndarray] = []
     em_iterations: list[int] = []
     level_fits: list[int] = []
     levels = []
 
-    def add_level(level, label, count, parents):
-        """Create the level's nodes from its level-local pixel labels."""
-        first_id = len(nodes)
-        size, mean, delta = _node_stats(flat, label, count)
-        for node_id, s, mu, dev, parent in zip(
-                range(first_id, first_id + count), size.tolist(),
-                mean.tolist(), delta.tolist(), parents):
-            nodes[node_id] = ClusterNode(
-                id=node_id, level=level, mu=mu, delta=dev, size=s,
-                parent=parent, eligible=s > cfg.min_cluster)
-            if parent is not None:
-                nodes[parent].children.append(node_id)
+    def add_level(level, label, parents):
+        """Append the level's node rows, from its level-local pixel labels."""
+        first_id = sum(map(len, tables))
+        table = np.empty(parents.size, dtype=NODE_DTYPE)
+        table["size"], table["mu"], table["delta"] = _node_stats(
+            flat, label, parents.size)
+        table["level"] = level
+        table["parent"] = parents
+        table["eligible"] = table["size"] > cfg.min_cluster
+        tables.append(table)
         label_map = (label + first_id).reshape(height, width)
         label_map.flags.writeable = False
         levels.append(label_map)
-        return size
+        return table["size"]
 
     label = np.zeros(flat.size, dtype=np.int64)
-    size = add_level(0, label, 1, [None])
+    size = add_level(0, label, np.full(1, -1))
     for level in range(1, cfg.max_depth + 1):
         side, fit_iterations = _split_sides(flat, label,
                                             size > cfg.max_cluster, cfg)
@@ -542,9 +525,10 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         level_fits.append(len(fit_iterations))
         keys = (label * 2 + side).reshape(height, width)
         label, first_pixel = _rank_roots(_region_roots(keys, cfg.neighborhood))
-        parents = levels[-1].ravel()[first_pixel].tolist()
-        size = add_level(level, label, first_pixel.size, parents)
+        size = add_level(level, label, levels[-1].ravel()[first_pixel])
 
+    nodes = np.concatenate(tables)
+    nodes.flags.writeable = False
     return ClusterTree(nodes=nodes, levels=levels, depth=cfg.max_depth,
                        sigma_floor=cfg.bin_width,
                        em_iterations=tuple(em_iterations),
@@ -552,48 +536,14 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
 
 
 # ---------------------------------------------------------------------------
-# context queries
-
-
-def _effective(tree: ClusterTree, node: ClusterNode) -> ClusterNode:
-    """Nearest eligible node on the ancestor chain (the root as last resort).
-
-    Ancestors never shrink, so everything above the first eligible node is
-    eligible too.
-    """
-    while not node.eligible and node.parent is not None:
-        node = tree.nodes[node.parent]
-    return node
-
-
-def context_of(tree: ClusterTree, leaf_id: int):
-    """Deviation context of a leaf: (own, parent, grandparent), floored.
-
-    Ineligible leaves inherit statistics and context from their nearest
-    eligible ancestor. Leaves whose (effective) level is 2 or whose chain
-    has no grandparent get the two-element fallback (own, parent); the
-    contextual gain is then computed from that pair instead.
-    """
-    if leaf_id not in tree.nodes:
-        raise KeyError(f"unknown leaf id {leaf_id}")
-    node = _effective(tree, tree.nodes[leaf_id])
-    floor = tree.sigma_floor
-    d_own = max(node.delta, floor)
-    if node.parent is None:
-        return (d_own, d_own)
-    parent = tree.nodes[node.parent]
-    d_parent = max(parent.delta, floor)
-    if node.level <= 2 or parent.parent is None:
-        return (d_own, d_parent)
-    grandparent = tree.nodes[parent.parent]
-    return (d_own, d_parent, max(grandparent.delta, floor))
+# export
 
 
 def write_tree_dump(tree: ClusterTree, path) -> None:
     """One node per line: `id level parent size mu delta eligible`."""
+    columns = (tree.nodes[name].tolist() for name in NODE_DTYPE.names)
     with open(path, "w", encoding="ascii") as fh:
-        for node_id in sorted(tree.nodes):
-            n = tree.nodes[node_id]
-            parent = -1 if n.parent is None else n.parent
-            fh.write(f"{n.id} {n.level} {parent} {n.size} "
-                     f"{n.mu:.17g} {n.delta:.17g} {int(n.eligible)}\n")
+        for node_id, (level, parent, size, mu, delta, eligible) in enumerate(
+                zip(*columns)):
+            fh.write(f"{node_id} {level} {parent} {size} "
+                     f"{mu:.17g} {delta:.17g} {int(eligible)}\n")

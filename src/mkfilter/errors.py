@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check on positive
+real parameters."""
+
+import math
 
 
 class FormatError(ValueError):
@@ -11,3 +14,11 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid parameter combination or mismatched operands."""
+
+
+def require_positive(**values) -> None:
+    """Raise ConfigError unless every value is a finite number above zero
+    (`<= 0` alone would let NaN through)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import ClusterConfig, ClusterTree, build_cluster_tree, context_of
-from .errors import ConfigError
+from .clustering import ClusterConfig, ClusterTree, build_cluster_tree
+from .errors import ConfigError, require_positive
 from .raster import Coordinate, Raster
 
 __all__ = [
@@ -46,8 +46,7 @@ class BfParams:
     radius: int = 5
 
     def __post_init__(self) -> None:
-        if self.h_x <= 0 or self.h_I <= 0:
-            raise ConfigError(f"bandwidths must be positive, got {self}")
+        require_positive(h_x=self.h_x, h_I=self.h_I)
         if self.radius < 1:
             raise ConfigError(f"radius must be >= 1, got {self.radius}")
 
@@ -121,14 +120,16 @@ def mkf_weight(center: Coordinate, neighbor: Coordinate,
     return math.exp(-spatial / (2.0 * h_x ** 2) - ranged * psi / (2.0 * delta ** 2))
 
 
-def contextual_gain(delta_parent: float, delta_grandparent: float) -> float:
-    """Squared ratio of the two ancestor deviations.
+def contextual_gain(delta_parent, delta_grandparent):
+    """Squared ratio of the two ancestor deviations, for floats or arrays.
 
     With the usual coarse-to-fine deviation decay this is < 1 and widens
     the leaf kernel; values > 1 are arithmetically possible and are passed
-    through unclamped.
+    through unclamped. The square is one correctly rounded product, the
+    same for a float and for an array element.
     """
-    return (delta_parent / delta_grandparent) ** 2
+    ratio = delta_parent / delta_grandparent
+    return ratio * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +187,28 @@ def weighted_mean_filter(image: Raster, weight_rule, radius: int) -> Raster:
 
 
 def build_kernel_field(tree: ClusterTree) -> KernelField:
-    """Derive each leaf's (delta, psi) from its context chain."""
-    records: dict[int, tuple[float, float]] = {}
-    for leaf in tree.leaves():
-        ctx = context_of(tree, leaf.id)
-        if len(ctx) == 3:
-            psi = contextual_gain(ctx[1], ctx[2])
-        else:
-            psi = contextual_gain(ctx[0], ctx[1])
-        records[leaf.id] = (ctx[0], psi)
+    """Every leaf's (delta, psi), for all leaves in whole-array steps.
+
+    A leaf defers to its nearest eligible ancestor (the root at last). With
+    deviations floored at ``tree.sigma_floor``, delta is that node's own
+    deviation and psi the contextual gain of its parent and grandparent,
+    or of itself and its parent at level 1 or 2 (1 at the root).
+    """
+    nodes, parent = tree.nodes, tree.nodes["parent"]
+    leaves = node = tree.leaves()
+    for _ in range(tree.depth):  # one gather per level climbed
+        up = ~nodes["eligible"][node] & (parent[node] >= 0)
+        if not up.any():
+            break
+        node = np.where(up, parent[node], node)
+    deviation = np.maximum(nodes["delta"], tree.sigma_floor)
+    level = nodes["level"][node]
+    above = np.where(level > 0, parent[node], node)
+    triple = level > 2
+    psi = contextual_gain(np.where(triple, deviation[above], deviation[node]),
+                          deviation[np.where(triple, parent[above], above)])
+    records = dict(zip(leaves.tolist(),
+                       zip(deviation[node].tolist(), psi.tolist())))
     return KernelField(records=records, leaf_map=tree.levels[tree.depth])
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .raster import Raster
 
 __all__ = ["ScorePair", "mae", "ssim", "score_pair"]
@@ -56,8 +56,7 @@ def _window_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def ssim(a: Raster, b: Raster, dynamic_range: float) -> float:
     """Mean local structural similarity over the full image."""
     _check_dims(a, b)
-    if dynamic_range <= 0:
-        raise ConfigError(f"dynamic range must be positive, got {dynamic_range}")
+    require_positive(dynamic_range=dynamic_range)
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)

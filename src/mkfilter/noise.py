@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .raster import ComplexRaster, Coordinate, Raster
 
 __all__ = [
@@ -75,10 +75,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("integral", "spatial-field"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.level <= 0:
-            raise ConfigError(f"noise level must be positive, got {self.level}")
-        if self.spread is not None and self.spread <= 0:
-            raise ConfigError(f"spread must be positive, got {self.spread}")
+        require_positive(level=self.level)
+        if self.spread is not None:
+            require_positive(spread=self.spread)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def describe(self) -> str:
         """Seedless descriptor; parse_noise_spec accepts it back, so a CSV
@@ -104,8 +105,7 @@ class PhaseSpec:
 
 def add_integral_noise(image: Raster, level: float, seed: int) -> Raster:
     """Add i.i.d. zero-mean Gaussian noise of variance `level`."""
-    if level <= 0:
-        raise ConfigError(f"noise level must be positive, got {level}")
+    require_positive(level=level)
     rng = np.random.default_rng(seed)
     noisy = image.data + rng.normal(0.0, math.sqrt(level), image.data.shape)
     return image.with_data(noisy)
@@ -126,14 +126,12 @@ def make_noise_field(width: int, height: int,
     min(width, height) / 4, so the field's maximum equals peak_sigma
     exactly.
     """
-    if peak_sigma <= 0:
-        raise ConfigError(f"peak_sigma must be positive, got {peak_sigma}")
+    require_positive(peak_sigma=peak_sigma)
     if center is None:
         center = Coordinate(width // 2, height // 2)
     if spread is None:
         spread = min(width, height) / 4.0
-    if spread <= 0:
-        raise ConfigError(f"spread must be positive, got {spread}")
+    require_positive(spread=spread)
     x = np.arange(width) - center.x
     y = np.arange(height) - center.y
     rsq = x[None, :] ** 2 + y[:, None] ** 2
@@ -221,11 +219,18 @@ def parse_noise_spec(text: str) -> NoiseSpec:
         spec = NoiseSpec(kind="integral", level=level, seed=seed)
     elif kind == "field":
         peak = take_float("peak", 500.0)
-        spread_raw = options.pop("spread", "auto")
-        spread = None if spread_raw == "auto" else float(spread_raw)
+        if options.get("spread") == "auto":
+            del options["spread"]
+        spread = take_float("spread")  # None: the default spread
         center = None
         if "cx" in options or "cy" in options:
-            center = Coordinate(int(options.pop("cx")), int(options.pop("cy")))
+            try:
+                center = Coordinate(int(options.pop("cx")),
+                                    int(options.pop("cy")))
+            except KeyError:
+                raise ConfigError(f"cx and cy go together in {text!r}") from None
+            except ValueError:
+                raise ConfigError(f"bad center in {text!r}") from None
         spec = NoiseSpec(kind="spatial-field", level=peak, seed=seed,
                          center=center, spread=spread)
     else:

@@ -217,6 +217,9 @@ def load_f64_raster(path) -> Raster:
             f"{width}x{height} ({need} bytes), found {len(payload)}"
         )
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(height, width)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"non-finite value at byte {12 + 8 * int(bad[0])}")
     return Raster(values, range_hint=(float(values.min()), float(values.max())))
 
 

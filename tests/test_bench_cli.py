@@ -408,6 +408,70 @@ def test_cli_denoise_rejects_flags_the_filter_does_not_take(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
 
+def write_test_volume(volume, slices=2):
+    volume.mkdir()
+    for i in range(slices):
+        save_f64_raster(brain_slice(24, 24, slice_index=i),
+                        volume / f"slice_{i:03d}.mkfr")
+
+
+def assert_one_error_line(capsys, category="bad-arguments"):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [
+    ["--spread", "abc"],
+    ["--phase-drift", "a,b,c"],
+    ["--phase-coeffs", "1,2,3,4,5,x"],
+    ["--phase-coeffs", "1,2,3,4,5,nan"],
+], ids=lambda bad: "-".join(bad).lstrip("-"))
+def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
+    write_test_volume(tmp_path / "vol")
+    out_dir = tmp_path / "out"
+    assert main(["bench-brainweb", str(tmp_path / "vol"), "--filters",
+                 "cf:iters=1", *bad, "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--peak", "nan"],
+    ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--range", "nan"],
+    ["noise", "{pgm}", "{out}", "--noise", "integral:level=nan"],
+    ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hx", "nan"],
+    ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hi", "inf"],
+    ["denoise", "{pgm}", "{out}", "--filter", "tv", "--lam", "nan"],
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--bin-width", "nan"],
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--tol", "nan"],
+    ["metrics", "{pgm}", "{pgm}", "--range", "nan"],
+    ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--hx", "nan"],
+    ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--threads", "0"],
+    ["bench-bsd", "{dir}", "--levels", "10", "--threads", "-3"],
+], ids=lambda command: "-".join(a.lstrip("-") for a in command
+                                if not a.startswith("{")))
+def test_cli_rejects_non_finite_and_non_positive_parameters(tmp_path, capsys,
+                                                            command):
+    write_test_pgm(tmp_path / "in.pgm")
+    write_test_volume(tmp_path / "vol")
+    paths = {"{pgm}": tmp_path / "in.pgm", "{vol}": tmp_path / "vol",
+             "{dir}": tmp_path, "{out}": tmp_path / "out.pgm"}
+    argv = [str(paths.get(a, a)) for a in command]
+    if command[0] not in ("denoise", "noise", "metrics"):
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "vol"]
+
+
+def test_cli_metrics_non_finite_mkfr_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "nan.mkfr"
+    path.write_bytes(b"MKFR" + (1).to_bytes(4, "little") * 2
+                     + np.array([np.nan]).astype("<f8").tobytes())
+    assert main(["metrics", str(path), str(path)]) == 1
+    assert_one_error_line(capsys, "format")
+
+
 def test_benchmark_tracer_sees_every_filter(tmp_path):
     """The benchmark's tracer wraps filters by module attribute; every
     filter the CLI runs must still pass through a wrapped name."""

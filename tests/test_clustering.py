@@ -12,9 +12,9 @@ from scipy import ndimage
 from tree_oracle import reference_em, reference_flood
 
 import mkfilter
-from mkfilter import (ClusterConfig, ClusterNode, ClusterTree, ConfigError,
+from mkfilter import (NODE_DTYPE, ClusterConfig, ClusterTree, ConfigError,
                       GaussComponent, GaussPair, Raster, build_cluster_tree,
-                      build_histogram, context_of, em_similarity_cluster,
+                      build_histogram, build_kernel_field, em_similarity_cluster,
                       initial_gauss_pair, proximity_cluster)
 from mkfilter.clustering import EM_MAX_ITERATIONS, _segmented_em
 
@@ -362,21 +362,22 @@ def two_region_image():
 def test_two_region_tree():
     cfg = ClusterConfig(max_depth=2, max_cluster=4, min_cluster=3)
     tree = build_cluster_tree(two_region_image(), cfg)
-    level1 = [n for n in tree.nodes.values() if n.level == 1]
+    level1 = tree.nodes[tree.nodes["level"] == 1]
     assert len(level1) == 2
-    assert sorted(n.mu for n in level1) == [0.0, 200.0]
-    assert all(n.delta == 0.0 for n in level1)
+    assert sorted(level1["mu"]) == [0.0, 200.0]
+    assert all(level1["delta"] == 0.0)
     # the kernel consumer sees the floored deviation
-    for n in level1:
-        assert context_of(tree, tree.nodes[n.children[0]].id)[0] == 1.0
+    records = build_kernel_field(tree).records
+    for node_id in np.flatnonzero(tree.nodes["level"] == 1):
+        child = np.flatnonzero(tree.nodes["parent"] == node_id)[0]
+        assert records[child][0] == 1.0
 
 
 def test_constant_image_is_single_chain():
     cfg = ClusterConfig(max_depth=4, max_cluster=10, min_cluster=2)
     tree = build_cluster_tree(Raster(np.full((6, 6), 9.0)), cfg)
     for level in range(cfg.max_depth + 1):
-        nodes = [n for n in tree.nodes.values() if n.level == level]
-        assert len(nodes) == 1
+        assert np.count_nonzero(tree.nodes["level"] == level) == 1
         assert np.unique(tree.levels[level]).size == 1
     assert len(tree.nodes) == cfg.max_depth + 1
 
@@ -391,28 +392,33 @@ def test_invalid_config_rejected_before_work():
 
 
 def _check_tree_invariants(tree: ClusterTree, cfg: ClusterConfig, n_pixels):
+    nodes = tree.nodes
+    assert nodes.dtype == NODE_DTYPE
     for level, label_map in enumerate(tree.levels):
         ids, counts = np.unique(label_map, return_counts=True)
         # partition: sizes recorded on the nodes match the map
         assert counts.sum() == n_pixels
         for node_id, count in zip(ids, counts):
-            node = tree.nodes[node_id]
-            assert node.level == level
-            assert node.size == count
-            assert node.delta >= 0.0
-            assert node.eligible == (node.size > cfg.min_cluster)
+            node = nodes[node_id]
+            assert node["level"] == level
+            assert node["size"] == count
+            assert node["delta"] >= 0.0
+            assert node["eligible"] == (node["size"] > cfg.min_cluster)
         if level > 0:
             # refinement: every cluster nests in exactly one parent cluster
             prev = tree.levels[level - 1]
             for node_id in ids:
                 parents = np.unique(prev[label_map == node_id])
                 assert parents.size == 1
-                assert tree.nodes[node_id].parent == parents[0]
-    for node in tree.nodes.values():
-        if node.children:
-            assert node.size == sum(tree.nodes[c].size for c in node.children)
-        if node.parent is not None:
-            assert node.level == tree.nodes[node.parent].level + 1
+                assert nodes[node_id]["parent"] == parents[0]
+    for node_id, node in enumerate(nodes):
+        children = nodes[nodes["parent"] == node_id]
+        if children.size:
+            assert node["size"] == children["size"].sum()
+        if node["parent"] >= 0:
+            assert node["level"] == nodes[node["parent"]]["level"] + 1
+        else:
+            assert node_id == 0 and node["level"] == 0
     # connectivity: at every level, each cluster is one flood-fill component
     structure = np.ones((3, 3), dtype=bool) if cfg.neighborhood == 8 else \
         np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -439,60 +445,75 @@ def test_tree_is_deterministic():
     t1 = build_cluster_tree(img, cfg)
     t2 = build_cluster_tree(img, cfg)
     assert len(t1.nodes) == len(t2.nodes)
-    for node_id, node in t1.nodes.items():
-        other = t2.nodes[node_id]
-        assert (node.level, node.size, node.parent) == \
-            (other.level, other.size, other.parent)
-        assert node.mu == other.mu and node.delta == other.delta
+    for name in ("level", "size", "parent", "mu", "delta"):
+        assert np.array_equal(t1.nodes[name], t2.nodes[name])
     for m1, m2 in zip(t1.levels, t2.levels):
         assert np.array_equal(m1, m2)
 
 
 # ---------------------------------------------------------------------------
-# context queries
+# deviation context of the kernel field
 
 
-def _hand_tree(spec):
-    """Build a chain tree from (level, delta, size, eligible) tuples."""
-    nodes = {}
-    for i, (level, delta, size, eligible) in enumerate(spec):
-        parent = i - 1 if i > 0 else None
-        nodes[i] = ClusterNode(id=i, level=level, mu=0.0, delta=delta,
-                               size=size, parent=parent,
-                               children=[i + 1] if i + 1 < len(spec) else [],
-                               eligible=eligible)
-    depth = spec[-1][0]
-    maps = [np.zeros((1, 1), dtype=np.int64)] * (depth + 1)
+def _hand_tree(spec, parents=None):
+    """A tree from (level, delta, size, eligible) rows, one per node id;
+    a chain (each node the parent of the next) unless `parents` is given.
+    Each level map is one pixel per node of that level."""
+    nodes = np.zeros(len(spec), dtype=NODE_DTYPE)
+    for name, column in zip(("level", "delta", "size", "eligible"), zip(*spec)):
+        nodes[name] = column
+    nodes["parent"] = np.arange(-1, len(spec) - 1) if parents is None else parents
+    depth = int(nodes["level"].max())
+    maps = [np.flatnonzero(nodes["level"] == level)[None, :]
+            for level in range(depth + 1)]
     return ClusterTree(nodes=nodes, levels=maps, depth=depth, sigma_floor=1.0)
 
 
 def test_context_full_chain():
     tree = _hand_tree([(0, 40.0, 100, True), (1, 20.0, 60, True),
                        (2, 10.0, 30, True), (3, 5.0, 15, True)])
-    assert context_of(tree, 3) == (5.0, 10.0, 20.0)
+    # (own, parent, grandparent) = (5, 10, 20): psi = (10 / 20)^2
+    assert build_kernel_field(tree).records == {3: (5.0, 0.25)}
 
 
 def test_context_level_two_falls_back_to_pair():
     tree = _hand_tree([(0, 20.0, 100, True), (1, 10.0, 60, True),
                        (2, 5.0, 30, True)])
-    assert context_of(tree, 2) == (5.0, 10.0)
+    # (own, parent) = (5, 10): psi = (5 / 10)^2
+    assert build_kernel_field(tree).records == {2: (5.0, 0.25)}
 
 
 def test_context_ineligible_leaf_inherits_ancestor():
     tree = _hand_tree([(0, 40.0, 100, True), (1, 20.0, 60, True),
                        (2, 10.0, 30, True), (3, 5.0, 4, False)])
-    # effective node is the level-2 ancestor, which itself falls back
-    assert context_of(tree, 3) == (10.0, 20.0)
+    # effective node is the level-2 ancestor, which itself falls back to
+    # the pair (10, 20)
+    assert build_kernel_field(tree).records == {3: (10.0, 0.25)}
 
 
 def test_context_floors_deviations():
     tree = _hand_tree([(0, 20.0, 100, True), (1, 0.0, 60, True),
                        (2, 0.0, 30, True)])
-    assert context_of(tree, 2) == (1.0, 1.0)
+    # (own, parent) = (1, 1) after the floor
+    assert build_kernel_field(tree).records == {2: (1.0, 1.0)}
 
 
-def test_context_unknown_leaf():
-    tree = _hand_tree([(0, 20.0, 100, True), (1, 10.0, 60, True),
-                       (2, 5.0, 30, True)])
-    with pytest.raises(KeyError):
-        context_of(tree, 99)
+def test_context_all_leaves_at_once():
+    """Leaves whose chains take every branch of the rule, resolved in one
+    kernel field: a full triple, an ineligible leaf deferring one and two
+    levels up, and an all-ineligible chain that ends at the root."""
+    spec = [(0, 64.0, 90, True),                                # 0
+            (1, 32.0, 50, True), (1, 2.0, 40, False),           # 1, 2
+            (2, 16.0, 30, True), (2, 8.0, 20, True),            # 3, 4
+            (2, 0.5, 40, False),                                # 5
+            (3, 4.0, 12, True), (3, 6.0, 4, False),             # 6, 7
+            (3, 0.5, 14, True), (3, 3.0, 6, False),             # 8, 9
+            (3, 7.0, 40, False)]                                # 10
+    tree = _hand_tree(spec, parents=[-1, 0, 0, 1, 1, 2, 3, 3, 4, 4, 5])
+    assert build_kernel_field(tree).records == {
+        6: (4.0, 0.25),     # (own, parent, grandparent) = (4, 16, 32)
+        7: (16.0, 0.25),    # defers to 3 at level 2: (own, parent) = (16, 32)
+        8: (1.0, 0.0625),   # floored own deviation; (1, 8, 32)
+        9: (8.0, 0.0625),   # defers to 4 at level 2: (8, 32)
+        10: (64.0, 1.0),    # 10 -> 5 -> 2 -> the root, which has no parent
+    }

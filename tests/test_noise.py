@@ -179,6 +179,22 @@ def test_parse_rejects_garbage():
             parse_noise_spec(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "field:spread=abc",       # was a ValueError from float()
+    "field:cx=3",             # was a KeyError: cy missing
+    "field:cy=3",
+    "field:cx=a,cy=2",
+    "integral:level=nan",
+    "integral:level=inf",
+    "field:peak=nan",
+    "field:spread=nan",
+    "integral:level=5,seed=-1",
+])
+def test_parse_rejects_bad_values_as_config_errors(bad):
+    with pytest.raises(ConfigError):
+        parse_noise_spec(bad)
+
+
 def test_apply_noise_dispatch():
     img = flat(10.0, 64)
     a = apply_noise(img, parse_noise_spec("integral:level=100,seed=5"))

@@ -146,6 +146,16 @@ def test_mkfr_length_mismatch(tmp_path):
         load_f64_raster(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mkfr_non_finite_value_is_a_format_error(tmp_path, value):
+    import struct
+    path = tmp_path / "t.mkfr"
+    path.write_bytes(b"MKFR" + struct.pack("<II", 3, 1)
+                     + struct.pack("<3d", 1.0, value, 2.0))
+    with pytest.raises(FormatError, match="non-finite value at byte 20"):
+        load_f64_raster(path)
+
+
 def test_mkfr_empty_file_is_bad_magic(tmp_path):
     path = tmp_path / "t.mkfr"
     path.write_bytes(b"")

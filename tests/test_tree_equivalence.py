@@ -3,10 +3,16 @@
 The corpus is the benchmark's tree inputs: both ``mkf-deep`` inputs (40 px,
 depth 7) in all eight orientations, the ``mkf-wide`` input (256 px, depth
 2), and 24 px sweep trees at three noise levels, two cluster sizes and both
-connectivities. Level maps, topology and the iteration count of every EM fit
-must be identical; node means and deviations are summed in another order
+connectivities. Level maps, the node table's ``level``, ``parent``, ``size``
+and ``eligible`` columns and the iteration count of every EM fit must be
+identical; node means and deviations are summed in another order
 (``np.bincount`` instead of per-node pairwise sums), so they must agree
 within 1e-12 relative.
+
+On every oracle tree the kernel field must match a per-leaf walk up the
+node table, the form the whole-array field replaced: delta exactly, psi
+within one ulp (the walk squares with ``** 2``, which calls libm ``pow``;
+the field multiplies, which is correctly rounded).
 
 On the same trees, a depth-7 tree truncated to depth d must be exactly the
 tree a fresh depth-d build gives, with the same kernel field and filtered
@@ -22,7 +28,8 @@ import pytest
 from tree_oracle import reference_tree
 
 from mkfilter import (ClusterConfig, ConfigError, Raster, build_cluster_tree,
-                      load_pgm, mkf_denoise, mkf_filter, save_pgm)
+                      build_kernel_field, load_pgm, mkf_denoise, mkf_filter,
+                      save_pgm)
 from mkfilter.bench import derive_seed
 from mkfilter.clustering import EM_MAX_ITERATIONS
 from mkfilter.noise import NoiseSpec, apply_noise
@@ -44,19 +51,56 @@ def dihedral(values, k):
     return np.ascontiguousarray(out.T if k % 8 >= 4 else out)
 
 
+def reference_kernel_records(tree):
+    """(delta, psi) by leaf id, one leaf at a time: a leaf is a node no
+    other node names as parent; it climbs to its nearest eligible ancestor
+    (the root at last), and psi comes from (parent, grandparent), or from
+    (own, parent) at level 1 or 2, or is 1 at the root."""
+    rows = tree.nodes.tolist()  # (level, parent, size, mu, delta, eligible)
+    floor = tree.sigma_floor
+    parents = {row[1] for row in rows}
+    records = {}
+    for leaf in (i for i in range(len(rows)) if i not in parents):
+        node = leaf
+        while not rows[node][5] and rows[node][1] >= 0:
+            node = rows[node][1]
+        level, parent = rows[node][:2]
+        own = max(rows[node][4], floor)
+        if parent < 0:
+            pair = (own, own)
+        elif level <= 2:
+            pair = (own, max(rows[parent][4], floor))
+        else:
+            pair = (max(rows[parent][4], floor),
+                    max(rows[rows[parent][1]][4], floor))
+        records[leaf] = (own, (pair[0] / pair[1]) ** 2)
+    return records
+
+
+def assert_kernel_field_matches_walk(tree):
+    want = reference_kernel_records(tree)
+    got = build_kernel_field(tree).records
+    assert got.keys() == want.keys()
+    for leaf, (delta, psi) in got.items():
+        assert delta == want[leaf][0]
+        assert abs(psi - want[leaf][1]) <= math.ulp(want[leaf][1])
+
+
 def assert_same_tree(tree, ref, ref_fits):
     assert len(tree.levels) == len(ref.levels)
     for got, want in zip(tree.levels, ref.levels):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert tree.nodes.keys() == ref.nodes.keys()
-    for node_id, node in tree.nodes.items():
-        other = ref.nodes[node_id]
-        assert (node.level, node.parent, node.size, node.eligible,
-                node.children) == (other.level, other.parent, other.size,
-                                   other.eligible, other.children)
-        assert math.isclose(node.mu, other.mu, rel_tol=1e-12, abs_tol=0.0)
-        assert math.isclose(node.delta, other.delta, rel_tol=1e-12, abs_tol=0.0)
+    assert tree.nodes.dtype == ref.nodes.dtype
+    assert len(tree.nodes) == len(ref.nodes)
+    for name in ("level", "parent", "size", "eligible"):
+        assert np.array_equal(tree.nodes[name], ref.nodes[name])
+    for name in ("mu", "delta"):
+        got, want = tree.nodes[name], ref.nodes[name]
+        # math.isclose(rel_tol=1e-12, abs_tol=0), node by node
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
     assert list(tree.em_iterations) == ref_fits
+    assert_kernel_field_matches_walk(tree)
 
 
 @pytest.mark.parametrize("orientation", range(8))
@@ -110,7 +154,7 @@ def assert_truncations_match_fresh_builds(image, cfg):
         for got, expected in zip(tree.levels, want.levels):
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
-        assert tree.nodes == want.nodes  # ClusterNode ==: floats exactly
+        assert np.array_equal(tree.nodes, want.nodes)  # floats exactly
         assert tree.em_iterations == want.em_iterations
         assert tree.level_fits == want.level_fits
         got = mkf_filter(image, tree)
@@ -118,7 +162,7 @@ def assert_truncations_match_fresh_builds(image, cfg):
         assert np.array_equal(got.field.leaf_map, fresh.field.leaf_map)
         assert np.array_equal(got.raster.data, fresh.raster.data)
     # truncating leaves the deep tree intact
-    assert deep.nodes == build_cluster_tree(image, cfg).nodes
+    assert np.array_equal(deep.nodes, build_cluster_tree(image, cfg).nodes)
 
 
 @pytest.mark.parametrize("name", sorted(DEEP))

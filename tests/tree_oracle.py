@@ -3,8 +3,8 @@
 This is the straightforward per-cluster construction that the level-batched
 ``mkfilter.clustering.build_cluster_tree`` must reproduce. It is kept as an
 independent oracle, the way ``brute_force_filter`` serves the window engine:
-it shares only the data types (nodes, tree, histogram, Gaussian pair) and
-the EM starting rule with the library, never the histogram, EM,
+it shares only the data types (node table, tree, histogram, Gaussian
+pair) and the EM starting rule with the library, never the histogram, EM,
 connectivity or statistics code.
 """
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from mkfilter.clustering import (ClusterConfig, ClusterNode, ClusterTree,
+from mkfilter.clustering import (NODE_DTYPE, ClusterConfig, ClusterTree,
                                  EmResult, GaussComponent, GaussPair,
                                  Histogram, initial_gauss_pair)
 
@@ -116,22 +116,17 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
     count of every EM fit, in fit order (level by level, ids ascending)."""
     height, width = values.shape
     flat = values.ravel()
-    nodes: dict[int, ClusterNode] = {}
+    rows: list[tuple] = []  # one NODE_DTYPE row per node, by id
     fits: list[int] = []
 
     def new_node(level, member_idx, parent):
         pix = flat[member_idx]
-        node = ClusterNode(id=len(nodes), level=level, mu=float(pix.mean()),
-                           delta=float(pix.std()), size=int(member_idx.size),
-                           parent=parent,
-                           eligible=member_idx.size > cfg.min_cluster)
-        nodes[node.id] = node
-        if parent is not None:
-            nodes[parent].children.append(node.id)
-        return node.id
+        rows.append((level, parent, member_idx.size, float(pix.mean()),
+                     float(pix.std()), member_idx.size > cfg.min_cluster))
+        return len(rows) - 1
 
     all_idx = np.arange(flat.size)
-    root = new_node(0, all_idx, None)
+    root = new_node(0, all_idx, -1)
     levels = [np.full((height, width), root, dtype=np.int64)]
     members = {root: all_idx}
     for level in range(1, cfg.max_depth + 1):
@@ -173,6 +168,6 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
         levels.append(label_map.reshape(height, width))
         members = new_members
 
-    tree = ClusterTree(nodes=nodes, levels=levels, depth=cfg.max_depth,
-                       sigma_floor=cfg.bin_width)
+    tree = ClusterTree(nodes=np.array(rows, dtype=NODE_DTYPE), levels=levels,
+                       depth=cfg.max_depth, sigma_floor=cfg.bin_width)
     return tree, fits
