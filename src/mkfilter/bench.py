@@ -146,7 +146,8 @@ def filter_spec(name: str, given: dict) -> FilterSpec:
 
 def parse_filter_spec(text: str) -> FilterSpec:
     """Parse `bf:hi=57,hx=3` style strings; unset parameters take their
-    defaults."""
+    defaults. The params dataclasses check the values here, so a bad
+    value fails before any input is read."""
     name, _, body = text.partition(":")
     if name not in FILTERS:
         raise ConfigError(f"unknown filter {name!r} in {text!r}")
@@ -161,7 +162,9 @@ def parse_filter_spec(text: str) -> FilterSpec:
             given[key] = type(defaults[key])(value)
         except ValueError:
             raise ConfigError(f"bad value for {key!r} in {text!r}") from None
-    return filter_spec(name, given)
+    spec = filter_spec(name, given)
+    spec.build()
+    return spec
 
 
 def apply_filter(image: Raster, spec: FilterSpec) -> Raster:

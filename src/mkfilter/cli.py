@@ -112,8 +112,16 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as the one `error: bad-arguments:`
+    line every failure prints, in place of argparse's usage text."""
+
+    def error(self, message):
+        self.exit(2, f"error: bad-arguments: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mkfilter",
         description="Multi-kernel filtering, baselines, and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,12 +281,13 @@ def _noise_level(row: bench.ResultRow) -> float:
 
 
 def _cmd_bench_bsd(args) -> int:
+    specs = [bench.parse_filter_spec(s) for s in args.filters]
+    levels = _parse_levels(args.levels)
     paths = sorted(args.dataset.glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm images found in {args.dataset}")
     images = [(p.stem, load_pgm(p)) for p in paths]
-    specs = [bench.parse_filter_spec(s) for s in args.filters]
-    rows = bench.bench_integral(images, _parse_levels(args.levels), specs,
+    rows = bench.bench_integral(images, levels, specs,
                                 seed=args.seed, threads=args.threads)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     bench.write_rows_csv(rows, args.out_dir / "bsd.csv")
@@ -302,10 +311,6 @@ def _parse_coeffs(text: str, count: int, what: str) -> tuple:
 
 
 def _cmd_bench_brainweb(args) -> int:
-    paths = sorted(args.volume.glob("*.mkfr"))
-    if not paths:
-        raise ConfigError(f"no .mkfr slices found in {args.volume}")
-    slices = [(p.stem, load_f64_raster(p)) for p in paths]
     specs = [bench.parse_filter_spec(s) for s in args.filters]
     spread = (None if args.spread == "auto"
               else _parse_coeffs(args.spread, 1, "--spread")[0])
@@ -316,6 +321,10 @@ def _cmd_bench_brainweb(args) -> int:
     if args.phase_drift is not None:
         phase_extra["drift"] = _parse_coeffs(args.phase_drift, 3,
                                              "--phase-drift")
+    paths = sorted(args.volume.glob("*.mkfr"))
+    if not paths:
+        raise ConfigError(f"no .mkfr slices found in {args.volume}")
+    slices = [(p.stem, load_f64_raster(p)) for p in paths]
     rows = bench.bench_complex_slices(
         slices, specs,
         phase_for_slice=lambda i: PhaseSpec(slice_index=i, **phase_extra),

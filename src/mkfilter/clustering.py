@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_bandwidth, require_positive
 from .raster import Raster
 
 __all__ = [
@@ -111,7 +111,9 @@ class ClusterConfig:
             )
         if self.neighborhood not in (4, 8):
             raise ConfigError(f"neighborhood must be 4 or 8, got {self.neighborhood}")
-        require_positive(bin_width=self.bin_width, em_tol=self.em_tol)
+        # bin_width is also the deviation floor of the range kernels
+        require_bandwidth(bin_width=self.bin_width)
+        require_positive(em_tol=self.em_tol)
 
 
 NODE_DTYPE = np.dtype([("level", np.int64), ("parent", np.int64),
@@ -196,7 +198,11 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
     lowest = np.full(n_segments, np.inf)
     np.minimum.at(lowest, segment, values)
     bases = np.floor(lowest / bin_width) * bin_width
-    bins = np.floor((values - bases[segment]) / bin_width).astype(np.int64)
+    bins = np.floor((values - bases[segment]) / bin_width)
+    if not np.abs(bins).max() < 2.0 ** 63:  # also catches nan and inf
+        raise ConfigError(f"bin width {bin_width} gives bin indices beyond "
+                          "the int64 range")
+    bins = bins.astype(np.int64)
     order = np.lexsort((bins, segment))
     seg_sorted, bins_sorted = segment[order], bins[order]
     first = np.ones(values.size, dtype=bool)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check on positive
-real parameters."""
+"""Exception types shared across the package, and the checks on positive
+real parameters and kernel bandwidths."""
 
 import math
 
@@ -22,3 +22,15 @@ def require_positive(**values) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def require_bandwidth(**values) -> None:
+    """Raise ConfigError unless every value is positive and finite and
+    1/(2 value^2), the factor a Gaussian kernel of that width applies to
+    squared distances, is finite too."""
+    require_positive(**values)
+    for name, value in values.items():
+        twice_square = 2.0 * value * value
+        if twice_square == 0.0 or math.isinf(1.0 / twice_square):
+            raise ConfigError(f"{name} is too small for 1/(2*{name}^2) to "
+                              f"be finite, got {value}")

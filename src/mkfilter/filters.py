@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterConfig, ClusterTree, build_cluster_tree
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_bandwidth
 from .raster import Coordinate, Raster
 
 __all__ = [
@@ -46,42 +46,40 @@ class BfParams:
     radius: int = 5
 
     def __post_init__(self) -> None:
-        require_positive(h_x=self.h_x, h_I=self.h_I)
+        require_bandwidth(h_x=self.h_x, h_I=self.h_I)
         if self.radius < 1:
             raise ConfigError(f"radius must be >= 1, got {self.radius}")
 
 
-@dataclass(frozen=True)
 class KernelField:
-    """Per-leaf-cluster range-kernel parameters plus the pixel->leaf map.
+    """Range-kernel parameters in leaf columns, plus the pixel->leaf map.
 
-    ``records`` maps a leaf cluster id to its (delta, psi); ``leaf_map``
-    assigns every pixel a leaf id present in ``records``.
+    Row k of ``delta``/``psi`` belongs to leaf ``ids[k]``; ``rows`` gives
+    each pixel of ``leaf_map`` its row. The ids ascend from 0 up and are
+    exactly those of the leaf map; delta and psi are positive and finite.
+    ``records={id: (delta, psi)}`` may stand in for the three columns.
     """
 
-    records: dict[int, tuple[float, float]]
-    leaf_map: np.ndarray
-
-    def __post_init__(self) -> None:
-        for cluster, (delta, psi) in self.records.items():
-            if delta <= 0 or psi <= 0:
-                raise ConfigError(
-                    f"cluster {cluster} has non-positive delta/psi "
-                    f"({delta}, {psi})")
-        ids = np.unique(self.leaf_map)
-        missing = [int(i) for i in ids if int(i) not in self.records]
-        if missing:
-            raise ConfigError(f"leaf map references unknown clusters {missing}")
+    def __init__(self, leaf_map, ids=(), delta=(), psi=(), *, records=None):
+        if records is not None:
+            ids = sorted(records)
+            delta, psi = np.reshape([records[i] for i in ids], (len(ids), 2)).T
+        self.leaf_map, self.ids = np.asarray(leaf_map), np.asarray(ids, np.int64)
+        self.delta, self.psi = np.asarray(delta, float), np.asarray(psi, float)
+        if not (self.ids.size and np.all(np.diff(self.ids, prepend=-1) > 0)):
+            raise ConfigError("leaf ids must be non-negative and ascending")
+        if not np.all((self.delta > 0, self.delta < np.inf,
+                       self.psi > 0, self.psi < np.inf)):
+            raise ConfigError("delta and psi must be positive and finite")
+        self.rows = np.searchsorted(self.ids, self.leaf_map).clip(
+            max=self.ids.size - 1)
+        if not (np.array_equal(self.ids[self.rows], self.leaf_map)
+                and np.bincount(self.rows.ravel(), minlength=self.ids.size).all()):
+            raise ConfigError("the leaf map must use every leaf id and no other")
 
     def parameter_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense per-pixel (delta, psi) arrays for the filter engine."""
-        top = int(self.leaf_map.max()) + 1
-        delta_of = np.ones(top)
-        psi_of = np.ones(top)
-        for cluster, (delta, psi) in self.records.items():
-            delta_of[cluster] = delta
-            psi_of[cluster] = psi
-        return delta_of[self.leaf_map], psi_of[self.leaf_map]
+        return self.delta[self.rows], self.psi[self.rows]
 
 
 class MkfRule(NamedTuple):
@@ -207,9 +205,8 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
     triple = level > 2
     psi = contextual_gain(np.where(triple, deviation[above], deviation[node]),
                           deviation[np.where(triple, parent[above], above)])
-    records = dict(zip(leaves.tolist(),
-                       zip(deviation[node].tolist(), psi.tolist())))
-    return KernelField(records=records, leaf_map=tree.levels[tree.depth])
+    return KernelField(tree.levels[tree.depth], ids=leaves,
+                       delta=deviation[node], psi=psi)
 
 
 def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = BfParams.h_x,
@@ -235,16 +232,17 @@ def write_kernel_csv(field: KernelField, path) -> None:
     """Per-pixel kernel dump: rows `x,y,cluster_id,delta,psi`, in the
     `csv` module's default dialect (CRLF line ends, nothing to quote).
 
-    Each leaf's row suffix is formatted once; the per-pixel rows are
-    whole-array concatenations of object (str) arrays.
+    Each leaf's row suffix is formatted once, in one pass over the
+    columns; the per-pixel rows are whole-array concatenations of object
+    (str) arrays, with the suffixes gathered by each pixel's row.
     """
-    suffix = np.empty(max(field.records) + 1, dtype=object)
-    for cluster, (delta, psi) in field.records.items():
-        suffix[cluster] = f"{cluster},{delta!r},{psi!r}\r\n"
+    columns = zip(field.ids.tolist(), field.delta.tolist(), field.psi.tolist())
+    suffix = np.array([f"{cluster},{delta!r},{psi!r}\r\n"
+                       for cluster, delta, psi in columns], dtype=object)
     height, width = field.leaf_map.shape
     xs = np.array([f"{x}," for x in range(width)], dtype=object)
     ys = np.array([f"{y}," for y in range(height)], dtype=object)
-    rows = xs[None, :] + ys[:, None] + suffix[field.leaf_map]
+    lines = xs[None, :] + ys[:, None] + suffix[field.rows]
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write("x,y,cluster_id,delta,psi\r\n")
-        fh.write("".join(rows.ravel().tolist()))
+        fh.write("".join(lines.ravel().tolist()))

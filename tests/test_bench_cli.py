@@ -35,7 +35,8 @@ def test_parse_filter_spec_defaults_and_overrides():
 
 def test_parse_filter_spec_rejects_unknown():
     from mkfilter import ConfigError
-    for bad in ("median", "bf:sigma=3", "mkf:depth=abc"):
+    for bad in ("median", "bf:sigma=3", "mkf:depth=abc", "bf:hx=nan",
+                "mkf:depth=1", "tv:iters=0", "bf:hi=1e-200"):
         with pytest.raises(ConfigError):
             parse_filter_spec(bad)
 
@@ -441,10 +442,15 @@ def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     ["noise", "{pgm}", "{out}", "--noise", "integral:level=nan"],
     ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hx", "nan"],
     ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hi", "inf"],
+    ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hx", "1e-300"],
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--hx", "1e-300"],
+    ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hi", "1e-200"],
     ["denoise", "{pgm}", "{out}", "--filter", "tv", "--lam", "nan"],
     ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--bin-width", "nan"],
     ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--tol", "nan"],
     ["metrics", "{pgm}", "{pgm}", "--range", "nan"],
+    ["cluster", "{pgm}", "--bin-width", "1e-300", "--depth", "3"],
+    ["cluster", "{pgm}", "--bin-width", "1e-17", "--depth", "3"],
     ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--hx", "nan"],
     ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--threads", "0"],
     ["bench-bsd", "{dir}", "--levels", "10", "--threads", "-3"],
@@ -457,11 +463,24 @@ def test_cli_rejects_non_finite_and_non_positive_parameters(tmp_path, capsys,
     paths = {"{pgm}": tmp_path / "in.pgm", "{vol}": tmp_path / "vol",
              "{dir}": tmp_path, "{out}": tmp_path / "out.pgm"}
     argv = [str(paths.get(a, a)) for a in command]
-    if command[0] not in ("denoise", "noise", "metrics"):
+    if command[0] not in ("denoise", "noise", "metrics", "cluster"):
         argv += ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     assert_one_error_line(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "vol"]
+
+
+@pytest.mark.parametrize("command", ["bench-bsd", "bench-brainweb"])
+def test_cli_bench_rejects_filter_specs_before_reading_inputs(tmp_path, capsys,
+                                                            command):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "bad.pgm").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    (data / "bad.mkfr").write_bytes(b"MKFR\x01")
+    assert main([command, str(data), "--filters", "bf:hx=nan",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_metrics_non_finite_mkfr_is_a_format_error(tmp_path, capsys):

@@ -114,6 +114,16 @@ def test_histogram_spans_signed_range():
     assert h.centers[1] - h.centers[0] == 6000.0
 
 
+def test_histogram_rejects_bin_indices_beyond_int64():
+    # 1e20 bins of width 1e-10 span the range; the int64 cast would wrap
+    with pytest.raises(ConfigError):
+        build_histogram([0.0, 1e10], 1e-10)
+    with pytest.raises(ConfigError):
+        build_cluster_tree(two_region_image(),
+                           ClusterConfig(max_cluster=4, min_cluster=3,
+                                         bin_width=1e-17))
+
+
 def test_histogram_weights_sum_to_pixel_count():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -353,6 +363,12 @@ def test_proximity_rejects_bad_neighborhood():
 # tree construction
 
 
+def by_leaf(field):
+    """The kernel field's columns as {leaf id: (delta, psi)}."""
+    return dict(zip(field.ids.tolist(),
+                    zip(field.delta.tolist(), field.psi.tolist())))
+
+
 def two_region_image():
     img = np.zeros((8, 8))
     img[:, 4:] = 200.0
@@ -367,7 +383,7 @@ def test_two_region_tree():
     assert sorted(level1["mu"]) == [0.0, 200.0]
     assert all(level1["delta"] == 0.0)
     # the kernel consumer sees the floored deviation
-    records = build_kernel_field(tree).records
+    records = by_leaf(build_kernel_field(tree))
     for node_id in np.flatnonzero(tree.nodes["level"] == 1):
         child = np.flatnonzero(tree.nodes["parent"] == node_id)[0]
         assert records[child][0] == 1.0
@@ -389,6 +405,8 @@ def test_invalid_config_rejected_before_work():
     with pytest.raises(ConfigError):
         build_cluster_tree(two_region_image(),
                            ClusterConfig(neighborhood=5))
+    with pytest.raises(ConfigError):  # the floored deviation underflows
+        ClusterConfig(bin_width=1e-160)
 
 
 def _check_tree_invariants(tree: ClusterTree, cfg: ClusterConfig, n_pixels):
@@ -473,14 +491,14 @@ def test_context_full_chain():
     tree = _hand_tree([(0, 40.0, 100, True), (1, 20.0, 60, True),
                        (2, 10.0, 30, True), (3, 5.0, 15, True)])
     # (own, parent, grandparent) = (5, 10, 20): psi = (10 / 20)^2
-    assert build_kernel_field(tree).records == {3: (5.0, 0.25)}
+    assert by_leaf(build_kernel_field(tree)) == {3: (5.0, 0.25)}
 
 
 def test_context_level_two_falls_back_to_pair():
     tree = _hand_tree([(0, 20.0, 100, True), (1, 10.0, 60, True),
                        (2, 5.0, 30, True)])
     # (own, parent) = (5, 10): psi = (5 / 10)^2
-    assert build_kernel_field(tree).records == {2: (5.0, 0.25)}
+    assert by_leaf(build_kernel_field(tree)) == {2: (5.0, 0.25)}
 
 
 def test_context_ineligible_leaf_inherits_ancestor():
@@ -488,14 +506,14 @@ def test_context_ineligible_leaf_inherits_ancestor():
                        (2, 10.0, 30, True), (3, 5.0, 4, False)])
     # effective node is the level-2 ancestor, which itself falls back to
     # the pair (10, 20)
-    assert build_kernel_field(tree).records == {3: (10.0, 0.25)}
+    assert by_leaf(build_kernel_field(tree)) == {3: (10.0, 0.25)}
 
 
 def test_context_floors_deviations():
     tree = _hand_tree([(0, 20.0, 100, True), (1, 0.0, 60, True),
                        (2, 0.0, 30, True)])
     # (own, parent) = (1, 1) after the floor
-    assert build_kernel_field(tree).records == {2: (1.0, 1.0)}
+    assert by_leaf(build_kernel_field(tree)) == {2: (1.0, 1.0)}
 
 
 def test_context_all_leaves_at_once():
@@ -510,7 +528,7 @@ def test_context_all_leaves_at_once():
             (3, 0.5, 14, True), (3, 3.0, 6, False),             # 8, 9
             (3, 7.0, 40, False)]                                # 10
     tree = _hand_tree(spec, parents=[-1, 0, 0, 1, 1, 2, 3, 3, 4, 4, 5])
-    assert build_kernel_field(tree).records == {
+    assert by_leaf(build_kernel_field(tree)) == {
         6: (4.0, 0.25),     # (own, parent, grandparent) = (4, 16, 32)
         7: (16.0, 0.25),    # defers to 3 at level 2: (own, parent) = (16, 32)
         8: (1.0, 0.0625),   # floored own deviation; (1, 8, 32)

@@ -27,8 +27,9 @@ def brute_force_filter(values, h_x, radius, field=None, bf=None):
         for x in range(width):
             center = Coordinate(x, y)
             center_value = values[y, x]
-            if field is not None:
-                delta, psi = field.records[int(field.leaf_map[y, x])]
+            if field is not None:  # looked up here, not through field.rows
+                row = list(field.ids).index(field.leaf_map[y, x])
+                delta, psi = field.delta[row], field.psi[row]
             num = den = 0.0
             for dy in range(-radius, radius + 1):
                 for dx in range(-radius, radius + 1):
@@ -229,12 +230,18 @@ def test_param_validation():
         BfParams(h_x=0.0, h_I=1.0, radius=1)
     with pytest.raises(ConfigError):
         BfParams(h_x=1.0, h_I=1.0, radius=0)
-    with pytest.raises(ConfigError):
-        KernelField(records={0: (0.0, 1.0)},
-                    leaf_map=np.zeros((2, 2), dtype=np.int64))
-    with pytest.raises(ConfigError):
-        KernelField(records={0: (1.0, 1.0)},
-                    leaf_map=np.ones((2, 2), dtype=np.int64))
+    zeros = np.zeros((2, 2), dtype=np.int64)
+    for records, leaf_map in [
+            ({0: (0.0, 1.0)}, zeros),
+            ({0: (math.nan, 1.0)}, zeros),
+            ({0: (1.0, math.inf)}, zeros),
+            ({0: (1.0, 1.0)}, zeros + 1),           # unknown leaf id
+            ({0: (1.0, 1.0), 5: (1.0, 1.0)}, zeros),  # id with no pixels
+            ({-1: (1.0, 1.0)}, zeros - 1),          # negative leaf id
+            ({-1: (1.0, 1.0), 0: (2.0, 1.0)}, np.array([[-1, 0]])),
+            ({}, zeros)]:
+        with pytest.raises(ConfigError):
+            KernelField(records=records, leaf_map=leaf_map)
     with pytest.raises(ConfigError):
         weighted_mean_filter(Raster(np.zeros((3, 3))),
                              BfParams(3, 57, 5), 0)
@@ -278,9 +285,8 @@ def test_mkf_denoise_returns_inspectable_intermediates():
     result = mkf_denoise(img, ClusterConfig(max_depth=2, max_cluster=10,
                                             min_cluster=4), h_x=3.0, radius=2)
     assert result.tree.depth == 2
-    assert set(np.unique(result.field.leaf_map)) == set(result.field.records)
-    for delta, psi in result.field.records.values():
-        assert delta >= 1.0 and psi > 0.0
+    assert np.array_equal(np.unique(result.field.leaf_map), result.field.ids)
+    assert np.all(result.field.delta >= 1.0) and np.all(result.field.psi > 0.0)
 
 
 def test_write_kernel_csv_matches_csv_module_rows(tmp_path):
@@ -288,7 +294,7 @@ def test_write_kernel_csv_matches_csv_module_rows(tmp_path):
     img = Raster(rng.integers(0, 256, (9, 13)).astype(float))
     field = mkf_denoise(img, ClusterConfig(max_depth=3, max_cluster=10,
                                            min_cluster=4), radius=2).field
-    assert len(field.records) > 1
+    assert len(field.ids) > 1
     path = tmp_path / "k.csv"
     write_kernel_csv(field, path)
 
@@ -299,6 +305,7 @@ def test_write_kernel_csv_matches_csv_module_rows(tmp_path):
     for y in range(9):
         for x in range(13):
             cluster = int(field.leaf_map[y, x])
-            delta, psi = field.records[cluster]
-            writer.writerow([x, y, cluster, repr(delta), repr(psi)])
+            row = field.ids.tolist().index(cluster)
+            writer.writerow([x, y, cluster, repr(float(field.delta[row])),
+                             repr(float(field.psi[row]))])
     assert path.read_bytes() == expected.getvalue().encode("ascii")

@@ -1,14 +1,19 @@
-"""Property: the command line's text parsers either return or raise
-ConfigError, whatever the text. Any other exception would reach the user
-as a traceback instead of one `error: bad-arguments:` line."""
+"""Properties: the command line's text parsers either return or raise
+ConfigError, whatever the text, and `main(argv)` keeps its exit contract
+whatever the flag values. Any other exception would reach the user as a
+traceback instead of one `error: bad-arguments:` line."""
 
+import contextlib
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkfilter import ConfigError
-from mkfilter.bench import parse_filter_spec
-from mkfilter.cli import _parse_coeffs, _parse_levels
+from mkfilter import ClusterConfig, ConfigError, Raster, save_pgm
+from mkfilter.bench import FILTERS, parse_filter_spec
+from mkfilter.cli import _parse_coeffs, _parse_levels, main
 from mkfilter.noise import parse_noise_spec
 
 PARSERS = {
@@ -38,3 +43,71 @@ def test_parser_returns_or_raises_config_error(name, text):
         PARSERS[name](text)
     except ConfigError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the whole command line: `main(argv)` on an 8x8 PGM
+
+# values of every kind a flag can be given; integers stay at most 12, which
+# bounds the work a command can start (depth, radius, iterations)
+VALUES = st.one_of(
+    st.integers(1, 12).map(str),
+    st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e300"]),
+    st.text(max_size=12),
+)
+
+
+def flag_lists(keys):
+    """`--key=value` lists over the registry parameter names `keys`."""
+    return st.lists(st.tuples(st.sampled_from(sorted(keys)), VALUES),
+                    max_size=4).map(
+        lambda flags: [f"--{key.replace('_', '-')}={value}"
+                       for key, value in flags])
+
+
+DENOISE_ARGS = st.sampled_from(sorted(FILTERS)).flatmap(
+    lambda name: flag_lists(FILTERS[name].keys).map(
+        lambda flags: ["--filter", name, *flags]))
+CLUSTER_ARGS = flag_lists(key for key, (cls, _) in FILTERS["mkf"].keys.items()
+                          if cls is ClusterConfig)
+
+
+@pytest.fixture(scope="module")
+def small_pgm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "in.pgm"
+    values = np.random.default_rng(0).integers(0, 256, (8, 8))
+    save_pgm(Raster(values.astype(np.float64)), path)
+    return path
+
+
+def run_main(argv):
+    """Exit code and stderr of one `main(argv)` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=DENOISE_ARGS)
+def test_denoise_keeps_the_exit_contract(small_pgm, args):
+    out = small_pgm.with_name("out.mkfr")
+    assert_exit_contract(*run_main(["denoise", str(small_pgm), str(out),
+                                    *args]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=CLUSTER_ARGS)
+def test_cluster_keeps_the_exit_contract(small_pgm, args):
+    assert_exit_contract(*run_main(["cluster", str(small_pgm), *args]))
