@@ -71,8 +71,10 @@ def _forward_diffs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rof_energy(u: np.ndarray, observed: np.ndarray, lam: float) -> float:
     """Smoothed ROF energy: sum of |grad u| plus (lam/2) * squared residual."""
     gx, gy = _forward_diffs(u)
-    tv = np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON).sum()
-    fidelity = 0.5 * lam * ((u - observed) ** 2).sum()
+    # an overflow is an infinite energy, which the step halving rejects
+    with np.errstate(over="ignore"):
+        tv = np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON).sum()
+        fidelity = 0.5 * lam * ((u - observed) ** 2).sum()
     return float(tv + fidelity)
 
 

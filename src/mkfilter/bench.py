@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -189,29 +189,8 @@ def run_case(image_id: str, clean: Raster, filter_spec: FilterSpec,
              noise_spec: NoiseSpec, dynamic_range: float,
              component: str = "gray") -> ResultRow:
     """Noise the clean raster, filter it, and score against the clean one."""
-    noisy = apply_noise(clean, noise_spec)
-    started = time.perf_counter()
-    restored = apply_filter(noisy, filter_spec)
-    elapsed_ms = (time.perf_counter() - started) * 1e3
-    return _score_row(image_id, clean, restored, filter_spec, noise_spec,
-                      dynamic_range, component, elapsed_ms)
-
-
-def _score_row(image_id: str, clean: Raster, restored: Raster,
-               filter_spec: FilterSpec, noise_spec: NoiseSpec,
-               dynamic_range: float, component: str,
-               elapsed_ms: float) -> ResultRow:
-    return ResultRow(
-        image=image_id,
-        filter=filter_spec.name,
-        params=filter_spec.canonical(),
-        noise=noise_spec.describe(),
-        seed=noise_spec.seed,
-        component=component,
-        mae=mae(clean, restored),
-        ssim=ssim(clean, restored, dynamic_range),
-        ms=elapsed_ms,
-    )
+    return _run_cell(_Cell(image_id, clean, noise_spec, [filter_spec],
+                           dynamic_range, component))[0]
 
 
 def replay_row(clean: Raster, row: ResultRow,
@@ -224,11 +203,71 @@ def replay_row(clean: Raster, row: ResultRow,
     return fresh.mae, fresh.ssim
 
 
-def _pmap(fn, items, threads: int):
+class _Cell(NamedTuple):
+    """One noised raster and the filters scored on it: every layout's unit."""
+
+    image_id: str
+    clean: Raster
+    noise: NoiseSpec
+    specs: list
+    dynamic_range: float
+    component: str = "gray"
+
+
+def _run_cell(cell: _Cell) -> list[ResultRow]:
+    """Noise the clean raster once, filter the noisy one with every spec
+    and score each result against the clean one, in spec order.
+
+    mkf specs whose tree configs differ only in depth form a family: its
+    tree is built once, at the deepest depth, and each member filters with
+    it truncated to its own depth (the tree a fresh build there gives). A
+    row's ``ms`` is its own filter time, kernel field included; the
+    family's deepest row also carries the tree build, so a cell's ``ms``
+    add up to the time its filters took.
+    """
+    noisy = apply_noise(cell.clean, cell.noise)
+    built = [spec.build() for spec in cell.specs]
+    groups: dict = {}  # key: a family's config at depth 2, or a lone index
+    for index, params in enumerate(built):
+        cfg = params.get(ClusterConfig)
+        key = index if cfg is None else replace(cfg, max_depth=2)
+        groups.setdefault(key, []).append(index)
+    rows: list = [None] * len(built)
+    for members in groups.values():
+        deepest = max(members,
+                      key=lambda i: cell.specs[i].params.get("depth", 0))
+        cfg, tree, tree_ms = built[deepest].get(ClusterConfig), None, 0.0
+        if cfg is not None:
+            started = time.perf_counter()
+            # looked up on the filters module, as mkf_denoise does, so that
+            # wrappers installed there (the benchmark tracer's) see the build
+            tree = filters.build_cluster_tree(noisy, cfg)
+            tree_ms = (time.perf_counter() - started) * 1e3
+        for index in members:
+            spec = cell.specs[index]
+            p = spec.params
+            started = time.perf_counter()
+            if tree is None:
+                restored = FILTERS[spec.name].run(noisy, built[index])[0]
+            else:  # mkf, on the family's tree cut to this spec's depth
+                restored = mkf_filter(noisy, tree.truncated(p["depth"]),
+                                      p["hx"], p["radius"]).raster
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+            rows[index] = ResultRow(
+                cell.image_id, spec.name, spec.canonical(),
+                cell.noise.describe(), cell.noise.seed, cell.component,
+                mae(cell.clean, restored),
+                ssim(cell.clean, restored, cell.dynamic_range),
+                elapsed_ms + (tree_ms if index == deepest else 0.0))
+    return rows
+
+
+def _run_cells(cells: list[_Cell], threads: int) -> list[ResultRow]:
+    """Every cell's rows in cell order, the cells run on `threads` threads."""
     if threads <= 1:
-        return [fn(item) for item in items]
+        return [row for cell in cells for row in _run_cell(cell)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return [row for rows in pool.map(_run_cell, cells) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -243,58 +282,17 @@ def sweep_depth(image_id: str, clean: Raster,
                 radius: int = BfParams.radius, threads: int = 1) -> list[ResultRow]:
     """Tree-depth / cluster-size grid under two noise levels.
 
-    The per-level seed depends only on (seed, level), so every (depth,
-    size) cell at one level filters the identical noise realization.
-    Rows come level by level, then depth by depth, then size by size.
-
-    The unit of work is one (level, size) group: the noise is applied once
-    and the context tree is built once, at the deepest depth; every depth's
-    row filters with that tree truncated to its depth, which is the tree a
-    fresh build at that depth gives. A row's ``ms`` is its own kernel field
-    and filter time; the deepest row also carries the shared tree build,
-    so a group's ``ms`` add up to the time the group took.
+    The integral benchmark on one image: one cell per level, so every
+    (depth, size) pair at a level filters the same noise realization and
+    the depths of one size share one tree. Rows come level by level, then
+    depth by depth, then size by size.
     """
-    depths, sizes, levels = list(depths), list(sizes), list(levels)
-    groups = [(NoiseSpec(kind="integral", level=float(level),
-                         seed=derive_seed(seed, image_id, int(level))), size)
-              for level in levels for size in sizes]
-    done = _pmap(
-        lambda group: _sweep_group(image_id, clean, depths, group[1],
-                                   group[0], h_x, radius),
-        groups, threads)
-    n = len(sizes)
-    return [done[lv * n + sz][d] for lv in range(len(levels))
-            for d in range(len(depths)) for sz in range(n)]
-
-
-def _sweep_group(image_id: str, clean: Raster, depths: list, size: int,
-                 noise: NoiseSpec, h_x: float, radius: int) -> list[ResultRow]:
-    """One row per depth for one (noise level, cluster size) group."""
-    if not depths:
-        return []
+    sizes = list(sizes)
     specs = [filter_spec("mkf", {"depth": depth, "max_cluster": size,
                                  "hx": h_x, "radius": radius})
-             for depth in depths]
-    deepest = depths.index(max(depths))
-    noisy = apply_noise(clean, noise)
-    started = time.perf_counter()
-    # looked up on the filters module, as mkf_denoise does, so that
-    # wrappers installed there (the benchmark tracer's) see the build
-    tree = filters.build_cluster_tree(noisy,
-                                      specs[deepest].build()[ClusterConfig])
-    tree_ms = (time.perf_counter() - started) * 1e3
-    rows = []
-    for index, spec in enumerate(specs):
-        p = spec.params
-        started = time.perf_counter()
-        restored = mkf_filter(noisy, tree.truncated(p["depth"]),
-                              h_x=p["hx"], radius=p["radius"]).raster
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        if index == deepest:
-            elapsed_ms += tree_ms
-        rows.append(_score_row(image_id, clean, restored, spec, noise, 255.0,
-                               "gray", elapsed_ms))
-    return rows
+             for depth in depths for size in sizes]
+    return bench_integral([(image_id, clean)], levels, specs, seed=seed,
+                          threads=threads)
 
 
 def bench_integral(images: list[tuple[str, Raster]],
@@ -303,21 +301,14 @@ def bench_integral(images: list[tuple[str, Raster]],
                    seed: int = 0,
                    dynamic_range: float = 255.0,
                    threads: int = 1) -> list[ResultRow]:
-    """Per-level scoring of each filter across a set of grayscale images.
-
-    All filters at one (image, level) cell share the identical noise
-    realization.
-    """
-    cases = []
-    for image_id, clean in images:
-        for level in levels:
-            noise = NoiseSpec(kind="integral", level=float(level),
-                              seed=derive_seed(seed, image_id, int(level)))
-            for spec in filter_specs:
-                cases.append((image_id, clean, spec, noise))
-    return _pmap(
-        lambda c: run_case(c[0], c[1], c[2], c[3], dynamic_range),
-        cases, threads)
+    """Per-level scoring of each filter across a set of grayscale images,
+    one cell per (image, level): all filters share its noise realization."""
+    return _run_cells(
+        [_Cell(image_id, clean,
+               NoiseSpec(kind="integral", level=float(level),
+                         seed=derive_seed(seed, image_id, int(level))),
+               filter_specs, dynamic_range)
+         for image_id, clean in images for level in levels], threads)
 
 
 def bench_complex_slices(slices: list[tuple[str, Raster]],
@@ -330,21 +321,20 @@ def bench_complex_slices(slices: list[tuple[str, Raster]],
                          threads: int = 1) -> list[ResultRow]:
     """Complex-slice comparison: each magnitude slice is split into
     real/imaginary components under its background phase, corrupted by the
-    spatially-varying field, and the components are filtered independently."""
+    spatially-varying field, and the components are filtered independently,
+    one cell per (slice, component)."""
     from .noise import synthesize_complex_slice
 
-    cases = []
+    cells = []
     for index, (slice_id, magnitude) in enumerate(slices):
         pair = synthesize_complex_slice(magnitude, phase_for_slice(index))
         for component, clean in (("real", pair.real), ("imag", pair.imag)):
             noise = NoiseSpec(kind="spatial-field", level=peak_sigma,
                               spread=spread,
                               seed=derive_seed(seed, slice_id, component))
-            for spec in filter_specs:
-                cases.append((slice_id, clean, spec, noise, component))
-    return _pmap(
-        lambda c: run_case(c[0], c[1], c[2], c[3], dynamic_range, c[4]),
-        cases, threads)
+            cells.append(_Cell(slice_id, clean, noise, filter_specs,
+                               dynamic_range, component))
+    return _run_cells(cells, threads)
 
 
 # ---------------------------------------------------------------------------

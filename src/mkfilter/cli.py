@@ -20,7 +20,7 @@ from . import bench
 from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
 from .errors import ConfigError, FormatError
 from .filters import BfParams
-from .metrics import mae, ssim
+from .metrics import mae, ssim, ssim_constants
 from .noise import PhaseSpec, apply_noise, format_number, parse_noise_spec
 from .raster import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
 from .charts import line_chart
@@ -263,21 +263,22 @@ def _label_of(row: bench.ResultRow) -> str:
     return bench.parse_filter_spec(f"{row.filter}:{row.params}").label()
 
 
-def _mean_series(rows, x_of, value_of, key_of):
-    """Group rows, average values sharing (key, x), and sort by x."""
-    acc: dict[str, dict[float, list[float]]] = {}
+def _write_bench(rows, out_dir: Path, name: str, title: str, x_label: str,
+                 key_of, x_of) -> None:
+    """`name`.csv with the rows, and per metric the chart `name`_<metric>.svg
+    of the means over rows sharing (key, x), sorted by x."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bench.write_rows_csv(rows, out_dir / f"{name}.csv")
+    groups: dict = {}
     for row in rows:
-        acc.setdefault(key_of(row), {}).setdefault(x_of(row), []).append(
-            value_of(row))
-    return {
-        key: sorted((x, sum(vals) / len(vals)) for x, vals in by_x.items())
-        for key, by_x in acc.items()
-    }
-
-
-def _noise_level(row: bench.ResultRow) -> float:
-    spec = parse_noise_spec(f"{row.noise},seed=0")
-    return spec.level
+        groups.setdefault(key_of(row), {}).setdefault(x_of(row), []).append(row)
+    for metric in ("mae", "ssim"):
+        series = {key: sorted((x, sum(getattr(r, metric) for r in group)
+                               / len(group)) for x, group in by_x.items())
+                  for key, by_x in groups.items()}
+        svg = line_chart(series, title.format(metric.upper()), x_label,
+                         metric.upper())
+        (out_dir / f"{name}_{metric}.svg").write_text(svg, encoding="utf-8")
 
 
 def _cmd_bench_bsd(args) -> int:
@@ -289,13 +290,9 @@ def _cmd_bench_bsd(args) -> int:
     images = [(p.stem, load_pgm(p)) for p in paths]
     rows = bench.bench_integral(images, levels, specs,
                                 seed=args.seed, threads=args.threads)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    bench.write_rows_csv(rows, args.out_dir / "bsd.csv")
-    for metric, value_of in (("mae", lambda r: r.mae), ("ssim", lambda r: r.ssim)):
-        series = _mean_series(rows, _noise_level, value_of, _label_of)
-        svg = line_chart(series, f"mean {metric.upper()} vs noise level",
-                         "noise level", metric.upper())
-        (args.out_dir / f"bsd_{metric}.svg").write_text(svg, encoding="utf-8")
+    _write_bench(rows, args.out_dir, "bsd", "mean {} vs noise level",
+                 "noise level", _label_of,
+                 lambda r: parse_noise_spec(f"{r.noise},seed=0").level)
     return 0
 
 
@@ -312,6 +309,7 @@ def _parse_coeffs(text: str, count: int, what: str) -> tuple:
 
 def _cmd_bench_brainweb(args) -> int:
     specs = [bench.parse_filter_spec(s) for s in args.filters]
+    ssim_constants(args.dynamic_range)  # a bad --range fails before any read
     spread = (None if args.spread == "auto"
               else _parse_coeffs(args.spread, 1, "--spread")[0])
     phase_extra = {}
@@ -330,17 +328,10 @@ def _cmd_bench_brainweb(args) -> int:
         phase_for_slice=lambda i: PhaseSpec(slice_index=i, **phase_extra),
         seed=args.seed, peak_sigma=args.peak, spread=spread,
         dynamic_range=args.dynamic_range, threads=args.threads)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    bench.write_rows_csv(rows, args.out_dir / "brainweb.csv")
     index_of = {name: i for i, (name, _) in enumerate(slices)}
-    for metric, value_of in (("mae", lambda r: r.mae), ("ssim", lambda r: r.ssim)):
-        series = _mean_series(
-            rows, lambda r: float(index_of[r.image]), value_of,
-            lambda r: f"{_label_of(r)}/{r.component}")
-        svg = line_chart(series, f"{metric.upper()} per slice",
-                         "slice", metric.upper())
-        (args.out_dir / f"brainweb_{metric}.svg").write_text(
-            svg, encoding="utf-8")
+    _write_bench(rows, args.out_dir, "brainweb", "{} per slice", "slice",
+                 lambda r: f"{_label_of(r)}/{r.component}",
+                 lambda r: float(index_of[r.image]))
     return 0
 
 

@@ -144,7 +144,8 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     height, width = values.shape
     padded = np.pad(values, radius, mode="symmetric")
     inv_space = 1.0 / (2.0 * h_x * h_x)
-    inv_range = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
+    with np.errstate(over="ignore"):  # a huge delta gives a zero factor
+        inv_range = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
     num = np.zeros_like(values)
     den = np.zeros_like(values)
     for dy in range(-radius, radius + 1):

@@ -9,6 +9,7 @@ clamped 8-bit exports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.ndimage import correlate1d
 from .errors import ConfigError, require_positive
 from .raster import Raster
 
-__all__ = ["ScorePair", "mae", "ssim", "score_pair"]
+__all__ = ["ScorePair", "mae", "ssim", "ssim_constants", "score_pair"]
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -53,12 +54,24 @@ def _window_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return correlate1d(out, taps, axis=1, mode="reflect")
 
 
+def ssim_constants(dynamic_range: float) -> tuple[float, float]:
+    """SSIM's (C1, C2) for the dynamic range L; ConfigError unless L is
+    positive and finite and so is C1 * C2, which the score multiplies."""
+    require_positive(dynamic_range=dynamic_range)
+    try:
+        c1, c2 = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+    except OverflowError:
+        c1 = c2 = math.inf
+    if math.isinf(c1 * c2):
+        raise ConfigError(f"dynamic range {dynamic_range} is too large for "
+                          f"finite SSIM constants")
+    return c1, c2
+
+
 def ssim(a: Raster, b: Raster, dynamic_range: float) -> float:
     """Mean local structural similarity over the full image."""
     _check_dims(a, b)
-    require_positive(dynamic_range=dynamic_range)
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
+    c1, c2 = ssim_constants(dynamic_range)
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
     x = a.data
     y = b.data

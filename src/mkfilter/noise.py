@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_bandwidth, require_positive
 from .raster import ComplexRaster, Coordinate, Raster
 
 __all__ = [
@@ -76,8 +76,8 @@ class NoiseSpec:
         if self.kind not in ("integral", "spatial-field"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         require_positive(level=self.level)
-        if self.spread is not None:
-            require_positive(spread=self.spread)
+        if self.spread is not None:  # the width of the Gaussian field
+            require_bandwidth(spread=self.spread)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -131,11 +131,12 @@ def make_noise_field(width: int, height: int,
         center = Coordinate(width // 2, height // 2)
     if spread is None:
         spread = min(width, height) / 4.0
-    require_positive(spread=spread)
+    require_bandwidth(spread=spread)
     x = np.arange(width) - center.x
     y = np.arange(height) - center.y
     rsq = x[None, :] ** 2 + y[:, None] ** 2
-    field = peak_sigma * np.exp(-rsq / (2.0 * spread * spread))
+    with np.errstate(over="ignore"):  # far from a narrow peak: exp(-inf) = 0
+        field = peak_sigma * np.exp(-rsq / (2.0 * spread * spread))
     return Raster(field, range_hint=(0.0, peak_sigma))
 
 

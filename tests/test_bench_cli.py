@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkfilter import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
+from mkfilter import (Raster, bench, filters, load_f64_raster, load_pgm,
+                      save_f64_raster, save_pgm)
 from mkfilter.bench import (CSV_HEADER, apply_filter,
                             bench_complex_slices, bench_integral, derive_seed,
                             parse_filter_spec, read_rows_csv, replay_row,
@@ -145,6 +146,57 @@ def test_sweep_depth_rows_match_per_case_path_and_threads():
     threaded = sweep_depth("fix", clean, depths=depths, sizes=sizes,
                            levels=levels, seed=5, radius=2, threads=2)
     assert _without_ms(threaded) == _without_ms(rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bench_integral_rows_match_per_case_run_case(threads):
+    images = [("a", small_image(1)), ("b", small_image(2))]
+    levels = (10.0, 1000.0)
+    specs = [parse_filter_spec(text) for text in (
+        "bf", "mkf:depth=2", "mkf:depth=7", "mkf:depth=4,max_cluster=60")]
+    rows = bench_integral(images, levels, specs, seed=3, threads=threads)
+    expected = [run_case(image_id, clean, spec,
+                         NoiseSpec(kind="integral", level=level,
+                                   seed=derive_seed(3, image_id, int(level))),
+                         255.0)
+                for image_id, clean in images for level in levels
+                for spec in specs]
+    assert _without_ms(rows) == _without_ms(expected)
+    assert all(row.ms > 0 for row in rows)
+
+
+@pytest.mark.parametrize("layout", ["integral", "slices", "sweep"])
+def test_each_cell_is_noised_once_with_one_tree_per_family(monkeypatch,
+                                                           layout):
+    calls = {"noise": 0, "tree": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bench, "apply_noise",
+                        counted("noise", bench.apply_noise))
+    monkeypatch.setattr(filters, "build_cluster_tree",
+                        counted("tree", filters.build_cluster_tree))
+    # two families: max_cluster 20 (depths 2 and 3) and 60
+    specs = [parse_filter_spec(text) for text in (
+        "bf:radius=2", "mkf:depth=2,radius=2", "mkf:depth=3,radius=2",
+        "mkf:depth=2,max_cluster=60,radius=2")]
+    if layout == "integral":
+        rows = bench_integral([("a", small_image(1)), ("b", small_image(2))],
+                              (10.0, 100.0), specs, seed=1)
+    elif layout == "slices":
+        rows = bench_complex_slices(
+            [(f"s{i}", brain_slice(24, 24, slice_index=i)) for i in range(2)],
+            specs, phase_for_slice=PhaseSpec, seed=1, peak_sigma=200.0)
+    else:  # one cell per level; each size is a family of two depths
+        rows = sweep_depth("fix", small_image(), depths=(2, 3),
+                           sizes=(20, 60), levels=(10.0, 1000.0, 5000.0),
+                           seed=1, radius=2)
+    cells = len({(row.image, row.component, row.noise) for row in rows})
+    assert calls == {"noise": cells, "tree": 2 * cells}
 
 
 def test_bench_integral_row_count():
@@ -454,6 +506,11 @@ def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--hx", "nan"],
     ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--threads", "0"],
     ["bench-bsd", "{dir}", "--levels", "10", "--threads", "-3"],
+    # a spread whose square underflows; a range whose SSIM constants overflow
+    ["noise", "{pgm}", "{out}", "--noise", "field:spread=1e-300"],
+    ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--spread",
+     "1e-300"],
+    ["metrics", "{pgm}", "{pgm}", "--range", "1e200"],
 ], ids=lambda command: "-".join(a.lstrip("-") for a in command
                                 if not a.startswith("{")))
 def test_cli_rejects_non_finite_and_non_positive_parameters(tmp_path, capsys,
@@ -479,6 +536,17 @@ def test_cli_bench_rejects_filter_specs_before_reading_inputs(tmp_path, capsys,
     (data / "bad.mkfr").write_bytes(b"MKFR\x01")
     assert main([command, str(data), "--filters", "bf:hx=nan",
                  "--out-dir", str(tmp_path / "out")]) == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bench_brainweb_rejects_range_before_reading_inputs(tmp_path,
+                                                               capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "bad.mkfr").write_bytes(b"MKFR\x01")
+    assert main(["bench-brainweb", str(data), "--filters", "cf:iters=1",
+                 "--range", "1e200", "--out-dir", str(tmp_path / "out")]) == 2
     assert_one_error_line(capsys)
     assert not (tmp_path / "out").exists()
 

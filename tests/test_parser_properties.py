@@ -1,14 +1,16 @@
 """Properties: the command line's text parsers either return or raise
 ConfigError, whatever the text, and `main(argv)` keeps its exit contract
 whatever the flag values. Any other exception would reach the user as a
-traceback instead of one `error: bad-arguments:` line."""
+traceback instead of one `error: bad-arguments:` line, and a run that
+succeeds prints nothing on stderr, numpy's RuntimeWarnings included."""
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mkfilter import ClusterConfig, ConfigError, Raster, save_pgm
@@ -70,6 +72,13 @@ DENOISE_ARGS = st.sampled_from(sorted(FILTERS)).flatmap(
         lambda flags: ["--filter", name, *flags]))
 CLUSTER_ARGS = flag_lists(key for key, (cls, _) in FILTERS["mkf"].keys.items()
                           if cls is ClusterConfig)
+# `--noise` text: a kind, then options with the same values as the flags
+NOISE_SPECS = st.builds(
+    lambda kind, options: kind + ":" + ",".join(f"{key}={value}"
+                                                for key, value in options),
+    st.sampled_from(["integral", "field"]),
+    st.lists(st.tuples(st.sampled_from(["level", "peak", "spread", "seed",
+                                        "cx", "cy"]), VALUES), max_size=4))
 
 
 @pytest.fixture(scope="module")
@@ -80,27 +89,43 @@ def small_pgm(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def other_pgm(small_pgm):
+    path = small_pgm.with_name("other.pgm")
+    values = np.random.default_rng(1).integers(0, 256, (8, 8))
+    save_pgm(Raster(values.astype(np.float64)), path)
+    return path
+
+
 def run_main(argv):
-    """Exit code and stderr of one `main(argv)` call."""
+    """Exit code, stderr and RuntimeWarnings of one `main(argv)` call."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own exit
             code = exc.code
-    return code, err.getvalue()
+    return code, err.getvalue(), [str(w.message) for w in caught
+                                  if issubclass(w.category, RuntimeWarning)]
 
 
-def assert_exit_contract(code, err):
+def assert_exit_contract(code, err, runtime_warnings):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert not err and not runtime_warnings, (err, runtime_warnings)
 
 
 @settings(max_examples=300, deadline=None)
 @given(args=DENOISE_ARGS)
+# overflows that are meant (a zero range factor, an infinite energy)
+@example(args=["--filter", "bf", "--hi=1e300"])
+@example(args=["--filter", "tv", "--lam=1e-300", "--step=1e300"])
 def test_denoise_keeps_the_exit_contract(small_pgm, args):
     out = small_pgm.with_name("out.mkfr")
     assert_exit_contract(*run_main(["denoise", str(small_pgm), str(out),
@@ -111,3 +136,25 @@ def test_denoise_keeps_the_exit_contract(small_pgm, args):
 @given(args=CLUSTER_ARGS)
 def test_cluster_keeps_the_exit_contract(small_pgm, args):
     assert_exit_contract(*run_main(["cluster", str(small_pgm), *args]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=NOISE_SPECS, suffix=st.sampled_from([".pgm", ".mkfr"]))
+# spread^2 underflows to 0, 1/(2 spread^2) overflows, or r^2/(2 spread^2)
+# does at the corners
+@example(spec="field:spread=1e-300", suffix=".mkfr")
+@example(spec="field:spread=1e-160", suffix=".mkfr")
+@example(spec="field:spread=1e-154", suffix=".mkfr")
+def test_noise_keeps_the_exit_contract(small_pgm, spec, suffix):
+    out = small_pgm.with_name("noisy" + suffix)
+    assert_exit_contract(*run_main(["noise", str(small_pgm), str(out),
+                                    "--noise", spec]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=VALUES)
+@example(value="1e200")  # C2 = (0.03 L)^2 overflows
+@example(value="1e100")  # C1 * C2 overflows
+def test_metrics_keeps_the_exit_contract(small_pgm, other_pgm, value):
+    assert_exit_contract(*run_main(["metrics", str(small_pgm), str(other_pgm),
+                                    f"--range={value}"]))
