@@ -8,10 +8,10 @@ and an MAE/SSIM benchmark harness.
 
 from .raster import (Raster, ComplexRaster, Coordinate, load_pgm, save_pgm,
                      load_f64_raster, save_f64_raster, to_grayscale)
-from .clustering import (ClusterConfig, ClusterTree, NODE_DTYPE, GaussPair,
-                         GaussComponent, Histogram, build_histogram,
-                         initial_gauss_pair, em_similarity_cluster,
-                         proximity_cluster, build_cluster_tree)
+from .clustering import (ClusterConfig, ClusterTree, NODE_DTYPE, Histogram,
+                         build_histogram, initial_gauss_pair,
+                         em_similarity_cluster, proximity_cluster,
+                         build_cluster_tree)
 from .filters import (BfParams, KernelField, MkfRule, MkfResult, bf_weight,
                       mkf_weight, contextual_gain, weighted_mean_filter,
                       build_kernel_field, mkf_denoise, mkf_filter)
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Raster", "ComplexRaster", "Coordinate", "load_pgm", "save_pgm",
     "load_f64_raster", "save_f64_raster", "to_grayscale",
-    "ClusterConfig", "ClusterTree", "NODE_DTYPE", "GaussPair",
-    "GaussComponent", "Histogram", "build_histogram", "initial_gauss_pair",
+    "ClusterConfig", "ClusterTree", "NODE_DTYPE", "Histogram",
+    "build_histogram", "initial_gauss_pair",
     "em_similarity_cluster", "proximity_cluster", "build_cluster_tree",
     "BfParams", "KernelField", "MkfRule", "MkfResult", "bf_weight",
     "mkf_weight", "contextual_gain", "weighted_mean_filter",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, overflow_is_config_error, require_positive
 from .filters import BfParams, weighted_mean_filter
 from .raster import Raster
 
@@ -96,7 +96,8 @@ def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, n
     trace[0] = rof_energy(u, observed, p.lam)
     for it in range(1, p.iters + 1):
         gx, gy = _forward_diffs(u)
-        norm = np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON)
+        with overflow_is_config_error("the TV gradient norm"):
+            norm = np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON)
         px = gx / norm
         py = gy / norm
         grad = -px - py

@@ -36,7 +36,6 @@ __all__ = [
     "CSV_HEADER",
     "filter_spec",
     "parse_filter_spec",
-    "apply_filter",
     "derive_seed",
     "run_case",
     "sweep_depth",
@@ -165,10 +164,6 @@ def parse_filter_spec(text: str) -> FilterSpec:
     spec = filter_spec(name, given)
     spec.build()
     return spec
-
-
-def apply_filter(image: Raster, spec: FilterSpec) -> Raster:
-    return FILTERS[spec.name].run(image, spec.build())[0]
 
 
 def derive_seed(master: int, *key) -> int:

@@ -12,9 +12,15 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#17becf", "#8c564b", "#7f7f7f")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _span(lo: float, hi: float):
+    """``(lo, hi)`` with hi > lo: an empty span widens to lo + 1, or where
+    that rounds back to lo, by half of lo's magnitude towards zero."""
     if hi <= lo:
-        hi = lo + 1.0
+        lo, hi = (lo, lo + 1.0) if lo + 1.0 > lo else sorted((lo, lo / 2.0))
+    return lo, hi
+
+
+def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
@@ -30,12 +36,8 @@ def line_chart(series: dict[str, list[tuple[float, float]]],
     ys = [y for pts in series.values() for _, y in pts]
     if not xs:
         xs = ys = [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(min(xs), max(xs))
+    y_lo, y_hi = _span(min(ys), max(ys))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -119,6 +119,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"error: bad-arguments: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if [] in vars(parsed).values():  # argparse's reading of `--flag=--`
+            self.error("a flag was given '--' for its value")
+        return parsed
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -34,8 +34,6 @@ from .errors import ConfigError, require_bandwidth, require_positive
 from .raster import Raster
 
 __all__ = [
-    "GaussComponent",
-    "GaussPair",
     "Histogram",
     "ClusterConfig",
     "NODE_DTYPE",
@@ -51,32 +49,16 @@ __all__ = [
 
 EM_MAX_ITERATIONS = 500
 
-_OFFSETS_4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
-_OFFSETS_8 = _OFFSETS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-@dataclass(frozen=True)
-class GaussComponent:
-    mu: float
-    sigma: float
-    weight: float
-
-
-@dataclass(frozen=True)
-class GaussPair:
-    """Parameters of a two-component 1D Gaussian mixture."""
-
-    theta1: GaussComponent
-    theta2: GaussComponent
-
 
 @dataclass(frozen=True)
 class Histogram:
-    """Weighted intensity bins; centers carry the mass of their members."""
+    """Weighted intensity bins of one or more segments (clusters), back to
+    back; centers carry the mass of their members. Segment s owns the bins
+    from ``starts[s]`` to the next start."""
 
     centers: np.ndarray
     counts: np.ndarray
-    base: float
+    starts: np.ndarray
     bin_width: float
 
 
@@ -174,10 +156,15 @@ class ClusterTree:
 
 @dataclass(frozen=True)
 class EmResult:
-    pair: GaussPair
-    labels: np.ndarray  # per-bin hard labels, 0 -> theta1, 1 -> theta2
-    degenerate: bool
-    log_likelihood: np.ndarray  # one entry per EM iteration
+    """Fitted two-component mixtures. ``theta`` is (mu, sigma, weight) x
+    component, with a trailing segment axis when the fit started with
+    one; ``degenerate`` (a single bin) and ``log_likelihood`` (one entry
+    per EM iteration) are then per segment too."""
+
+    theta: np.ndarray
+    labels: np.ndarray  # per-bin hard labels, 0 -> first component
+    degenerate: bool | np.ndarray
+    log_likelihood: np.ndarray | list[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +178,8 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
 
     The occupied bins of all segments are laid out back to back, segment
     by segment and ascending within a segment; every segment must be
-    non-empty. Returns ``(centers, counts, starts, bases, inverse)``:
-    segment s owns the bins from ``starts[s]`` to the next start, and
-    ``inverse`` gives each value's bin.
+    non-empty. Returns the :class:`Histogram` and ``inverse``, each
+    value's bin.
     """
     lowest = np.full(n_segments, np.inf)
     np.minimum.at(lowest, segment, values)
@@ -215,7 +201,7 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
     bin_segment = seg_sorted[heads]
     centers = bases[bin_segment] + (bins_sorted[heads] + 0.5) * bin_width
     starts = np.searchsorted(bin_segment, np.arange(n_segments))
-    return centers, counts, starts, bases, inverse
+    return Histogram(centers, counts, starts, bin_width), inverse
 
 
 def build_histogram(pixels, bin_width: float) -> Histogram:
@@ -224,53 +210,45 @@ def build_histogram(pixels, bin_width: float) -> Histogram:
     values = np.asarray(pixels, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("histogram needs at least one pixel")
-    centers, counts, _, bases, _ = _segment_histograms(
-        values, np.zeros(values.size, dtype=np.int64), 1, bin_width)
-    return Histogram(centers=centers, counts=counts, base=float(bases[0]),
-                     bin_width=bin_width)
+    return _segment_histograms(
+        values, np.zeros(values.size, dtype=np.int64), 1, bin_width)[0]
 
 
-def initial_gauss_pair(i_max: float, sigma_floor: float) -> GaussPair:
+def initial_gauss_pair(i_max, sigma_floor: float) -> np.ndarray:
     """EM starting point: means at one and two thirds of the maximal
-    intensity, deviations at the maximal intensity, equal weights."""
-    sigma = max(abs(i_max), sigma_floor)
-    return GaussPair(
-        GaussComponent(mu=i_max / 3.0, sigma=sigma, weight=0.5),
-        GaussComponent(mu=2.0 * i_max / 3.0, sigma=sigma, weight=0.5),
-    )
+    intensity, deviations at the maximal intensity, equal weights.
 
-
-@dataclass(frozen=True)
-class _SegmentFits:
-    """Per-segment results of :func:`_segmented_em`."""
-
-    theta: np.ndarray              # (mu, sigma, weight) x component x segment
-    labels: np.ndarray             # per bin, 0 -> first component
-    degenerate: np.ndarray         # per segment: a single bin
-    log_likelihood: list[np.ndarray]  # per segment, one entry per iteration
+    ``i_max`` is one cluster's maximum, or an array of them; the result is
+    (mu, sigma, weight) x component, plus that array's segment axis.
+    """
+    i_max = np.asarray(i_max, dtype=np.float64)
+    sigma = np.maximum(np.abs(i_max), sigma_floor)
+    return np.array([[i_max / 3.0, 2.0 * i_max / 3.0], [sigma, sigma],
+                     np.full((2,) + i_max.shape, 0.5)])
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _segmented_em(x, n, starts, theta, tol: float, sigma_floor: float,
-                  max_iterations: int) -> _SegmentFits:
+def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
+                  max_iterations: int) -> EmResult:
     """Fit one two-component mixture per histogram segment, all segments in
     the same whole-array steps.
 
-    ``x``/``n`` hold the bin centers and counts of every segment back to
-    back, segment s starting at ``starts[s]``; ``theta`` holds the starting
-    (mu, sigma, weight), shape (3, 2, segments). A segment leaves the
-    active set when its parameters move less than ``tol``, when a
-    component loses all support (its parameters then stay as they were),
-    or at the iteration cap; the active layout is rebuilt only then. Each
-    segment runs exactly the steps of a fit on its own histogram.
+    ``theta`` holds the starting (mu, sigma, weight) x component, shape
+    (3, 2, segments), or (3, 2) for a one-segment histogram; the result
+    has the same shape. A segment leaves the active set when its
+    parameters move less than ``tol``, when a component loses all support
+    (its parameters then stay as they were), or at the iteration cap; the
+    active layout is rebuilt only then. Each segment runs exactly the
+    steps of a fit on its own histogram.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    n_bins = np.diff(np.append(starts, x.size))
+    x, n = hist.centers, hist.counts
+    n_bins = np.diff(np.append(hist.starts, x.size))
     n_seg = n_bins.size
     theta = np.array(theta, dtype=np.float64)
+    one = theta.ndim == 2
+    theta = theta.reshape(3, 2, n_seg)
     theta[1] = np.maximum(theta[1], sigma_floor)
     degenerate = n_bins == 1
     theta[2][:, degenerate] = [[1.0], [0.0]]
@@ -333,8 +311,10 @@ def _segmented_em(x, n, starts, theta, tol: float, sigma_floor: float,
                 resp[0, finished] >= resp[1, finished], 0, 1)
             active = active[~done]
 
-    return _SegmentFits(theta, labels, degenerate,
-                        _split_traces(trace_seg, trace_ll, n_seg))
+    traces = _split_traces(trace_seg, trace_ll, n_seg)
+    if one:
+        return EmResult(theta[:, :, 0], labels, bool(degenerate[0]), traces[0])
+    return EmResult(theta, labels, degenerate, traces)
 
 
 def _split_traces(trace_seg, trace_ll, n_seg) -> list[np.ndarray]:
@@ -349,15 +329,16 @@ def _split_traces(trace_seg, trace_ll, n_seg) -> list[np.ndarray]:
 
 def em_similarity_cluster(
     hist: Histogram,
-    init: GaussPair,
+    init: np.ndarray,
     tol: float,
     sigma_floor: float | None = None,
     max_iterations: int = EM_MAX_ITERATIONS,
 ) -> EmResult:
     """Fit a two-component mixture to the histogram and hard-label each bin.
 
-    This is the one-histogram case of the segmented EM that
-    :func:`build_cluster_tree` runs over a whole level. The M-step clamps
+    This is the segmented EM that :func:`build_cluster_tree` runs over a
+    whole level; ``init`` is the (3, 2) start of a one-segment histogram
+    (see :func:`initial_gauss_pair`), or has a segment axis. The M-step clamps
     each deviation at ``sigma_floor`` (default: the bin width); because the
     clamp is the constrained maximizer of the expected complete-data
     log-likelihood, the recorded log-likelihood sequence is
@@ -367,15 +348,7 @@ def em_similarity_cluster(
     """
     if sigma_floor is None:
         sigma_floor = hist.bin_width
-    theta = [[[init.theta1.mu], [init.theta2.mu]],
-             [[init.theta1.sigma], [init.theta2.sigma]],
-             [[init.theta1.weight], [init.theta2.weight]]]
-    fits = _segmented_em(hist.centers, hist.counts, np.zeros(1, dtype=np.int64),
-                         theta, tol, sigma_floor, max_iterations)
-    pair = GaussPair(*(GaussComponent(*fits.theta[:, c, 0].tolist())
-                       for c in (0, 1)))
-    return EmResult(pair, fits.labels, bool(fits.degenerate[0]),
-                    fits.log_likelihood[0])
+    return _segmented_em(hist, init, tol, sigma_floor, max_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +422,15 @@ def proximity_cluster(labels: np.ndarray, neighborhood: int) -> np.ndarray:
 
 
 def _node_stats(values: np.ndarray, label: np.ndarray, count: int):
-    """Size, mean and (population) deviation of each label's pixels."""
+    """Size, mean and (population) deviation of each label's pixels;
+    ConfigError when the values are too large for finite deviations."""
     size = np.bincount(label, minlength=count)
-    mean = np.bincount(label, weights=values, minlength=count) / size
-    dev = values - mean[label]
-    delta = np.sqrt(np.bincount(label, weights=dev * dev, minlength=count) / size)
+    with np.errstate(over="ignore"):  # an overflow leaves a delta of inf
+        mean = np.bincount(label, weights=values, minlength=count) / size
+        dev = values - mean[label]
+        delta = np.sqrt(np.bincount(label, weights=dev * dev, minlength=count) / size)
+    if not np.isfinite(delta).all():
+        raise ConfigError("cluster deviations overflow the float64 range")
     return size, mean, delta
 
 
@@ -470,15 +447,11 @@ def _split_sides(values: np.ndarray, label: np.ndarray, splittable: np.ndarray,
     segment = (np.cumsum(splittable) - 1)[label[members]]
     n_seg = int(np.count_nonzero(splittable))
     pix = values[members]
-    centers, counts, starts, _, inverse = _segment_histograms(
-        pix, segment, n_seg, cfg.bin_width)
+    hist, inverse = _segment_histograms(pix, segment, n_seg, cfg.bin_width)
     i_max = np.full(n_seg, -np.inf)
     np.maximum.at(i_max, segment, pix)
-    sigma = np.maximum(np.abs(i_max), cfg.bin_width)
-    theta = [[i_max / 3.0, 2.0 * i_max / 3.0], [sigma, sigma],
-             np.full((2, n_seg), 0.5)]  # initial_gauss_pair, per segment
-    fits = _segmented_em(centers, counts, starts, theta, cfg.em_tol,
-                         cfg.bin_width, EM_MAX_ITERATIONS)
+    fits = _segmented_em(hist, initial_gauss_pair(i_max, cfg.bin_width),
+                         cfg.em_tol, cfg.bin_width, EM_MAX_ITERATIONS)
     # a degenerate or one-sided fit gives all its pixels one side, which
     # leaves the cluster whole
     side[members] = fits.labels[inverse]

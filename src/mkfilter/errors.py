@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the checks on positive
-real parameters and kernel bandwidths."""
+real parameters, kernel bandwidths and float64 overflow."""
 
+import contextlib
 import math
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -34,3 +37,14 @@ def require_bandwidth(**values) -> None:
         if twice_square == 0.0 or math.isinf(1.0 / twice_square):
             raise ConfigError(f"{name} is too small for 1/(2*{name}^2) to "
                               f"be finite, got {value}")
+
+
+@contextlib.contextmanager
+def overflow_is_config_error(what: str):
+    """A numpy overflow inside the block is a ConfigError: `what` has no
+    finite value for these inputs."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ConfigError(f"{what} overflows the float64 range") from None

@@ -152,8 +152,9 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
         for dx in range(-radius, radius + 1):
             shifted = padded[radius + dy:radius + dy + height,
                              radius + dx:radius + dx + width]
-            w = np.exp(-(dx * dx + dy * dy) * inv_space
-                       - (values - shifted) ** 2 * inv_range)
+            with np.errstate(over="ignore"):  # a huge step: a zero weight
+                w = np.exp(-(dx * dx + dy * dy) * inv_space
+                           - (values - shifted) ** 2 * inv_range)
             num += w * shifted
             den += w
     return num / den

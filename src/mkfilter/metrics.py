@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, overflow_is_config_error, require_positive
 from .raster import Raster
 
 __all__ = ["ScorePair", "mae", "ssim", "ssim_constants", "score_pair"]
@@ -37,9 +37,10 @@ def _check_dims(a: Raster, b: Raster) -> None:
 
 
 def mae(a: Raster, b: Raster) -> float:
-    """Mean absolute error."""
+    """Mean absolute error; ConfigError where it overflows."""
     _check_dims(a, b)
-    return float(np.abs(a.data - b.data).mean())
+    with overflow_is_config_error("the MAE of these images"):
+        return float(np.abs(a.data - b.data).mean())
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -69,19 +70,21 @@ def ssim_constants(dynamic_range: float) -> tuple[float, float]:
 
 
 def ssim(a: Raster, b: Raster, dynamic_range: float) -> float:
-    """Mean local structural similarity over the full image."""
+    """Mean local structural similarity over the full image; ConfigError
+    where its products overflow."""
     _check_dims(a, b)
     c1, c2 = ssim_constants(dynamic_range)
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
     x = a.data
     y = b.data
-    mu_x = _window_mean(x, taps)
-    mu_y = _window_mean(y, taps)
-    var_x = _window_mean(x * x, taps) - mu_x * mu_x
-    var_y = _window_mean(y * y, taps) - mu_y * mu_y
-    cov = _window_mean(x * y, taps) - mu_x * mu_y
-    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))
+    with overflow_is_config_error("the SSIM of these images"):
+        mu_x = _window_mean(x, taps)
+        mu_y = _window_mean(y, taps)
+        var_x = _window_mean(x * x, taps) - mu_x * mu_x
+        var_y = _window_mean(y * y, taps) - mu_y * mu_y
+        cov = _window_mean(x * y, taps) - mu_x * mu_y
+        score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))
     return float(score.mean())
 
 

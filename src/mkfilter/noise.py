@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_bandwidth, require_positive
+from .errors import (ConfigError, overflow_is_config_error, require_bandwidth,
+                     require_positive)
 from .raster import ComplexRaster, Coordinate, Raster
 
 __all__ = [
@@ -107,7 +108,8 @@ def add_integral_noise(image: Raster, level: float, seed: int) -> Raster:
     """Add i.i.d. zero-mean Gaussian noise of variance `level`."""
     require_positive(level=level)
     rng = np.random.default_rng(seed)
-    noisy = image.data + rng.normal(0.0, math.sqrt(level), image.data.shape)
+    with overflow_is_config_error("the noisy image"):
+        noisy = image.data + rng.normal(0.0, math.sqrt(level), image.data.shape)
     return image.with_data(noisy)
 
 
@@ -147,7 +149,8 @@ def add_spatial_noise(image: Raster, field: Raster, seed: int) -> Raster:
             f"noise field shape {field.data.shape} does not match image "
             f"shape {image.data.shape}")
     rng = np.random.default_rng(seed)
-    noisy = image.data + field.data * rng.standard_normal(image.data.shape)
+    with overflow_is_config_error("the noisy image"):
+        noisy = image.data + field.data * rng.standard_normal(image.data.shape)
     return image.with_data(noisy)
 
 

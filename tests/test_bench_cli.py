@@ -11,8 +11,8 @@ import pytest
 
 from mkfilter import (Raster, bench, filters, load_f64_raster, load_pgm,
                       save_f64_raster, save_pgm)
-from mkfilter.bench import (CSV_HEADER, apply_filter,
-                            bench_complex_slices, bench_integral, derive_seed,
+from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
+                            derive_seed,
                             parse_filter_spec, read_rows_csv, replay_row,
                             run_case, sweep_depth, write_rows_csv)
 from mkfilter.charts import line_chart
@@ -40,15 +40,6 @@ def test_parse_filter_spec_rejects_unknown():
                 "mkf:depth=1", "tv:iters=0", "bf:hi=1e-200"):
         with pytest.raises(ConfigError):
             parse_filter_spec(bad)
-
-
-def test_apply_filter_dispatches_each_id():
-    rng = np.random.default_rng(0)
-    img = Raster(rng.uniform(0, 255, (16, 16)))
-    for text in ("bf:radius=2", "mkf:radius=2,max_cluster=30", "tv:iters=5",
-                 "cf:iters=2"):
-        out = apply_filter(img, parse_filter_spec(text))
-        assert out.data.shape == img.data.shape
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -260,6 +251,14 @@ def test_line_chart_is_pure_and_contains_series():
     assert "bf" in a and "mkf" in a and a.startswith("<svg")
 
 
+@pytest.mark.parametrize("point", [(1.0, 1e17), (1e17, 1.0)])
+def test_line_chart_single_point_beyond_two_to_the_53(point):
+    # x + 1 rounds back to x there, which left the axis span empty
+    svg = line_chart({"a": [point]}, "t", "x", "y")
+    assert svg.count("<polyline") == 1
+    assert "nan" not in svg and "inf" not in svg
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -355,6 +354,19 @@ def test_cli_bench_bsd(tmp_path):
     for metric in ("mae", "ssim"):
         svg = (out_dir / f"bsd_{metric}.svg").read_text()
         assert svg.count("<polyline") == 2
+
+
+@pytest.mark.parametrize("level", ["1e17", "9007199254740992"])
+def test_cli_bench_bsd_single_level_beyond_two_to_the_53(tmp_path, level):
+    dataset = tmp_path / "data"
+    dataset.mkdir()
+    write_test_pgm(dataset / "img0.pgm")
+    out_dir = tmp_path / "out"
+    assert main(["bench-bsd", str(dataset), "--levels", level,
+                 "--filters", "bf:radius=2", "--out-dir", str(out_dir)]) == 0
+    for metric in ("mae", "ssim"):
+        assert (out_dir / f"bsd_{metric}.svg").read_text().count(
+            "<polyline") == 1
 
 
 def test_cli_bench_brainweb(tmp_path):
@@ -511,8 +523,19 @@ def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--spread",
      "1e-300"],
     ["metrics", "{pgm}", "{pgm}", "--range", "1e200"],
+    # noise beyond the float64 range; SSIM products beyond it
+    ["noise", "{pgm}", "{out}", "--noise", "field:peak=1e308,seed=1"],
+    ["bench-brainweb", "{vol}", "--filters", "bf:radius=2", "cf:iters=1",
+     "--peak", "1e308"],
+    ["bench-brainweb", "{vol}", "--filters", "bf:radius=2", "cf:iters=1",
+     "--peak", "1e200"],
+    ["bench-brainweb", "{vol}", "--filters", "bf:radius=2", "cf:iters=1",
+     "--peak", "1e150"],
+    ["bench-brainweb", "{vol}", "--filters", "tv:iters=3", "--peak", "1e300"],
 ], ids=lambda command: "-".join(a.lstrip("-") for a in command
                                 if not a.startswith("{")))
+# a RuntimeWarning would print a second line on stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_rejects_non_finite_and_non_positive_parameters(tmp_path, capsys,
                                                             command):
     write_test_pgm(tmp_path / "in.pgm")

@@ -13,8 +13,8 @@ from tree_oracle import reference_em, reference_flood
 
 import mkfilter
 from mkfilter import (NODE_DTYPE, ClusterConfig, ClusterTree, ConfigError,
-                      GaussComponent, GaussPair, Raster, build_cluster_tree,
-                      build_histogram, build_kernel_field, em_similarity_cluster,
+                      Histogram, Raster, build_cluster_tree, build_histogram,
+                      build_kernel_field, em_similarity_cluster,
                       initial_gauss_pair, proximity_cluster)
 from mkfilter.clustering import EM_MAX_ITERATIONS, _segmented_em
 
@@ -137,10 +137,13 @@ def test_histogram_weights_sum_to_pixel_count():
 
 
 def test_initial_pair_rule():
-    pair = initial_gauss_pair(255.0, 1.0)
-    assert (pair.theta1.mu, pair.theta2.mu) == (85.0, 170.0)
-    assert (pair.theta1.sigma, pair.theta2.sigma) == (255.0, 255.0)
-    assert (pair.theta1.weight, pair.theta2.weight) == (0.5, 0.5)
+    assert initial_gauss_pair(255.0, 1.0).tolist() == [
+        [85.0, 170.0], [255.0, 255.0], [0.5, 0.5]]
+    # per-cluster maxima give the same rule along a segment axis
+    theta = initial_gauss_pair(np.array([255.0, -0.5]), 1.0)
+    assert theta.shape == (3, 2, 2)
+    assert theta[:, :, 0].tolist() == initial_gauss_pair(255.0, 1.0).tolist()
+    assert theta[:, :, 1].tolist() == initial_gauss_pair(-0.5, 1.0).tolist()
 
 
 def test_em_two_modes_match_raw_value_oracle():
@@ -153,8 +156,8 @@ def test_em_two_modes_match_raw_value_oracle():
     # oracle converges onto the two modes (0, 255); the binned fit agrees
     # to within half a bin
     assert abs(mu_ref[0] - 0.0) < 1e-6 and abs(mu_ref[1] - 255.0) < 1e-6
-    assert abs(result.pair.theta1.mu - mu_ref[0]) <= 0.5 + 1e-9
-    assert abs(result.pair.theta2.mu - mu_ref[1]) <= 0.5 + 1e-9
+    assert abs(result.theta[0, 0] - mu_ref[0]) <= 0.5 + 1e-9
+    assert abs(result.theta[0, 1] - mu_ref[1]) <= 0.5 + 1e-9
     assert result.labels.tolist() == [0, 1]  # one label per mode
     assert not result.degenerate
 
@@ -164,8 +167,7 @@ def test_em_single_bin_degenerates():
     result = em_similarity_cluster(hist, initial_gauss_pair(7.4, 1.0), 1e-4)
     assert result.degenerate
     assert result.labels.tolist() == [0]
-    assert result.pair.theta2.weight == 0.0
-    assert result.pair.theta1.weight == 1.0
+    assert result.theta[2].tolist() == [1.0, 0.0]
 
 
 def test_em_log_likelihood_non_decreasing():
@@ -186,20 +188,12 @@ def test_em_sigma_respects_floor():
     values = [0.0] * 50 + [200.0] * 50
     hist = build_histogram(values, 1.0)
     result = em_similarity_cluster(hist, initial_gauss_pair(200.0, 1.0), 1e-4)
-    assert result.pair.theta1.sigma >= 1.0
-    assert result.pair.theta2.sigma >= 1.0
-
-
-def pair_array(pair):
-    """(mu, sigma, weight) x component."""
-    comps = (pair.theta1, pair.theta2)
-    return np.array([[getattr(c, name) for c in comps]
-                     for name in ("mu", "sigma", "weight")])
+    assert result.theta[1].min() >= 1.0
 
 
 def test_segmented_em_matches_one_histogram_fits():
     """A K-segment batch gives each segment the fit it gets alone, and the
-    per-cluster loop oracle agrees on labels, pair and iteration count."""
+    per-cluster loop oracle agrees on labels, theta and iteration count."""
     rng = np.random.default_rng(31)
     samples = [
         np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)]),
@@ -213,18 +207,16 @@ def test_segmented_em_matches_one_histogram_fits():
     inits = [initial_gauss_pair(float(v.max()), 1.0) for v in samples]
     # a far, narrow second component gets no mass: that fit stops at once
     samples.append(rng.normal(50, 5, 40))
-    inits.append(GaussPair(GaussComponent(50.0, 5.0, 0.5),
-                           GaussComponent(1e6, 1.0, 0.5)))
+    inits.append(np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]]))
     # equal components tie on every bin; ties go to the first component
     samples.append(rng.normal(80, 10, 50))
-    inits.append(GaussPair(GaussComponent(80.0, 10.0, 0.5),
-                           GaussComponent(80.0, 10.0, 0.5)))
+    inits.append(np.array([[80.0, 80.0], [10.0, 10.0], [0.5, 0.5]]))
     hists = [build_histogram(v, 1.0) for v in samples]
     starts = np.cumsum([0] + [h.centers.size for h in hists[:-1]])
-    fits = _segmented_em(np.concatenate([h.centers for h in hists]),
-                         np.concatenate([h.counts for h in hists]), starts,
-                         np.stack([pair_array(p) for p in inits], axis=-1),
-                         1e-4, 1.0, EM_MAX_ITERATIONS)
+    batch = Histogram(np.concatenate([h.centers for h in hists]),
+                      np.concatenate([h.counts for h in hists]), starts, 1.0)
+    fits = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
+                         EM_MAX_ITERATIONS)
     ends = list(starts[1:]) + [None]
     for k, (hist, init) in enumerate(zip(hists, inits)):
         trace = fits.log_likelihood[k]
@@ -233,8 +225,7 @@ def test_segmented_em_matches_one_histogram_fits():
             assert np.array_equal(fits.labels[starts[k]:ends[k]], single.labels)
             assert bool(fits.degenerate[k]) == single.degenerate
             assert trace.size == single.log_likelihood.size
-            np.testing.assert_allclose(fits.theta[:, :, k],
-                                       pair_array(single.pair),
+            np.testing.assert_allclose(fits.theta[:, :, k], single.theta,
                                        rtol=1e-12, atol=0.0)
         if trace.size > 1:
             assert np.diff(trace).min() > -1e-9

@@ -1,8 +1,9 @@
 """Properties: the command line's text parsers either return or raise
 ConfigError, whatever the text, and `main(argv)` keeps its exit contract
 whatever the flag values. Any other exception would reach the user as a
-traceback instead of one `error: bad-arguments:` line, and a run that
-succeeds prints nothing on stderr, numpy's RuntimeWarnings included."""
+traceback instead of one `error: bad-arguments:` line. A run that succeeds
+prints nothing on stderr, and one that fails prints only that line:
+numpy's RuntimeWarnings would be printed there too."""
 
 import contextlib
 import io
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mkfilter import ClusterConfig, ConfigError, Raster, save_pgm
+from mkfilter import ClusterConfig, ConfigError, Raster, save_f64_raster, save_pgm
 from mkfilter.bench import FILTERS, parse_filter_spec
 from mkfilter.cli import _parse_coeffs, _parse_levels, main
 from mkfilter.noise import parse_noise_spec
+from mkfilter.phantoms import brain_slice
 
 PARSERS = {
     "noise": parse_noise_spec,
@@ -115,10 +117,11 @@ def run_main(argv):
 def assert_exit_contract(code, err, runtime_warnings):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert not runtime_warnings, runtime_warnings
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
-        assert not err and not runtime_warnings, (err, runtime_warnings)
+        assert not err, err
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,6 +137,7 @@ def test_denoise_keeps_the_exit_contract(small_pgm, args):
 
 @settings(max_examples=200, deadline=None)
 @given(args=CLUSTER_ARGS)
+@example(args=["--depth=--"])  # argparse leaves the flag an empty list
 def test_cluster_keeps_the_exit_contract(small_pgm, args):
     assert_exit_contract(*run_main(["cluster", str(small_pgm), *args]))
 
@@ -158,3 +162,73 @@ def test_noise_keeps_the_exit_contract(small_pgm, spec, suffix):
 def test_metrics_keeps_the_exit_contract(small_pgm, other_pgm, value):
     assert_exit_contract(*run_main(["metrics", str(small_pgm), str(other_pgm),
                                     f"--range={value}"]))
+
+
+# ---------------------------------------------------------------------------
+# the bench commands: short filter lists with radius <= 2 and few
+# iterations, and at most two levels, depths or sizes, so that an example
+# stays cheap
+
+BENCH_FILTERS = st.lists(st.sampled_from(
+    ["bf:radius=1", "bf:hi=5,radius=2", "mkf:depth=2,radius=1",
+     "mkf:depth=3,max_cluster=12,radius=2", "tv:iters=3", "cf:iters=1"]),
+    min_size=1, max_size=2)
+# a comma list of one or two values, never a `lo:hi:step` range
+LEVELS = st.lists(VALUES.filter(lambda value: not set(value) & set(",:")),
+                  min_size=1, max_size=2).map(",".join)
+COUNTS = st.lists(st.integers(0, 40).map(str), min_size=1,
+                  max_size=2).map(",".join)
+
+
+def options(strategies):
+    """`--flag=value` for any subset of the flags in `strategies`."""
+    return st.fixed_dictionaries({}, optional=strategies).map(
+        lambda given: [f"--{key}={value}" for key, value in given.items()])
+
+
+@pytest.fixture(scope="module")
+def bench_dir(small_pgm, other_pgm, tmp_path_factory):
+    """Two 8 px PGMs under `bsd/` and one 8 px MKFR slice under `vol/`."""
+    root = tmp_path_factory.mktemp("bench")
+    (root / "bsd").mkdir()
+    (root / "vol").mkdir()
+    for path in (small_pgm, other_pgm):
+        (root / "bsd" / path.name).write_bytes(path.read_bytes())
+    save_f64_raster(brain_slice(8, 8), root / "vol" / "slice_000.mkfr")
+    return root
+
+
+@settings(max_examples=40, deadline=None)
+@given(filters=BENCH_FILTERS, levels=LEVELS,
+       flags=options({"seed": VALUES}))
+# a single chart point beyond 2**53, where x + 1 rounds back to x
+@example(filters=["bf:radius=1"], levels="1e17", flags=[])
+def test_bench_bsd_keeps_the_exit_contract(bench_dir, filters, levels, flags):
+    assert_exit_contract(*run_main([
+        "bench-bsd", str(bench_dir / "bsd"), "--filters", *filters,
+        f"--levels={levels}", *flags, "--out-dir", str(bench_dir / "out")]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(filters=BENCH_FILTERS, flags=options(
+    {key: VALUES for key in ("peak", "spread", "range", "seed")}))
+# noise beyond the float64 range; SSIM products or TV's gradient norm
+# beyond it
+@example(filters=["bf:radius=1", "cf:iters=1"], flags=["--peak=1e308"])
+@example(filters=["bf:radius=1", "cf:iters=1"], flags=["--peak=1e200"])
+@example(filters=["tv:iters=3"], flags=["--peak=1e300"])
+def test_bench_brainweb_keeps_the_exit_contract(bench_dir, filters, flags):
+    assert_exit_contract(*run_main([
+        "bench-brainweb", str(bench_dir / "vol"), "--filters", *filters,
+        *flags, "--out-dir", str(bench_dir / "out")]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(depths=COUNTS, sizes=COUNTS, levels=LEVELS,
+       flags=options({key: VALUES for key in ("hx", "radius", "seed")}))
+def test_sweep_depth_keeps_the_exit_contract(small_pgm, bench_dir, depths,
+                                             sizes, levels, flags):
+    assert_exit_contract(*run_main([
+        "sweep-depth", str(small_pgm), f"--depths={depths}",
+        f"--sizes={sizes}", f"--levels={levels}", *flags,
+        "--out-dir", str(bench_dir / "out")]))

@@ -3,8 +3,8 @@
 This is the straightforward per-cluster construction that the level-batched
 ``mkfilter.clustering.build_cluster_tree`` must reproduce. It is kept as an
 independent oracle, the way ``brute_force_filter`` serves the window engine:
-it shares only the data types (node table, tree, histogram, Gaussian
-pair) and the EM starting rule with the library, never the histogram, EM,
+it shares only the data types (node table, tree, histogram, EM result)
+and the EM starting rule with the library, never the histogram, EM,
 connectivity or statistics code.
 """
 
@@ -15,27 +15,23 @@ import math
 import numpy as np
 
 from mkfilter.clustering import (NODE_DTYPE, ClusterConfig, ClusterTree,
-                                 EmResult, GaussComponent, GaussPair,
-                                 Histogram, initial_gauss_pair)
+                                 EmResult, Histogram, initial_gauss_pair)
 
 
-def reference_em(hist: Histogram, init: GaussPair, tol: float,
+def reference_em(hist: Histogram, init: np.ndarray, tol: float,
                  sigma_floor: float, max_iterations: int = 500) -> EmResult:
-    """Two-component EM over one histogram, one loop iteration per step."""
+    """Two-component EM over one histogram, one loop iteration per step.
+    ``init`` and the result's ``theta`` are (mu, sigma, weight) x
+    component."""
     x = hist.centers
     n = hist.counts
+    mu, sigma, w = np.array(init, dtype=np.float64)
+    sigma = np.maximum(sigma, sigma_floor)
     if x.size == 1:
-        pair = GaussPair(
-            GaussComponent(init.theta1.mu, max(init.theta1.sigma, sigma_floor), 1.0),
-            GaussComponent(init.theta2.mu, max(init.theta2.sigma, sigma_floor), 0.0),
-        )
-        return EmResult(pair, np.zeros(1, dtype=np.int64), True, np.empty(0))
+        theta = np.array([mu, sigma, [1.0, 0.0]])
+        return EmResult(theta, np.zeros(1, dtype=np.int64), True, np.empty(0))
 
     total = n.sum()
-    mu = np.array([init.theta1.mu, init.theta2.mu], dtype=np.float64)
-    sigma = np.maximum(
-        [init.theta1.sigma, init.theta2.sigma], sigma_floor).astype(np.float64)
-    w = np.array([init.theta1.weight, init.theta2.weight], dtype=np.float64)
 
     trace = []
     resp = np.full((2, x.size), 0.5)
@@ -70,11 +66,7 @@ def reference_em(hist: Histogram, init: GaussPair, tol: float,
             break
 
     labels = np.where(resp[0] >= resp[1], 0, 1).astype(np.int64)
-    pair = GaussPair(
-        GaussComponent(float(mu[0]), float(sigma[0]), float(w[0])),
-        GaussComponent(float(mu[1]), float(sigma[1]), float(w[1])),
-    )
-    return EmResult(pair, labels, False, np.asarray(trace))
+    return EmResult(np.array([mu, sigma, w]), labels, False, np.asarray(trace))
 
 
 def reference_flood(keys: np.ndarray, neighborhood: int) -> np.ndarray:
@@ -142,7 +134,8 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
                 bins, return_inverse=True, return_counts=True)
             hist = Histogram(centers=base + (occupied + 0.5) * cfg.bin_width,
                              counts=counts.astype(np.float64),
-                             base=base, bin_width=cfg.bin_width)
+                             starts=np.zeros(1, dtype=np.int64),
+                             bin_width=cfg.bin_width)
             init = initial_gauss_pair(float(pix.max()), cfg.bin_width)
             result = reference_em(hist, init, cfg.em_tol, cfg.bin_width)
             fits.append(result.log_likelihood.size)
