@@ -61,21 +61,36 @@ class CfParams:
 # total variation
 
 
-def _forward_diffs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # mirror boundary: the padded difference at the far edge is zero
-    gx = np.diff(u, axis=1, append=u[:, -1:])
-    gy = np.diff(u, axis=0, append=u[-1:, :])
-    return gx, gy
+def _gradient_norm(u: np.ndarray, work) -> np.ndarray:
+    """Smoothed |grad u| into the norm array of work = (gx, gy, norm, tmp),
+    with u's forward differences in gx and gy (the mirror boundary makes
+    the last column of gx and the last row of gy zero); tmp is scratch."""
+    gx, gy, norm, tmp = work
+    np.subtract(u[:, 1:], u[:, :-1], out=gx[:, :-1])
+    gx[:, -1] = 0.0
+    np.subtract(u[1:], u[:-1], out=gy[:-1])
+    gy[-1] = 0.0
+    np.multiply(gx, gx, out=norm)
+    norm += np.multiply(gy, gy, out=tmp)
+    norm += TV_EPSILON * TV_EPSILON
+    return np.sqrt(norm, out=norm)
+
+
+def _rof_energy(u: np.ndarray, observed: np.ndarray, lam: float,
+                work) -> float:
+    # an overflow, or inf - inf in a difference of an overflowed candidate,
+    # is an infinite or nan energy, which the step halving rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        tv = _gradient_norm(u, work).sum()
+        residual = np.subtract(u, observed, out=work[3])
+        fidelity = 0.5 * lam * np.square(residual, out=residual).sum()
+    return float(tv + fidelity)
 
 
 def rof_energy(u: np.ndarray, observed: np.ndarray, lam: float) -> float:
     """Smoothed ROF energy: sum of |grad u| plus (lam/2) * squared residual."""
-    gx, gy = _forward_diffs(u)
-    # an overflow is an infinite energy, which the step halving rejects
-    with np.errstate(over="ignore"):
-        tv = np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON).sum()
-        fidelity = 0.5 * lam * ((u - observed) ** 2).sum()
-    return float(tv + fidelity)
+    return _rof_energy(u, observed, lam,
+                       tuple(np.empty_like(u) for _ in range(4)))
 
 
 def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, np.ndarray]:
@@ -91,30 +106,36 @@ def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, n
     """
     observed = image.data
     u = observed.copy()
+    # every array of the descent is allocated once and computed in place:
+    # fresh 128 px temporaries on each iteration had the C allocator map
+    # and unmap, and so page-fault, each of them again
+    candidate, grad = np.empty_like(u), np.empty_like(u)
+    work = gx, gy, norm, tmp = tuple(np.empty_like(u) for _ in range(4))
     step = min(p.step, 1.0 / p.lam)
     trace = np.empty(p.iters + 1)
-    trace[0] = rof_energy(u, observed, p.lam)
+    trace[0] = _rof_energy(u, observed, p.lam, work)
     for it in range(1, p.iters + 1):
-        gx, gy = _forward_diffs(u)
         with overflow_is_config_error("the TV gradient norm"):
-            norm = np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON)
-        px = gx / norm
-        py = gy / norm
-        grad = -px - py
+            _gradient_norm(u, work)
+        px = np.divide(gx, norm, out=gx)
+        py = np.divide(gy, norm, out=gy)
+        np.negative(px, out=grad)
+        grad -= py
         grad[:, 1:] += px[:, :-1]
         grad[1:, :] += py[:-1, :]
-        grad += p.lam * (u - observed)
+        grad += np.multiply(p.lam, np.subtract(u, observed, out=tmp), out=tmp)
 
-        candidate = u - step * grad
-        energy = rof_energy(candidate, observed, p.lam)
+        np.subtract(u, np.multiply(step, grad, out=candidate), out=candidate)
+        energy = _rof_energy(candidate, observed, p.lam, work)
         for _ in range(60):
             if energy <= trace[it - 1]:
                 break
             step *= 0.5
-            candidate = u - step * grad
-            energy = rof_energy(candidate, observed, p.lam)
+            np.subtract(u, np.multiply(step, grad, out=candidate),
+                        out=candidate)
+            energy = _rof_energy(candidate, observed, p.lam, work)
         if energy <= trace[it - 1]:
-            u = candidate
+            u, candidate = candidate, u
             trace[it] = energy
         else:
             trace[it] = trace[it - 1]  # stationary to float precision
@@ -168,9 +189,10 @@ def _cf_pass(u: np.ndarray, oy: int, ox: int) -> None:
 
 def cf_gaussian_denoise(image: Raster, p: CfParams = CfParams()) -> Raster:
     u = image.data.copy()
-    for _ in range(p.iters):
-        for oy, ox in _CF_SUBSETS:
-            _cf_pass(u, oy, ox)
+    with overflow_is_config_error("the curvature filter update"):
+        for _ in range(p.iters):
+            for oy, ox in _CF_SUBSETS:
+                _cf_pass(u, oy, ox)
     return image.with_data(u)
 
 

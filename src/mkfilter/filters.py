@@ -146,15 +146,22 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     inv_space = 1.0 / (2.0 * h_x * h_x)
     with np.errstate(over="ignore"):  # a huge delta gives a zero factor
         inv_range = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
+    # a zero factor stays a zero range term even where the squared step
+    # overflows to inf (inf * 0 is nan)
+    zero_range = inv_range == 0
+    any_zero_range = bool(zero_range.any())
     num = np.zeros_like(values)
     den = np.zeros_like(values)
     for dy in range(-radius, radius + 1):
         for dx in range(-radius, radius + 1):
             shifted = padded[radius + dy:radius + dy + height,
                              radius + dx:radius + dx + width]
-            with np.errstate(over="ignore"):  # a huge step: a zero weight
-                w = np.exp(-(dx * dx + dy * dy) * inv_space
-                           - (values - shifted) ** 2 * inv_range)
+            # a huge step: a zero weight
+            with np.errstate(over="ignore", invalid="ignore"):
+                ranged = (values - shifted) ** 2 * inv_range
+                if any_zero_range:
+                    ranged[zero_range] = 0.0
+                w = np.exp(-(dx * dx + dy * dy) * inv_space - ranged)
             num += w * shifted
             den += w
     return num / den

@@ -4,7 +4,8 @@ SSIM uses the common defaults: 11x11 Gaussian window with sigma 1.5,
 C1 = (0.01 L)^2, C2 = (0.03 L)^2, mirror boundaries. The dynamic range L
 is explicit because the benchmark mixes 8-bit data (L=255) with signed
 MRI slices (L=6000). Scores are computed on real-valued pixels, not on
-clamped 8-bit exports.
+clamped 8-bit exports. The window is a separable numpy correlation,
+bit-identical to scipy.ndimage.correlate1d in its 'reflect' mode.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import ConfigError, overflow_is_config_error, require_positive
 from .raster import Raster
@@ -50,9 +50,33 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
+def _correlate_rows(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Correlate every column of `img` with the symmetric, odd-length
+    `taps`, mirror-padded with the edge sample repeated (scipy's 'reflect',
+    numpy's 'symmetric'; the mirror repeats where the taps outreach the
+    image). The taps are added in scipy's order, centre first and then each
+    mirrored pair from the outermost in, so the sums round alike."""
+    half = taps.size // 2
+    n = img.shape[0]
+    source = np.arange(-half, n + half) % (2 * n)
+    padded = img.take(np.where(source < n, source, 2 * n - 1 - source), axis=0)
+    out = padded[half:half + n] * taps[half]
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(padded[half - j:half - j + n], padded[half + j:half + j + n],
+               out=pair)
+        pair *= taps[half - j]
+        out += pair
+    return out
+
+
 def _window_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    out = correlate1d(img, taps, axis=0, mode="reflect")
-    return correlate1d(out, taps, axis=1, mode="reflect")
+    """Separable window mean: the taps along axis 0, then along axis 1.
+
+    The result is C-ordered: the score's mean sums in memory order, so a
+    transposed layout would round its sum differently."""
+    return np.ascontiguousarray(
+        _correlate_rows(_correlate_rows(img, taps).T, taps).T)
 
 
 def ssim_constants(dynamic_range: float) -> tuple[float, float]:

@@ -532,6 +532,12 @@ def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     ["bench-brainweb", "{vol}", "--filters", "bf:radius=2", "cf:iters=1",
      "--peak", "1e150"],
     ["bench-brainweb", "{vol}", "--filters", "tv:iters=3", "--peak", "1e300"],
+    # a range width whose 2 h^2 overflows; TV and CF arithmetic beyond the
+    # float64 range on noise that stays within it
+    ["bench-brainweb", "{vol}", "--filters", "bf:hi=1e200,radius=2",
+     "--peak", "1e200"],
+    ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--peak", "6e307"],
+    ["bench-brainweb", "{vol}", "--filters", "tv:iters=2", "--peak", "7e307"],
 ], ids=lambda command: "-".join(a.lstrip("-") for a in command
                                 if not a.startswith("{")))
 # a RuntimeWarning would print a second line on stderr

@@ -330,19 +330,29 @@ def test_proximity_exact_labels_on_small_maps():
                               1 - spiral(17))
 
 
-def test_tree_build_leaves_scipy_sparse_unimported():
-    code = ("import sys, numpy as np, mkfilter\n"
+def test_tree_build_leaves_scipy_sparse_unimported(tmp_path):
+    # the library and the CLI run on numpy alone; scipy is only a test oracle
+    pgm = tmp_path / "in.pgm"
+    mkfilter.save_pgm(mkfilter.Raster(
+        np.random.default_rng(1).integers(0, 256, (16, 16)).astype(float)), pgm)
+    code = ("import sys, numpy as np, mkfilter, mkfilter.cli\n"
+            "pgm, out = sys.argv[1:]\n"
             "mkfilter.build_cluster_tree(mkfilter.Raster("
             "np.random.default_rng(0).uniform(0, 255, (32, 32))),"
             " mkfilter.ClusterConfig(max_depth=3))\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+            "assert mkfilter.cli.main(['metrics', pgm, pgm]) == 0\n"
+            "assert mkfilter.cli.main(['denoise', pgm, out, '--filter', 'mkf',"
+            " '--depth', '2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(mkfilter.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, str(pgm),
+                           str(tmp_path / "out.pgm")], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "out.pgm").is_file()
 
 
 def test_proximity_rejects_bad_neighborhood():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from mkfilter import ConfigError, Raster, mae, score_pair, ssim
+from mkfilter.metrics import SSIM_SIGMA, SSIM_WINDOW, _gaussian_taps, _window_mean
 
 
 def rand_raster(rng, lo=0.0, hi=255.0, shape=(24, 24)):
@@ -42,6 +44,21 @@ def test_mae_dimension_mismatch():
 
 # ---------------------------------------------------------------------------
 # SSIM
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (5, 3), (24, 24),
+                                   (128, 128)])
+def test_window_mean_matches_scipy_reflect_correlation(shape):
+    # shapes below the half-window repeat the mirror
+    rng = np.random.default_rng(sum(shape))
+    taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
+    for img in (rng.uniform(0.0, 255.0, shape), rng.uniform(-1e6, 1e6, shape)):
+        expected = correlate1d(correlate1d(img, taps, axis=0, mode="reflect"),
+                               taps, axis=1, mode="reflect")
+        got = _window_mean(img, taps)
+        assert np.array_equal(got, expected)
+        # SSIM's mean sums in memory order, so the layout must match too
+        assert got.flags.c_contiguous
 
 
 def test_ssim_self_is_one():
