@@ -153,10 +153,28 @@ def tv_denoise(image: Raster, p: TvParams = TvParams()) -> Raster:
 _CF_SUBSETS = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-def _cf_pass(u: np.ndarray, oy: int, ox: int) -> None:
-    """Move one subset's pixels by their minimal projection distance."""
-    height, width = u.shape
-    p = np.pad(u, 1, mode="reflect", reflect_type="odd")
+def _reflect_border(p: np.ndarray) -> None:
+    """Refresh the one-pixel border of p from its interior, as
+    ``np.pad(interior, 1, mode="reflect", reflect_type="odd")`` pads: rows
+    first, then columns over the padded rows, each pad value 2 * edge -
+    next; a length-1 side copies its edge instead."""
+    for q in (p[:, 1:-1], p.T):
+        if q.shape[0] == 3:
+            q[0] = q[-1] = q[1]
+        else:
+            np.multiply(q[1], 2.0, out=q[0])
+            q[0] -= q[2]
+            np.multiply(q[-2], 2.0, out=q[-1])
+            q[-1] -= q[-3]
+
+
+def _cf_pass(p: np.ndarray, stack: np.ndarray, magnitude: np.ndarray,
+             oy: int, ox: int) -> None:
+    """Move one subset's pixels, the interior of the padded image p, by
+    their minimal projection distance. ``stack`` and ``magnitude`` are
+    (8, rows, cols) work arrays at least as large as any subset."""
+    _reflect_border(p)
+    height, width = p.shape[0] - 2, p.shape[1] - 2
     yc = slice(1 + oy, 1 + height, 2)
     xc = slice(1 + ox, 1 + width, 2)
     yn = slice(yc.start - 1, yc.stop - 1, 2)
@@ -172,28 +190,38 @@ def _cf_pass(u: np.ndarray, oy: int, ox: int) -> None:
     ne = p[yn, xe]
     sw = p[ys, xw]
     se = p[ys, xe]
-    candidates = np.stack([
-        0.5 * (n + s) - c,
-        0.5 * (w + e) - c,
-        0.5 * (nw + se) - c,
-        0.5 * (ne + sw) - c,
-        n + w - nw - c,
-        n + e - ne - c,
-        w + s - sw - c,
-        e + s - se - c,
-    ])
-    pick = np.argmin(np.abs(candidates), axis=0)
-    move = np.take_along_axis(candidates, pick[None], axis=0)[0]
-    u[oy::2, ox::2] += move
+    rows, cols = c.shape
+    candidates = stack[:, :rows, :cols]
+    # 0.5 * (a + b) - c for the four lines through c
+    for k, (a, b) in enumerate(((n, s), (w, e), (nw, se), (ne, sw))):
+        np.add(a, b, out=candidates[k])
+        candidates[k] *= 0.5
+        candidates[k] -= c
+    # a + b - corner - c for the four planes of a corner triangle
+    for k, (a, b, corner) in enumerate(
+            ((n, w, nw), (n, e, ne), (w, s, sw), (e, s, se)), start=4):
+        np.add(a, b, out=candidates[k])
+        candidates[k] -= corner
+        candidates[k] -= c
+    pick = np.argmin(np.abs(candidates, out=magnitude[:, :rows, :cols]),
+                     axis=0)
+    c += np.take_along_axis(candidates, pick[None], axis=0)[0]
 
 
 def cf_gaussian_denoise(image: Raster, p: CfParams = CfParams()) -> Raster:
-    u = image.data.copy()
+    height, width = image.data.shape
+    # the padded image holds the iterate in its interior; it and the
+    # candidate stacks are allocated once, since fresh 256 KiB stacks on
+    # every pass had the C allocator map and page-fault them again
+    padded = np.empty((height + 2, width + 2))
+    padded[1:-1, 1:-1] = image.data
+    shape = (8, (height + 1) // 2, (width + 1) // 2)
+    stack, magnitude = np.empty(shape), np.empty(shape)
     with overflow_is_config_error("the curvature filter update"):
         for _ in range(p.iters):
             for oy, ox in _CF_SUBSETS:
-                _cf_pass(u, oy, ox)
-    return image.with_data(u)
+                _cf_pass(padded, stack, magnitude, oy, ox)
+    return image.with_data(padded[1:-1, 1:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ drive the range kernels in :mod:`mkfilter.filters`.
 A level is built in whole-array numpy steps, not one cluster at a time:
 one histogram pass keyed by (cluster, bin), one segmented EM over the
 histograms of all splittable clusters, one union-find connectivity pass
-over the image and one ``np.bincount`` pass for the node statistics.
+over the image and one ``np.bincount`` pass for the node statistics. A
+splittable cluster that its fit left whole reaches the next level with the
+same pixels and keeps that fit there instead of being fitted again.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
 are the one-cluster cases of the same code.
 """
@@ -115,11 +117,14 @@ class ClusterTree:
     cluster, so each map partitions the image. ``sigma_floor`` is the
     lower bound applied to deviations whenever they feed a kernel (a zero
     sample deviation would otherwise collapse the range kernel).
-    ``em_iterations`` holds the iteration count of every EM fit made while
-    building the tree, level by level and by cluster id within a level;
-    a single-bin cluster counts 0, and a fit that stopped at
-    ``EM_MAX_ITERATIONS`` counts that many. ``level_fits[t - 1]`` is the
-    number of those fits made while building level t.
+    ``em_iterations`` holds the iteration count of the EM fit of every
+    splittable cluster met while building the tree, level by level and by
+    cluster id within a level; a single-bin cluster counts 0, and a fit
+    that stopped at ``EM_MAX_ITERATIONS`` counts that many. A cluster that
+    its fit left whole is carried down with the same pixels and keeps that
+    fit instead of being fitted again, so its count repeats at every
+    deeper level where it is still splittable. ``level_fits[t - 1]`` is
+    the number of those counts recorded while building level t.
     """
 
     nodes: np.ndarray
@@ -434,18 +439,23 @@ def _node_stats(values: np.ndarray, label: np.ndarray, count: int):
     return size, mean, delta
 
 
-def _split_sides(values: np.ndarray, label: np.ndarray, splittable: np.ndarray,
+def _split_sides(values: np.ndarray, label: np.ndarray, fit: np.ndarray,
                  cfg: ClusterConfig) -> tuple[np.ndarray, list[int]]:
     """EM component (0/1) of every pixel within its cluster, for all
-    splittable clusters of a level in one histogram pass and one segmented
-    EM; 0 for pixels of clusters carried down whole. Also returns each
-    fit's iteration count, by cluster."""
+    clusters marked in ``fit`` in one histogram pass and one segmented EM;
+    0 for pixels of every other cluster. Also returns each fit's iteration
+    count, by cluster.
+
+    A splittable cluster that an earlier fit left whole is not marked: its
+    pixels, histogram and EM start are those of that fit, so the tree
+    reuses that fit's count and single side instead.
+    """
     side = np.zeros(values.size, dtype=np.int64)
-    members = np.flatnonzero(splittable[label])
+    members = np.flatnonzero(fit[label])
     if members.size == 0:
         return side, []
-    segment = (np.cumsum(splittable) - 1)[label[members]]
-    n_seg = int(np.count_nonzero(splittable))
+    segment = (np.cumsum(fit) - 1)[label[members]]
+    n_seg = int(np.count_nonzero(fit))
     pix = values[members]
     hist, inverse = _segment_histograms(pix, segment, n_seg, cfg.bin_width)
     i_max = np.full(n_seg, -np.inf)
@@ -468,9 +478,10 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     Node statistics are the sample mean/deviation of the node's own pixels.
 
     Each level is processed as a whole: one histogram pass and one
-    segmented EM over all splittable clusters, one connectivity pass over
-    the image, one statistics pass. Node ids are issued level by level, in
-    row-major order of each cluster's first pixel.
+    segmented EM over the splittable clusters that no earlier fit left
+    whole, one connectivity pass over the image, one statistics pass.
+    Node ids are issued level by level, in row-major order of each
+    cluster's first pixel.
     """
     height, width = image.data.shape
     flat = image.data.ravel()
@@ -497,13 +508,23 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
 
     label = np.zeros(flat.size, dtype=np.int64)
     size = add_level(0, label, np.full(1, -1))
+    # per cluster: the iteration count of the fit that left it whole, or -1
+    kept = np.full(1, -1)
     for level in range(1, cfg.max_depth + 1):
-        side, fit_iterations = _split_sides(flat, label,
-                                            size > cfg.max_cluster, cfg)
-        em_iterations += fit_iterations
-        level_fits.append(len(fit_iterations))
+        splittable = size > cfg.max_cluster
+        fit = splittable & (kept < 0)
+        side, fitted = _split_sides(flat, label, fit, cfg)
+        iterations = kept.copy()
+        iterations[fit] = fitted
+        em_iterations += iterations[splittable].tolist()
+        level_fits.append(int(np.count_nonzero(splittable)))
         keys = (label * 2 + side).reshape(height, width)
+        previous = label
         label, first_pixel = _rank_roots(_region_roots(keys, cfg.neighborhood))
+        parent = previous[first_pixel]
+        # a splittable cluster with one child was left whole by its fit
+        whole = splittable & (np.bincount(parent, minlength=size.size) == 1)
+        kept = np.where(whole[parent], iterations[parent], -1)
         size = add_level(level, label, levels[-1].ravel()[first_pixel])
 
     nodes = np.concatenate(tables)

@@ -127,6 +127,47 @@ def test_cf_deterministic():
     assert np.array_equal(a, b)
 
 
+def reference_cf(values, iters):
+    """The curvature filter with a fresh odd-reflect pad and a stacked
+    candidate array on every pass, the form the work buffers replaced."""
+    u = np.array(values, dtype=np.float64)
+    height, width = u.shape
+    for _ in range(iters):
+        for oy, ox in ((0, 0), (1, 1), (0, 1), (1, 0)):
+            p = np.pad(u, 1, mode="reflect", reflect_type="odd")
+            yc = slice(1 + oy, 1 + height, 2)
+            xc = slice(1 + ox, 1 + width, 2)
+            yn = slice(yc.start - 1, yc.stop - 1, 2)
+            ys = slice(yc.start + 1, yc.stop + 1, 2)
+            xw = slice(xc.start - 1, xc.stop - 1, 2)
+            xe = slice(xc.start + 1, xc.stop + 1, 2)
+            c, n, s = p[yc, xc], p[yn, xc], p[ys, xc]
+            w, e = p[yc, xw], p[yc, xe]
+            nw, ne, sw, se = p[yn, xw], p[yn, xe], p[ys, xw], p[ys, xe]
+            candidates = np.stack([
+                0.5 * (n + s) - c, 0.5 * (w + e) - c,
+                0.5 * (nw + se) - c, 0.5 * (ne + sw) - c,
+                n + w - nw - c, n + e - ne - c,
+                w + s - sw - c, e + s - se - c,
+            ])
+            pick = np.argmin(np.abs(candidates), axis=0)
+            u[oy::2, ox::2] += np.take_along_axis(candidates, pick[None],
+                                                  axis=0)[0]
+    return u
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 3), (5, 7),
+                                   (128, 128)])
+def test_cf_matches_fresh_pad_reference(shape):
+    # a length-1 side is where np.pad's odd reflection copies the edge
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for scale in (255.0, 1e6):
+        values = rng.normal(0.3 * scale, scale, shape)
+        for iters in (1, 3, 10):
+            got = cf_gaussian_denoise(Raster(values), CfParams(iters=iters))
+            assert np.array_equal(got.data, reference_cf(values, iters))
+
+
 def test_cf_param_validation():
     with pytest.raises(ConfigError):
         CfParams(iters=0)

@@ -30,6 +30,7 @@ from tree_oracle import reference_tree
 from mkfilter import (ClusterConfig, ConfigError, Raster, build_cluster_tree,
                       build_kernel_field, load_pgm, mkf_denoise, mkf_filter,
                       save_pgm)
+from mkfilter import clustering
 from mkfilter.bench import derive_seed
 from mkfilter.clustering import EM_MAX_ITERATIONS
 from mkfilter.noise import NoiseSpec, apply_noise
@@ -203,3 +204,26 @@ def test_em_work_on_deep_inputs_is_pinned(name, fits, iterations, cap_hits):
     assert counts.size == fits
     assert counts.sum() == iterations
     assert np.count_nonzero(counts >= EM_MAX_ITERATIONS) == cap_hits
+
+
+@pytest.mark.parametrize("name, fits, iterations", [
+    ("bsd_style", 28, 6480),
+    ("piecewise_mosaic", 38, 9766),
+])
+def test_em_work_run_on_deep_inputs_is_pinned(monkeypatch, name, fits,
+                                              iterations):
+    """EM work the mkf-deep trees actually run: a splittable cluster that
+    a fit left whole keeps that fit at every deeper level, so 17 of 45 and
+    15 of 53 recorded fits are not run again."""
+    run = []
+    segmented_em = clustering._segmented_em
+
+    def spy(*args, **kwargs):
+        result = segmented_em(*args, **kwargs)
+        run.extend(trace.size for trace in result.log_likelihood)
+        return result
+
+    monkeypatch.setattr(clustering, "_segmented_em", spy)
+    build_cluster_tree(Raster(deep_input(name)), ClusterConfig(max_depth=7))
+    assert len(run) == fits
+    assert sum(run) == iterations
