@@ -6,9 +6,10 @@
 - cf_gaussian_denoise: Gaussian-curvature filter. The grid is split into
   four interleaved subsets updated in sequence; every pixel moves by the
   smallest-magnitude projection distance onto the eight local tangent
-  plane candidates of its 3x3 neighborhood. Constants and planar ramps
-  are exact fixed points (boundaries use odd reflection, which planes
-  survive; plain mirroring would not preserve them at the borders).
+  plane candidates of its 3x3 neighborhood (the first of equal
+  magnitude on a tie). Constants and planar ramps are exact fixed points
+  (boundaries use odd reflection, which planes survive; plain mirroring
+  would not preserve them at the borders).
 - bf_denoise: classic bilateral filtering, delegated to the shared engine.
 """
 
@@ -77,20 +78,23 @@ def _gradient_norm(u: np.ndarray, work) -> np.ndarray:
 
 
 def _rof_energy(u: np.ndarray, observed: np.ndarray, lam: float,
-                work) -> float:
+                work, residual: np.ndarray) -> float:
+    """The energy of u, leaving u's gradient state behind: gx, gy and norm
+    in work as _gradient_norm fills them, and u - observed in residual."""
     # an overflow, or inf - inf in a difference of an overflowed candidate,
     # is an infinite or nan energy, which the step halving rejects
     with np.errstate(over="ignore", invalid="ignore"):
         tv = _gradient_norm(u, work).sum()
-        residual = np.subtract(u, observed, out=work[3])
-        fidelity = 0.5 * lam * np.square(residual, out=residual).sum()
+        np.subtract(u, observed, out=residual)
+        fidelity = 0.5 * lam * np.square(residual, out=work[3]).sum()
     return float(tv + fidelity)
 
 
 def rof_energy(u: np.ndarray, observed: np.ndarray, lam: float) -> float:
     """Smoothed ROF energy: sum of |grad u| plus (lam/2) * squared residual."""
     return _rof_energy(u, observed, lam,
-                       tuple(np.empty_like(u) for _ in range(4)))
+                       tuple(np.empty_like(u) for _ in range(4)),
+                       np.empty_like(u))
 
 
 def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, np.ndarray]:
@@ -103,42 +107,56 @@ def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, n
     halved. The configured step is the starting point of that schedule; at
     the defaults neither safeguard fires until the iterate is nearly
     converged.
+
+    Each iteration takes u's forward differences, gradient norm and
+    residual u - observed from the energy evaluation that accepted u, which
+    computed them from u itself with the same operations, so the reuse is
+    bit-exact. They are recomputed, under the overflow guard, only after a
+    stationary iteration (the work arrays then hold a rejected candidate)
+    or when u's energy is not finite: a finite energy is a finite sum of
+    norms, so the guarded recomputation could not have overflowed.
     """
     observed = image.data
     u = observed.copy()
     # every array of the descent is allocated once and computed in place:
     # fresh 128 px temporaries on each iteration had the C allocator map
     # and unmap, and so page-fault, each of them again
-    candidate, grad = np.empty_like(u), np.empty_like(u)
+    candidate, grad, residual = (np.empty_like(u) for _ in range(3))
     work = gx, gy, norm, tmp = tuple(np.empty_like(u) for _ in range(4))
     step = min(p.step, 1.0 / p.lam)
     trace = np.empty(p.iters + 1)
-    trace[0] = _rof_energy(u, observed, p.lam, work)
+    trace[0] = _rof_energy(u, observed, p.lam, work, residual)
+    # whether work and residual hold u's gradient state, free of overflow
+    reuse = np.isfinite(trace[0])
     for it in range(1, p.iters + 1):
-        with overflow_is_config_error("the TV gradient norm"):
-            _gradient_norm(u, work)
+        if not reuse:
+            with overflow_is_config_error("the TV gradient norm"):
+                _gradient_norm(u, work)
+            np.subtract(u, observed, out=residual)
         px = np.divide(gx, norm, out=gx)
         py = np.divide(gy, norm, out=gy)
         np.negative(px, out=grad)
         grad -= py
         grad[:, 1:] += px[:, :-1]
         grad[1:, :] += py[:-1, :]
-        grad += np.multiply(p.lam, np.subtract(u, observed, out=tmp), out=tmp)
+        grad += np.multiply(p.lam, residual, out=tmp)
 
         np.subtract(u, np.multiply(step, grad, out=candidate), out=candidate)
-        energy = _rof_energy(candidate, observed, p.lam, work)
+        energy = _rof_energy(candidate, observed, p.lam, work, residual)
         for _ in range(60):
             if energy <= trace[it - 1]:
                 break
             step *= 0.5
             np.subtract(u, np.multiply(step, grad, out=candidate),
                         out=candidate)
-            energy = _rof_energy(candidate, observed, p.lam, work)
+            energy = _rof_energy(candidate, observed, p.lam, work, residual)
         if energy <= trace[it - 1]:
             u, candidate = candidate, u
             trace[it] = energy
+            reuse = np.isfinite(energy)
         else:
             trace[it] = trace[it - 1]  # stationary to float precision
+            reuse = False  # work holds the last rejected candidate's state
     return image.with_data(u), trace
 
 
@@ -203,9 +221,15 @@ def _cf_pass(p: np.ndarray, stack: np.ndarray, magnitude: np.ndarray,
         np.add(a, b, out=candidates[k])
         candidates[k] -= corner
         candidates[k] -= c
-    pick = np.argmin(np.abs(candidates, out=magnitude[:, :rows, :cols]),
-                     axis=0)
-    c += np.take_along_axis(candidates, pick[None], axis=0)[0]
+    # the candidate of least magnitude, the first plane winning ties as
+    # argmin does: planes 6 down to 0 each overwrite the pixels where they
+    # reach the least magnitude, which is cheaper than argmin plus a gather
+    mag = np.abs(candidates, out=magnitude[:, :rows, :cols])
+    least = mag.min(axis=0)
+    best = candidates[7]
+    for k in range(6, -1, -1):
+        best = np.where(mag[k] == least, candidates[k], best)
+    c += best
 
 
 def cf_gaussian_denoise(image: Raster, p: CfParams = CfParams()) -> Raster:

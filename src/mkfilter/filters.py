@@ -57,13 +57,9 @@ class KernelField:
     Row k of ``delta``/``psi`` belongs to leaf ``ids[k]``; ``rows`` gives
     each pixel of ``leaf_map`` its row. The ids ascend from 0 up and are
     exactly those of the leaf map; delta and psi are positive and finite.
-    ``records={id: (delta, psi)}`` may stand in for the three columns.
     """
 
-    def __init__(self, leaf_map, ids=(), delta=(), psi=(), *, records=None):
-        if records is not None:
-            ids = sorted(records)
-            delta, psi = np.reshape([records[i] for i in ids], (len(ids), 2)).T
+    def __init__(self, leaf_map, ids, delta, psi):
         self.leaf_map, self.ids = np.asarray(leaf_map), np.asarray(ids, np.int64)
         self.delta, self.psi = np.asarray(delta, float), np.asarray(psi, float)
         if not (self.ids.size and np.all(np.diff(self.ids, prepend=-1) > 0)):

@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from test_clustering import _check_tree_invariants
-from test_filters import brute_force_filter, uniform_field
+from test_filters import brute_force_filter, records_field, uniform_field
 
-from mkfilter import (BfParams, CfParams, ClusterConfig, KernelField, MkfRule,
+from mkfilter import (BfParams, CfParams, ClusterConfig, MkfRule,
                       Raster, TvParams, add_integral_noise, add_spatial_noise,
                       bf_denoise, build_cluster_tree, build_histogram,
                       cf_gaussian_denoise, em_similarity_cluster,
@@ -56,7 +56,7 @@ def test_criterion_01_engine_matches_brute_force():
             records = {k: (float(rng.uniform(2, 60)),
                            float(rng.uniform(0.1, 2.0)))
                        for k in range(n_leaves)}
-            field = KernelField(records=records, leaf_map=leaf_map)
+            field = records_field(records, leaf_map)
             h_x = float(rng.uniform(1, 5))
             got = weighted_mean_filter(Raster(values), MkfRule(field, h_x),
                                        radius).data

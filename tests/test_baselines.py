@@ -6,7 +6,8 @@ import pytest
 from mkfilter import (BfParams, CfParams, ConfigError, Raster, TvParams,
                       bf_denoise, cf_gaussian_denoise, tv_denoise,
                       tv_denoise_trace, weighted_mean_filter)
-from mkfilter.baselines import rof_energy, write_energy_csv
+from mkfilter.baselines import TV_EPSILON, rof_energy, write_energy_csv
+from mkfilter.errors import overflow_is_config_error
 
 
 def noisy_fixture(seed=0, size=32, sigma=25.0):
@@ -66,6 +67,88 @@ def test_tv_param_validation():
         TvParams(iters=0)
     with pytest.raises(ConfigError):
         TvParams(step=-0.1)
+
+
+def reference_tv(values, lam, iters, step):
+    """The ROF descent recomputing u's gradient state on every iteration,
+    from fresh arrays, the form the reused state replaced. Also returns how
+    many iterations halved the step and how many stayed stationary."""
+    observed = np.array(values, dtype=np.float64)
+
+    def gradient_norm(u):
+        gx, gy = np.zeros_like(u), np.zeros_like(u)
+        gx[:, :-1] = u[:, 1:] - u[:, :-1]
+        gy[:-1] = u[1:] - u[:-1]
+        return gx, gy, np.sqrt(gx * gx + gy * gy + TV_EPSILON * TV_EPSILON)
+
+    def energy(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(gradient_norm(u)[2].sum()
+                         + 0.5 * lam * np.square(u - observed).sum())
+
+    u = observed.copy()
+    step = min(step, 1.0 / lam)
+    trace = [energy(u)]
+    halved = stationary = 0
+    for _ in range(iters):
+        with overflow_is_config_error("the TV gradient norm"):
+            gx, gy, norm = gradient_norm(u)
+        px, py = gx / norm, gy / norm
+        grad = -px - py
+        grad[:, 1:] += px[:, :-1]
+        grad[1:, :] += py[:-1, :]
+        grad += lam * (u - observed)
+        candidate = u - step * grad
+        e = energy(candidate)
+        halved += e > trace[-1]
+        for _ in range(60):
+            if e <= trace[-1]:
+                break
+            step *= 0.5
+            candidate = u - step * grad
+            e = energy(candidate)
+        if e <= trace[-1]:
+            u = candidate
+            trace.append(e)
+        else:
+            stationary += 1
+            trace.append(trace[-1])
+    return u, np.array(trace), halved, stationary
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7),
+                                   (128, 128)])
+def test_tv_matches_recomputing_reference(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    halved = stationary = 0
+    for scale in (255.0, 1e6):
+        values = rng.normal(0.3 * scale, scale, shape)
+        # the benchmark's lam and step; a step of 15 that the halving cuts;
+        # a step of 1e30 that 60 halvings leave too long, so the first
+        # iteration stays stationary and a later one resumes the halving
+        for lam, iters, step in ((1.25, 20, 0.1), (0.05, 8, 15.0),
+                                 (1e-30, 6, 1e30)):
+            got, trace = tv_denoise_trace(
+                Raster(values), TvParams(lam=lam, iters=iters, step=step))
+            want, want_trace, h, s = reference_tv(values, lam, iters, step)
+            assert np.array_equal(got.data, want)
+            assert np.array_equal(trace, want_trace)
+            halved += h
+            stationary += s
+    # a single pixel has a zero gradient, so every step is accepted whole
+    assert (halved > 0 and stationary > 0) == (shape != (1, 1))
+
+
+def test_tv_gradient_overflow_is_the_same_config_error():
+    # one iteration: the overflow must be reported by the first one
+    values = np.array([[-1e308, 1e308, -1e308], [1e308, -1e308, 1e308]])
+    with pytest.raises(ConfigError) as want:
+        reference_tv(values, 1.25, 1, 0.1)
+    with pytest.raises(ConfigError) as got:
+        tv_denoise_trace(Raster(values), TvParams(iters=1))
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == ("the TV gradient norm overflows the float64 "
+                              "range")
 
 
 def test_energy_csv(tmp_path):
@@ -161,11 +244,21 @@ def reference_cf(values, iters):
 def test_cf_matches_fresh_pad_reference(shape):
     # a length-1 side is where np.pad's odd reflection copies the edge
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-    for scale in (255.0, 1e6):
-        values = rng.normal(0.3 * scale, scale, shape)
+    inputs = [rng.normal(0.3 * scale, scale, shape) for scale in (255.0, 1e6)]
+    # small integers, half of them zeros of either sign, make candidates
+    # of equal magnitude common, with opposite signs as often as not, so
+    # which of the tied planes the filter picks shows in the result
+    for high in (1, 2, 5):
+        ties = rng.integers(-high, high + 1, shape).astype(np.float64)
+        ties[rng.random(shape) < 0.25] = 0.0
+        ties[rng.random(shape) < 0.25] = -0.0
+        inputs.append(ties)
+    for values in inputs:
         for iters in (1, 3, 10):
             got = cf_gaussian_denoise(Raster(values), CfParams(iters=iters))
-            assert np.array_equal(got.data, reference_cf(values, iters))
+            want = reference_cf(values, iters)
+            assert np.array_equal(got.data, want)
+            assert np.array_equal(np.signbit(got.data), np.signbit(want))
 
 
 def test_cf_param_validation():

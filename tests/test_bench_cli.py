@@ -627,11 +627,11 @@ def test_benchmark_tracer_sees_every_filter(tmp_path):
     assert {"baselines.tv", "baselines.cf"} <= brainweb
 
 
-def test_console_script_wiring(tmp_path):
+def test_console_script_wiring(tmp_path, src_env):
     src = tmp_path / "in.pgm"
     write_test_pgm(src)
     proc = subprocess.run(
         [sys.executable, "-m", "mkfilter.cli", "metrics", str(src), str(src)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("mae=0.0")

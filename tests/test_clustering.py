@@ -1,7 +1,6 @@
 """Histogram/EM/proximity operations and cluster-tree invariants."""
 
 import math
-import os
 import subprocess
 import sys
 
@@ -330,7 +329,7 @@ def test_proximity_exact_labels_on_small_maps():
                               1 - spiral(17))
 
 
-def test_tree_build_leaves_scipy_sparse_unimported(tmp_path):
+def test_tree_build_leaves_scipy_sparse_unimported(tmp_path, src_env):
     # the library and the CLI run on numpy alone; scipy is only a test oracle
     pgm = tmp_path / "in.pgm"
     mkfilter.save_pgm(mkfilter.Raster(
@@ -344,12 +343,9 @@ def test_tree_build_leaves_scipy_sparse_unimported(tmp_path):
             "assert mkfilter.cli.main(['denoise', pgm, out, '--filter', 'mkf',"
             " '--depth', '2']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(mkfilter.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, str(pgm),
                            str(tmp_path / "out.pgm")], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "out.pgm").is_file()

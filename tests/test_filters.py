@@ -46,9 +46,15 @@ def brute_force_filter(values, h_x, radius, field=None, bf=None):
     return out
 
 
+def records_field(records, leaf_map):
+    """The KernelField whose columns hold {leaf id: (delta, psi)} by id."""
+    ids = sorted(records)
+    delta, psi = np.reshape([records[i] for i in ids], (len(ids), 2)).T
+    return KernelField(leaf_map, ids, delta, psi)
+
+
 def uniform_field(shape, delta, psi):
-    return KernelField(records={0: (delta, psi)},
-                       leaf_map=np.zeros(shape, dtype=np.int64))
+    return records_field({0: (delta, psi)}, np.zeros(shape, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +174,12 @@ def test_engine_matches_brute_force_mkf():
         leaf_map = rng.integers(0, 3, size=(8, 8)).astype(np.int64)
         records = {k: (rng.uniform(2, 50), rng.uniform(0.1, 2.0))
                    for k in range(3)}
-        cases.append((values, KernelField(records=records, leaf_map=leaf_map),
-                      1e-10))
+        cases.append((values, records_field(records, leaf_map), 1e-10))
     rng = np.random.default_rng(18)
     values = rng.uniform(0, 255, (10, 10))
     leaf_map = rng.integers(0, 3, (10, 10)).astype(np.int64)
-    cases.append((values, KernelField(records={0: (10.0, 0.5), 1: (30.0, 1.0),
-                                               2: (50.0, 2.0)},
-                                      leaf_map=leaf_map), 1e-12))
+    cases.append((values, records_field({0: (10.0, 0.5), 1: (30.0, 1.0),
+                                         2: (50.0, 2.0)}, leaf_map), 1e-12))
     for values, field, bound in cases:
         got = weighted_mean_filter(Raster(values), MkfRule(field, 3.0), 2).data
         ref = brute_force_filter(values, 3.0, 2, field=field)
@@ -241,7 +245,7 @@ def test_param_validation():
             ({-1: (1.0, 1.0), 0: (2.0, 1.0)}, np.array([[-1, 0]])),
             ({}, zeros)]:
         with pytest.raises(ConfigError):
-            KernelField(records=records, leaf_map=leaf_map)
+            records_field(records, leaf_map)
     with pytest.raises(ConfigError):
         weighted_mean_filter(Raster(np.zeros((3, 3))),
                              BfParams(3, 57, 5), 0)

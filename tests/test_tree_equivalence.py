@@ -3,11 +3,12 @@
 The corpus is the benchmark's tree inputs: both ``mkf-deep`` inputs (40 px,
 depth 7) in all eight orientations, the ``mkf-wide`` input (256 px, depth
 2), and 24 px sweep trees at three noise levels, two cluster sizes and both
-connectivities. Level maps, the node table's ``level``, ``parent``, ``size``
-and ``eligible`` columns and the iteration count of every EM fit must be
-identical; node means and deviations are summed in another order
-(``np.bincount`` instead of per-node pairwise sums), so they must agree
-within 1e-12 relative.
+connectivities. A hypothesis property adds small piecewise-constant integer
+rasters under small random configurations. Level maps, the node table's
+``level``, ``parent``, ``size`` and ``eligible`` columns, the iteration
+count of every EM fit and the fits per level must be identical; node
+means and deviations are summed in another order (``np.bincount`` instead
+of per-node pairwise sums), so they must agree within 1e-12 relative.
 
 On every oracle tree the kernel field must match a per-leaf walk up the
 node table, the form the whole-array field replaced: delta exactly, psi
@@ -24,6 +25,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tree_oracle import reference_tree
 
@@ -88,7 +91,7 @@ def assert_kernel_field_matches_walk(tree):
         assert abs(psi - want[leaf][1]) <= math.ulp(want[leaf][1])
 
 
-def assert_same_tree(tree, ref, ref_fits):
+def assert_same_tree(tree, ref):
     assert len(tree.levels) == len(ref.levels)
     for got, want in zip(tree.levels, ref.levels):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -101,7 +104,8 @@ def assert_same_tree(tree, ref, ref_fits):
         # math.isclose(rel_tol=1e-12, abs_tol=0), node by node
         assert np.all(np.abs(got - want)
                       <= 1e-12 * np.maximum(np.abs(got), np.abs(want)))
-    assert list(tree.em_iterations) == ref_fits
+    assert tree.em_iterations == ref.em_iterations
+    assert tree.level_fits == ref.level_fits
     assert_kernel_field_matches_walk(tree)
 
 
@@ -111,7 +115,7 @@ def test_deep_trees_match_oracle(name, orientation):
     values = dihedral(deep_input(name), orientation)
     cfg = ClusterConfig(max_depth=7)
     assert_same_tree(build_cluster_tree(Raster(values), cfg),
-                     *reference_tree(values, cfg))
+                     reference_tree(values, cfg))
 
 
 def test_wide_tree_matches_oracle():
@@ -119,7 +123,7 @@ def test_wide_tree_matches_oracle():
                          NoiseSpec("integral", LEVEL, 11)).data
     cfg = ClusterConfig(max_depth=2)
     assert_same_tree(build_cluster_tree(Raster(values), cfg),
-                     *reference_tree(values, cfg))
+                     reference_tree(values, cfg))
 
 
 def sweep_input(tmp_path, level):
@@ -141,7 +145,18 @@ def test_sweep_trees_match_oracle(tmp_path, level, max_cluster, neighborhood):
     cfg = ClusterConfig(max_depth=7, max_cluster=max_cluster,
                         neighborhood=neighborhood)
     assert_same_tree(build_cluster_tree(noisy, cfg),
-                     *reference_tree(noisy.data, cfg))
+                     reference_tree(noisy.data, cfg))
+
+
+def assert_same_truncation(tree, want, depth):
+    assert (tree.depth, tree.sigma_floor) == (want.depth, want.sigma_floor)
+    assert len(tree.levels) == len(want.levels) == depth + 1
+    for got, expected in zip(tree.levels, want.levels):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert np.array_equal(tree.nodes, want.nodes)  # floats exactly
+    assert tree.em_iterations == want.em_iterations
+    assert tree.level_fits == want.level_fits
 
 
 def assert_truncations_match_fresh_builds(image, cfg):
@@ -150,15 +165,7 @@ def assert_truncations_match_fresh_builds(image, cfg):
     for depth in range(2, cfg.max_depth):
         tree = deep.truncated(depth)
         fresh = mkf_denoise(image, dataclasses.replace(cfg, max_depth=depth))
-        want = fresh.tree
-        assert (tree.depth, tree.sigma_floor) == (want.depth, want.sigma_floor)
-        assert len(tree.levels) == len(want.levels) == depth + 1
-        for got, expected in zip(tree.levels, want.levels):
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
-        assert np.array_equal(tree.nodes, want.nodes)  # floats exactly
-        assert tree.em_iterations == want.em_iterations
-        assert tree.level_fits == want.level_fits
+        assert_same_truncation(tree, fresh.tree, depth)
         got = mkf_filter(image, tree)
         for column in ("ids", "delta", "psi"):
             assert np.array_equal(getattr(got.field, column),
@@ -182,6 +189,46 @@ def test_sweep_tree_truncations_match_fresh_builds(tmp_path, level,
         sweep_input(tmp_path, level),
         ClusterConfig(max_depth=7, max_cluster=max_cluster,
                       neighborhood=neighborhood))
+
+
+@st.composite
+def piecewise_rasters(draw):
+    """Integer rasters up to 24 px a side: a grid of up to 5 x 5 constant
+    blocks, plus a few single-pixel spots, so that flat clusters, tied
+    values and one-pixel-wide regions are common."""
+    height, width = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    by, bx = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    blocks = np.array(draw(st.lists(st.integers(0, 40), min_size=by * bx,
+                                    max_size=by * bx)), dtype=np.float64)
+    rows = np.arange(height) * by // height
+    cols = np.arange(width) * bx // width
+    values = blocks.reshape(by, bx)[rows[:, None], cols[None, :]]
+    for y, x, v in draw(st.lists(st.tuples(st.integers(0, height - 1),
+                                           st.integers(0, width - 1),
+                                           st.integers(0, 40)), max_size=6)):
+        values[y, x] = v
+    return values
+
+
+SMALL_CONFIGS = st.builds(
+    lambda depth, min_cluster, extra, neighborhood, bin_width: ClusterConfig(
+        max_depth=depth, min_cluster=min_cluster,
+        max_cluster=min_cluster + extra, neighborhood=neighborhood,
+        bin_width=bin_width),
+    st.integers(2, 6), st.integers(1, 4), st.integers(1, 8),
+    st.sampled_from([4, 8]), st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=piecewise_rasters(), cfg=SMALL_CONFIGS)
+def test_small_trees_match_oracle(values, cfg):
+    """Carried fits next to split clusters, one-pixel-wide clusters and
+    both connectivities at the border, on inputs no fixed case covers."""
+    tree = build_cluster_tree(Raster(values), cfg)
+    assert_same_tree(tree, reference_tree(values, cfg))
+    for depth in range(2, cfg.max_depth):
+        assert_same_truncation(tree.truncated(depth), build_cluster_tree(
+            Raster(values), dataclasses.replace(cfg, max_depth=depth)), depth)
 
 
 @pytest.mark.parametrize("depth", (0, 1, 4))

@@ -104,12 +104,14 @@ def reference_flood(keys: np.ndarray, neighborhood: int) -> np.ndarray:
 
 
 def reference_tree(values: np.ndarray, cfg: ClusterConfig):
-    """Per-cluster tree construction. Returns the tree and the iteration
-    count of every EM fit, in fit order (level by level, ids ascending)."""
+    """Per-cluster tree construction, fitting every splittable cluster
+    afresh at every level; ``em_iterations`` holds the iteration count of
+    every fit, level by level and by cluster id within a level."""
     height, width = values.shape
     flat = values.ravel()
     rows: list[tuple] = []  # one NODE_DTYPE row per node, by id
     fits: list[int] = []
+    level_fits: list[int] = []
 
     def new_node(level, member_idx, parent):
         pix = flat[member_idx]
@@ -145,6 +147,7 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
             if pixel_side.min() == pixel_side.max():
                 continue  # every pixel landed on one component: unsplittable
             side[idx] = pixel_side
+        level_fits.append(len(fits) - sum(level_fits))
 
         keys = levels[-1] * 2 + side.reshape(height, width)
         regions = reference_flood(keys, cfg.neighborhood).ravel()
@@ -161,6 +164,6 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
         levels.append(label_map.reshape(height, width))
         members = new_members
 
-    tree = ClusterTree(nodes=np.array(rows, dtype=NODE_DTYPE), levels=levels,
-                       depth=cfg.max_depth, sigma_floor=cfg.bin_width)
-    return tree, fits
+    return ClusterTree(nodes=np.array(rows, dtype=NODE_DTYPE), levels=levels,
+                       depth=cfg.max_depth, sigma_floor=cfg.bin_width,
+                       em_iterations=tuple(fits), level_fits=tuple(level_fits))
