@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a window radius far beyond the image
+        print(f"error: memory: {exc or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

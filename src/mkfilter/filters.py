@@ -7,6 +7,12 @@ single, manually chosen range bandwidth. The multi-kernel filter replaces
 it with per-cluster bandwidths read from a context tree: a leaf cluster
 contributes its own intensity deviation, rescaled by the contextual gain
 of its ancestors, so the effective bandwidth is delta / sqrt(psi).
+
+The engine computes the range factor psi / (2 delta^2) once: one scalar
+for the bilateral filter, one value per leaf for the multi-kernel filter.
+It runs every window offset over row strips of about ``_STRIP_ELEMENTS``
+pixels, so its five work buffers stay in cache, and gathers the per-leaf
+factors by each strip's center pixels.
 """
 
 from __future__ import annotations
@@ -73,10 +79,6 @@ class KernelField:
                 and np.bincount(self.rows.ravel(), minlength=self.ids.size).all()):
             raise ConfigError("the leaf map must use every leaf id and no other")
 
-    def parameter_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense per-pixel (delta, psi) arrays for the filter engine."""
-        return self.delta[self.rows], self.psi[self.rows]
-
 
 class MkfRule(NamedTuple):
     """Weight rule binding a kernel field to a spatial bandwidth."""
@@ -130,59 +132,84 @@ def contextual_gain(delta_parent, delta_grandparent):
 # engine
 
 
-def _window_mean(values: np.ndarray, h_x: float, radius: int,
-                 delta, psi) -> np.ndarray:
-    """Direct weighted-mean form, vectorized one window offset at a time.
+# Pixels per row strip of the window engine: each of its five float64
+# strip buffers is 128 KiB, so a strip's working set stays in L2.
+_STRIP_ELEMENTS = 16384
 
-    `delta`/`psi` may be scalars (bilateral) or per-pixel arrays keyed by
-    the center pixel (multi-kernel).
+
+def _window_mean(values: np.ndarray, h_x: float, radius: int,
+                 factor, rows) -> np.ndarray:
+    """Direct weighted-mean form, one window offset at a time over row strips.
+
+    `factor` is the range factor psi / (2 delta^2): a scalar with `rows`
+    None (bilateral), or one entry per leaf that `rows` gathers by the
+    center pixel (multi-kernel). Each strip of about ``_STRIP_ELEMENTS`` pixels runs
+    every offset into five strip buffers, so each output pixel sums the
+    same terms in the same order as a whole-image pass would.
     """
     height, width = values.shape
     padded = np.pad(values, radius, mode="symmetric")
     inv_space = 1.0 / (2.0 * h_x * h_x)
-    with np.errstate(over="ignore"):  # a huge delta gives a zero factor
-        inv_range = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
-    # a zero factor stays a zero range term even where the squared step
-    # overflows to inf (inf * 0 is nan)
-    zero_range = inv_range == 0
-    any_zero_range = bool(zero_range.any())
-    num = np.zeros_like(values)
-    den = np.zeros_like(values)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            shifted = padded[radius + dy:radius + dy + height,
-                             radius + dx:radius + dx + width]
+    offsets = [(radius + dy, radius + dx, -(dx * dx + dy * dy) * inv_space)
+               for dy in range(-radius, radius + 1)
+               for dx in range(-radius, radius + 1)]
+    strip = max(1, _STRIP_ELEMENTS // width)
+    buffers = np.empty((5, min(strip, height), width))
+    out = np.empty_like(values)
+    for top in range(0, height, strip):
+        bottom = min(top + strip, height)
+        ranged, w, num, den, gathered = buffers[:, :bottom - top]
+        center = values[top:bottom]
+        # rows are in range by construction; "clip" lets take write into
+        # the buffer directly, where "raise" would buffer the output
+        scale = factor if rows is None else np.take(
+            factor, rows[top:bottom], mode="clip", out=gathered)
+        # a zero factor stays a zero range term even where the squared step
+        # overflows to inf (inf * 0 is nan)
+        zero_range = scale == 0
+        any_zero_range = bool(np.any(zero_range))
+        num.fill(0.0)
+        den.fill(0.0)
+        for y, x, space in offsets:
+            shifted = padded[top + y:bottom + y, x:x + width]
             # a huge step: a zero weight
             with np.errstate(over="ignore", invalid="ignore"):
-                ranged = (values - shifted) ** 2 * inv_range
+                np.subtract(center, shifted, out=ranged)
+                np.square(ranged, out=ranged)
+                np.multiply(ranged, scale, out=ranged)
                 if any_zero_range:
                     ranged[zero_range] = 0.0
-                w = np.exp(-(dx * dx + dy * dy) * inv_space - ranged)
-            num += w * shifted
+                np.subtract(space, ranged, out=ranged)
+                np.exp(ranged, out=w)
+            num += np.multiply(w, shifted, out=ranged)
             den += w
-    return num / den
+        np.divide(num, den, out=out[top:bottom])
+    return out
 
 
 def weighted_mean_filter(image: Raster, weight_rule, radius: int) -> Raster:
     """Run the filter engine over `image`.
 
     `weight_rule` is either :class:`BfParams` (single range bandwidth) or
-    an :class:`MkfRule` (per-cluster bandwidths; parameters are looked up
-    by the center pixel's leaf cluster).
+    an :class:`MkfRule` (per-cluster bandwidths; each leaf's range factor
+    is computed once and looked up by the center pixel's leaf cluster).
     """
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius}")
     if isinstance(weight_rule, BfParams):
-        delta, psi = weight_rule.h_I, 1.0
+        delta, psi, rows = weight_rule.h_I, 1.0, None
     elif isinstance(weight_rule, MkfRule):
-        if weight_rule.field.leaf_map.shape != image.data.shape:
+        field = weight_rule.field
+        if field.leaf_map.shape != image.data.shape:
             raise ConfigError("kernel field was built for a different image size")
-        delta, psi = weight_rule.field.parameter_maps()
+        delta, psi, rows = field.delta, field.psi, field.rows
     else:
         raise ConfigError(
             f"unsupported weight rule {type(weight_rule).__name__}")
+    with np.errstate(over="ignore"):  # a huge delta gives a zero factor
+        factor = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
     return image.with_data(_window_mean(image.data, weight_rule.h_x, radius,
-                                        delta, psi))
+                                        factor, rows))
 
 
 # ---------------------------------------------------------------------------

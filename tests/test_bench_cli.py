@@ -556,6 +556,22 @@ def test_cli_rejects_non_finite_and_non_positive_parameters(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "vol"]
 
 
+@pytest.mark.parametrize("command", [
+    ["denoise", "{pgm}", "{out}", "--filter", "bf", "--radius", "100000000"],
+    ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--radius",
+     "100000000", "--out-dir", "{dir}"],
+], ids=lambda command: command[0])
+def test_cli_window_beyond_memory_is_one_error_line(tmp_path, capsys,
+                                                    command):
+    # the padded copy of a 24 px image at this radius needs about 284 PiB
+    write_test_pgm(tmp_path / "in.pgm")
+    paths = {"{pgm}": tmp_path / "in.pgm", "{out}": tmp_path / "out.pgm",
+             "{dir}": tmp_path / "out"}
+    assert main([str(paths.get(a, a)) for a in command]) == 1
+    assert_one_error_line(capsys, "memory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
 @pytest.mark.parametrize("command", ["bench-bsd", "bench-brainweb"])
 def test_cli_bench_rejects_filter_specs_before_reading_inputs(tmp_path, capsys,
                                                             command):

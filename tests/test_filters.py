@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mkfilter import (BfParams, ClusterConfig, ConfigError, Coordinate,
                       KernelField, MkfRule, Raster, bf_weight, contextual_gain,
-                      mkf_denoise, mkf_weight, weighted_mean_filter)
+                      filters, mkf_denoise, mkf_weight, weighted_mean_filter)
 from mkfilter.filters import write_kernel_csv
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,33 @@ def brute_force_filter(values, h_x, radius, field=None, bf=None):
                     den += w
             out[y, x] = num / den
     return out
+
+
+def reference_window_mean(values, h_x, radius, delta, psi):
+    """The whole-image engine the row strips replaced: one pass per window
+    offset over full-size temporaries, with `delta`/`psi` scalars
+    (bilateral) or per-pixel maps keyed by the center pixel."""
+    height, width = values.shape
+    padded = np.pad(values, radius, mode="symmetric")
+    inv_space = 1.0 / (2.0 * h_x * h_x)
+    with np.errstate(over="ignore"):
+        inv_range = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
+    zero_range = inv_range == 0
+    any_zero_range = bool(zero_range.any())
+    num = np.zeros_like(values)
+    den = np.zeros_like(values)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            shifted = padded[radius + dy:radius + dy + height,
+                             radius + dx:radius + dx + width]
+            with np.errstate(over="ignore", invalid="ignore"):
+                ranged = (values - shifted) ** 2 * inv_range
+                if any_zero_range:
+                    ranged[zero_range] = 0.0
+                w = np.exp(-(dx * dx + dy * dy) * inv_space - ranged)
+            num += w * shifted
+            den += w
+    return num / den
 
 
 def records_field(records, leaf_map):
@@ -184,6 +212,68 @@ def test_engine_matches_brute_force_mkf():
         got = weighted_mean_filter(Raster(values), MkfRule(field, 3.0), 2).data
         ref = brute_force_filter(values, 3.0, 2, field=field)
         assert np.max(np.abs(got - ref)) < bound
+
+
+def strip_cases():
+    """(values, h_x, radius, BfParams or KernelField) engine cases: thin,
+    odd and wide shapes, a radius beyond a side, steps that overflow, and
+    a leaf whose delta gives a zero range factor in only the lower rows."""
+    rng = np.random.default_rng(41)
+    shaped = [((1, 1), r) for r in (1, 2, 3)]
+    shaped += [(shape, r) for shape in ((1, 9), (9, 1), (7, 13), (33, 5))
+               for r in (1, 2, 3)]
+    shaped += [((9, 1), 12), ((7, 13), 15), ((1, 20000), 2),
+               ((256, 256), 2)]
+    for k, (shape, radius) in enumerate(shaped):
+        scale = 1e300 if k % 3 == 2 else 255.0
+        values = rng.uniform(-scale, scale, shape)
+        h_x = float(rng.uniform(1, 4))
+        h_i = 1e200 if k % 4 == 3 else float(rng.uniform(5, 80))
+        yield values, h_x, radius, BfParams(h_x, h_i, radius)
+        leaf_map = rng.integers(0, 2, shape)
+        lower = np.arange(shape[0]) >= shape[0] // 2
+        leaf_map[lower] = np.where(rng.random((lower.sum(), shape[1])) < 0.5,
+                                   2, leaf_map[lower])
+        ids = np.unique(leaf_map)
+        delta = np.where(ids == 2, 1e200, rng.uniform(2, 60, ids.size))
+        yield values, h_x, radius, KernelField(leaf_map, ids, delta,
+                                               rng.uniform(0.1, 2.0, ids.size))
+
+
+@pytest.mark.parametrize("budget", ["one-row", "partial", "default"])
+def test_strip_engine_matches_whole_image_reference(monkeypatch, budget):
+    for values, h_x, radius, kernel in strip_cases():
+        width = values.shape[1]
+        # one-row strips; strips of 5 rows, so most heights leave a
+        # shorter last strip
+        strip = {"one-row": 1, "partial": 5 * width + 2,
+                 "default": filters._STRIP_ELEMENTS}[budget]
+        monkeypatch.setattr(filters, "_STRIP_ELEMENTS", strip)
+        if isinstance(kernel, BfParams):
+            rule, delta, psi = kernel, kernel.h_I, 1.0
+        else:
+            rule = MkfRule(kernel, h_x)
+            delta, psi = kernel.delta[kernel.rows], kernel.psi[kernel.rows]
+        got = weighted_mean_filter(Raster(values), rule, radius).data
+        want = reference_window_mean(values, h_x, radius, delta, psi)
+        assert np.array_equal(got, want), (values.shape, radius, rule)
+
+
+def test_engine_peak_memory_stays_below_four_images():
+    # whole-image temporaries per window offset would take about ten
+    # image sizes at 512 px
+    rng = np.random.default_rng(43)
+    values = rng.uniform(0, 255, (512, 512))
+    field = records_field({k: (rng.uniform(2, 60), rng.uniform(0.1, 2.0))
+                           for k in range(8)}, rng.integers(0, 8, (512, 512)))
+    image, rule = Raster(values), MkfRule(field, 3.0)
+    tracemalloc.start()
+    try:
+        weighted_mean_filter(image, rule, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * values.nbytes
 
 
 def test_output_is_window_convex_combination():
