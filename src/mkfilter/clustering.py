@@ -102,8 +102,13 @@ class ClusterConfig:
 
 NODE_DTYPE = np.dtype([("level", np.int64), ("parent", np.int64),
                        ("size", np.int64), ("mu", np.float64),
-                       ("delta", np.float64), ("eligible", np.bool_)])
-"""One row per cluster, indexed by node id; ``parent`` is -1 for the root."""
+                       ("delta", np.float64), ("eligible", np.bool_),
+                       ("em_iterations", np.int64)])
+"""One row per cluster, indexed by node id; ``parent`` is -1 for the root.
+``em_iterations`` counts the iterations of the EM fit run on the cluster to
+split it at the next level (0 for a single bin, ``EM_MAX_ITERATIONS`` at the
+cap); it is -1 where no fit ran: on a cluster that is not splittable, or
+that carries the fit that left its parent whole (same pixels, same fit)."""
 
 
 @dataclass
@@ -117,22 +122,16 @@ class ClusterTree:
     cluster, so each map partitions the image. ``sigma_floor`` is the
     lower bound applied to deviations whenever they feed a kernel (a zero
     sample deviation would otherwise collapse the range kernel).
-    ``em_iterations`` holds the iteration count of the EM fit of every
-    splittable cluster met while building the tree, level by level and by
-    cluster id within a level; a single-bin cluster counts 0, and a fit
-    that stopped at ``EM_MAX_ITERATIONS`` counts that many. A cluster that
-    its fit left whole is carried down with the same pixels and keeps that
-    fit instead of being fitted again, so its count repeats at every
-    deeper level where it is still splittable. ``level_fits[t - 1]`` is
-    the number of those counts recorded while building level t.
     """
 
     nodes: np.ndarray
     levels: list[np.ndarray]
-    depth: int
     sigma_floor: float
-    em_iterations: tuple[int, ...] = ()
-    level_fits: tuple[int, ...] = ()
+
+    @property
+    def depth(self) -> int:
+        """The last level: every leaf sits there."""
+        return len(self.levels) - 1
 
     def truncated(self, depth: int) -> "ClusterTree":
         """The tree :func:`build_cluster_tree` gives at ``max_depth=depth``.
@@ -140,19 +139,19 @@ class ClusterTree:
         Levels are built one after another and ``max_depth`` only stops the
         loop, so a shallower tree is an exact prefix of a deeper one: the
         same level maps, node ids, statistics and EM fits. Its node table
-        is the prefix of this one up to the last level-`depth` node.
+        is the prefix of this one up to the last level-`depth` node, with
+        no fit on that level, which a depth-`depth` build never splits.
         """
         if not 2 <= depth <= self.depth:
             raise ConfigError(
                 f"truncation depth must be in [2, {self.depth}], got {depth}")
         if depth == self.depth:
             return self
-        count = int(self.levels[depth].max()) + 1
-        return ClusterTree(
-            nodes=self.nodes[:count], levels=self.levels[:depth + 1],
-            depth=depth, sigma_floor=self.sigma_floor,
-            em_iterations=self.em_iterations[:sum(self.level_fits[:depth])],
-            level_fits=self.level_fits[:depth])
+        nodes = self.nodes[:int(self.levels[depth].max()) + 1].copy()
+        nodes["em_iterations"][nodes["level"] == depth] = -1
+        nodes.flags.writeable = False
+        return ClusterTree(nodes=nodes, levels=self.levels[:depth + 1],
+                           sigma_floor=self.sigma_floor)
 
     def leaves(self) -> np.ndarray:
         """Ids of the leaf clusters: every leaf sits at the last level."""
@@ -448,7 +447,7 @@ def _split_sides(values: np.ndarray, label: np.ndarray, fit: np.ndarray,
 
     A splittable cluster that an earlier fit left whole is not marked: its
     pixels, histogram and EM start are those of that fit, so the tree
-    reuses that fit's count and single side instead.
+    keeps that fit's single side instead.
     """
     side = np.zeros(values.size, dtype=np.int64)
     members = np.flatnonzero(fit[label])
@@ -480,6 +479,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     Each level is processed as a whole: one histogram pass and one
     segmented EM over the splittable clusters that no earlier fit left
     whole, one connectivity pass over the image, one statistics pass.
+    Each fit's iteration count goes into its cluster's ``em_iterations``.
     Node ids are issued level by level, in row-major order of each
     cluster's first pixel.
     """
@@ -487,8 +487,6 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     flat = image.data.ravel()
 
     tables: list[np.ndarray] = []
-    em_iterations: list[int] = []
-    level_fits: list[int] = []
     levels = []
 
     def add_level(level, label, parents):
@@ -500,6 +498,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         table["level"] = level
         table["parent"] = parents
         table["eligible"] = table["size"] > cfg.min_cluster
+        table["em_iterations"] = -1
         tables.append(table)
         label_map = (label + first_id).reshape(height, width)
         label_map.flags.writeable = False
@@ -508,31 +507,25 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
 
     label = np.zeros(flat.size, dtype=np.int64)
     size = add_level(0, label, np.full(1, -1))
-    # per cluster: the iteration count of the fit that left it whole, or -1
-    kept = np.full(1, -1)
+    # per cluster: left whole by an earlier fit, which it carries
+    carried = np.zeros(1, dtype=bool)
     for level in range(1, cfg.max_depth + 1):
         splittable = size > cfg.max_cluster
-        fit = splittable & (kept < 0)
+        fit = splittable & ~carried
         side, fitted = _split_sides(flat, label, fit, cfg)
-        iterations = kept.copy()
-        iterations[fit] = fitted
-        em_iterations += iterations[splittable].tolist()
-        level_fits.append(int(np.count_nonzero(splittable)))
+        tables[-1]["em_iterations"][fit] = fitted
         keys = (label * 2 + side).reshape(height, width)
         previous = label
         label, first_pixel = _rank_roots(_region_roots(keys, cfg.neighborhood))
         parent = previous[first_pixel]
         # a splittable cluster with one child was left whole by its fit
-        whole = splittable & (np.bincount(parent, minlength=size.size) == 1)
-        kept = np.where(whole[parent], iterations[parent], -1)
+        carried = (splittable
+                   & (np.bincount(parent, minlength=size.size) == 1))[parent]
         size = add_level(level, label, levels[-1].ravel()[first_pixel])
 
     nodes = np.concatenate(tables)
     nodes.flags.writeable = False
-    return ClusterTree(nodes=nodes, levels=levels, depth=cfg.max_depth,
-                       sigma_floor=cfg.bin_width,
-                       em_iterations=tuple(em_iterations),
-                       level_fits=tuple(level_fits))
+    return ClusterTree(nodes=nodes, levels=levels, sigma_floor=cfg.bin_width)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +534,8 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
 
 def write_tree_dump(tree: ClusterTree, path) -> None:
     """One node per line: `id level parent size mu delta eligible`."""
-    columns = (tree.nodes[name].tolist() for name in NODE_DTYPE.names)
+    columns = (tree.nodes[name].tolist() for name in
+               ("level", "parent", "size", "mu", "delta", "eligible"))
     with open(path, "w", encoding="ascii") as fh:
         for node_id, (level, parent, size, mu, delta, eligible) in enumerate(
                 zip(*columns)):

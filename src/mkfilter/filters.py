@@ -156,24 +156,25 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     strip = max(1, _STRIP_ELEMENTS // width)
     buffers = np.empty((5, min(strip, height), width))
     out = np.empty_like(values)
-    for top in range(0, height, strip):
-        bottom = min(top + strip, height)
-        ranged, w, num, den, gathered = buffers[:, :bottom - top]
-        center = values[top:bottom]
-        # rows are in range by construction; "clip" lets take write into
-        # the buffer directly, where "raise" would buffer the output
-        scale = factor if rows is None else np.take(
-            factor, rows[top:bottom], mode="clip", out=gathered)
-        # a zero factor stays a zero range term even where the squared step
-        # overflows to inf (inf * 0 is nan)
-        zero_range = scale == 0
-        any_zero_range = bool(np.any(zero_range))
-        num.fill(0.0)
-        den.fill(0.0)
-        for y, x, space in offsets:
-            shifted = padded[top + y:bottom + y, x:x + width]
-            # a huge step: a zero weight
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a huge step overflows to a zero weight; a sum that overflows leaves
+    # a non-finite output, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(0, height, strip):
+            bottom = min(top + strip, height)
+            ranged, w, num, den, gathered = buffers[:, :bottom - top]
+            center = values[top:bottom]
+            # rows are in range by construction; "clip" lets take write into
+            # the buffer directly, where "raise" would buffer the output
+            scale = factor if rows is None else np.take(
+                factor, rows[top:bottom], mode="clip", out=gathered)
+            # a zero factor stays a zero range term even where the squared
+            # step overflows to inf (inf * 0 is nan)
+            zero_range = scale == 0
+            any_zero_range = bool(np.any(zero_range))
+            num.fill(0.0)
+            den.fill(0.0)
+            for y, x, space in offsets:
+                shifted = padded[top + y:bottom + y, x:x + width]
                 np.subtract(center, shifted, out=ranged)
                 np.square(ranged, out=ranged)
                 np.multiply(ranged, scale, out=ranged)
@@ -181,9 +182,11 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
                     ranged[zero_range] = 0.0
                 np.subtract(space, ranged, out=ranged)
                 np.exp(ranged, out=w)
-            num += np.multiply(w, shifted, out=ranged)
-            den += w
-        np.divide(num, den, out=out[top:bottom])
+                num += np.multiply(w, shifted, out=ranged)
+                den += w
+            np.divide(num, den, out=out[top:bottom])
+    if not np.isfinite(out).all():
+        raise ConfigError("filtered values overflow the float64 range")
     return out
 
 

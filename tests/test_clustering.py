@@ -478,10 +478,9 @@ def _hand_tree(spec, parents=None):
     for name, column in zip(("level", "delta", "size", "eligible"), zip(*spec)):
         nodes[name] = column
     nodes["parent"] = np.arange(-1, len(spec) - 1) if parents is None else parents
-    depth = int(nodes["level"].max())
     maps = [np.flatnonzero(nodes["level"] == level)[None, :]
-            for level in range(depth + 1)]
-    return ClusterTree(nodes=nodes, levels=maps, depth=depth, sigma_floor=1.0)
+            for level in range(int(nodes["level"].max()) + 1)]
+    return ClusterTree(nodes=nodes, levels=maps, sigma_floor=1.0)
 
 
 def test_context_full_chain():

@@ -259,6 +259,17 @@ def test_strip_engine_matches_whole_image_reference(monkeypatch, budget):
         assert np.array_equal(got, want), (values.shape, radius, rule)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_engine_sum_overflow_is_a_config_error(monkeypatch):
+    # the last row's values near the float64 maximum weigh about 14 times
+    # themselves in its windows, so only the last one-row strip overflows
+    values = np.full((6, 5), 1.0)
+    values[-1] = 1.5e307
+    monkeypatch.setattr(filters, "_STRIP_ELEMENTS", 1)
+    with pytest.raises(ConfigError, match="overflow"):
+        weighted_mean_filter(Raster(values), BfParams(), 5)
+
+
 def test_engine_peak_memory_stays_below_four_images():
     # whole-image temporaries per window offset would take about ten
     # image sizes at 512 px

@@ -135,6 +135,25 @@ def test_denoise_keeps_the_exit_contract(small_pgm, args):
                                     *args]))
 
 
+# 16 px images near the float64 maximum, which the 8-bit PGM above never
+# reaches: a window sum, a deviation or a TV step can overflow there
+NEAR_MAX = {
+    "constant": np.full((16, 16), 1.5e307),
+    "checkerboard": np.where(np.indices((16, 16)).sum(axis=0) % 2,
+                             1.6e307, 1.5e307),
+}
+
+
+@pytest.mark.parametrize("image", sorted(NEAR_MAX))
+@pytest.mark.parametrize("name", ["bf", "mkf", "tv", "cf"])
+def test_denoise_keeps_the_exit_contract_near_max(tmp_path, name, image):
+    path = tmp_path / "in.mkfr"
+    save_f64_raster(Raster(NEAR_MAX[image]), path)
+    assert_exit_contract(*run_main(["denoise", str(path),
+                                    str(tmp_path / "out.mkfr"),
+                                    "--filter", name]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(args=CLUSTER_ARGS)
 @example(args=["--depth=--"])  # argparse leaves the flag an empty list

@@ -105,18 +105,16 @@ def reference_flood(keys: np.ndarray, neighborhood: int) -> np.ndarray:
 
 def reference_tree(values: np.ndarray, cfg: ClusterConfig):
     """Per-cluster tree construction, fitting every splittable cluster
-    afresh at every level; ``em_iterations`` holds the iteration count of
-    every fit, level by level and by cluster id within a level."""
+    afresh at every level; each fit's iteration count goes into its
+    cluster's ``em_iterations``."""
     height, width = values.shape
     flat = values.ravel()
-    rows: list[tuple] = []  # one NODE_DTYPE row per node, by id
-    fits: list[int] = []
-    level_fits: list[int] = []
+    rows: list[list] = []  # one NODE_DTYPE row per node, by id
 
     def new_node(level, member_idx, parent):
         pix = flat[member_idx]
-        rows.append((level, parent, member_idx.size, float(pix.mean()),
-                     float(pix.std()), member_idx.size > cfg.min_cluster))
+        rows.append([level, parent, member_idx.size, float(pix.mean()),
+                     float(pix.std()), member_idx.size > cfg.min_cluster, -1])
         return len(rows) - 1
 
     all_idx = np.arange(flat.size)
@@ -140,14 +138,13 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
                              bin_width=cfg.bin_width)
             init = initial_gauss_pair(float(pix.max()), cfg.bin_width)
             result = reference_em(hist, init, cfg.em_tol, cfg.bin_width)
-            fits.append(result.log_likelihood.size)
+            rows[node_id][6] = result.log_likelihood.size
             if result.degenerate:
                 continue
             pixel_side = result.labels[inverse]
             if pixel_side.min() == pixel_side.max():
                 continue  # every pixel landed on one component: unsplittable
             side[idx] = pixel_side
-        level_fits.append(len(fits) - sum(level_fits))
 
         keys = levels[-1] * 2 + side.reshape(height, width)
         regions = reference_flood(keys, cfg.neighborhood).ravel()
@@ -164,6 +161,5 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
         levels.append(label_map.reshape(height, width))
         members = new_members
 
-    return ClusterTree(nodes=np.array(rows, dtype=NODE_DTYPE), levels=levels,
-                       depth=cfg.max_depth, sigma_floor=cfg.bin_width,
-                       em_iterations=tuple(fits), level_fits=tuple(level_fits))
+    return ClusterTree(nodes=np.array(list(map(tuple, rows)), dtype=NODE_DTYPE),
+                       levels=levels, sigma_floor=cfg.bin_width)
