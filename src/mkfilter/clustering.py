@@ -16,9 +16,10 @@ per-pixel "context": a leaf's own deviation plus those of its ancestors
 drive the range kernels in :mod:`mkfilter.filters`.
 
 A level is built in whole-array numpy steps, not one cluster at a time:
-one histogram pass keyed by (cluster, bin), one segmented EM over the
-histograms of all splittable clusters, one union-find connectivity pass
-over the image and one ``np.bincount`` pass for the node statistics. A
+one histogram pass that sorts the pixels by a single (cluster, bin) key,
+one segmented EM over the histograms of all splittable clusters, one
+connectivity pass, a union-find over the image's horizontal runs of equal
+labels, and one ``np.bincount`` pass for the node statistics. A
 splittable cluster that its fit left whole reaches the next level with the
 same pixels and keeps that fit there instead of being fitted again.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
@@ -182,8 +183,10 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
 
     The occupied bins of all segments are laid out back to back, segment
     by segment and ascending within a segment; every segment must be
-    non-empty. Returns the :class:`Histogram` and ``inverse``, each
-    value's bin.
+    non-empty. One sort of the key ``segment * stride + bin`` groups them;
+    bins are ranked densely first where that key would pass the int64
+    range. Returns the :class:`Histogram` and ``inverse``, each value's
+    bin.
     """
     lowest = np.full(n_segments, np.inf)
     np.minimum.at(lowest, segment, values)
@@ -193,17 +196,26 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
         raise ConfigError(f"bin width {bin_width} gives bin indices beyond "
                           "the int64 range")
     bins = bins.astype(np.int64)
-    order = np.lexsort((bins, segment))
-    seg_sorted, bins_sorted = segment[order], bins[order]
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = ((seg_sorted[1:] != seg_sorted[:-1])
-                 | (bins_sorted[1:] != bins_sorted[:-1]))
+    low = int(bins.min())
+    stride = int(bins.max()) - low + 1
+    if n_segments * stride <= np.iinfo(np.int64).max:
+        offset = bins - low
+    else:  # the key would wrap: rank the occupied bins densely first
+        _, offset = np.unique(bins, return_inverse=True)
+        stride = int(offset.max()) + 1
+    key = segment * stride + offset
+    order = np.argsort(key)
+    key_sorted = key[order]
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
     inverse = np.empty(values.size, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     heads = np.flatnonzero(first)
     counts = np.diff(np.append(heads, values.size)).astype(np.float64)
-    bin_segment = seg_sorted[heads]
-    centers = bases[bin_segment] + (bins_sorted[heads] + 0.5) * bin_width
+    members = order[heads]
+    bin_segment = segment[members]
+    centers = bases[bin_segment] + (bins[members] + 0.5) * bin_width
     starts = np.searchsorted(bin_segment, np.arange(n_segments))
     return Histogram(centers, counts, starts, bin_width), inverse
 
@@ -359,33 +371,44 @@ def em_similarity_cluster(
 # proximity clustering
 
 
-def _region_roots(keys: np.ndarray, neighborhood: int) -> np.ndarray:
-    """Each pixel's region root: the flat index of the first pixel, in
-    row-major order, of its maximal connected region of equal ``keys``.
+def _connected_regions(keys: np.ndarray,
+                       neighborhood: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label each maximal connected region of equal ``keys``: the region of
+    every pixel, numbered in row-major order of each region's first pixel,
+    and the flat index of each region's first pixel.
 
-    Union-find in whole-array steps: every root is hooked onto the smallest
-    root it shares an equal-key edge with, then pointers jump until each
-    pixel points at its root; this repeats until no edge joins two roots.
-    Roots only ever move to smaller indices, so the surviving root of a
-    region is its smallest index, i.e. its first pixel.
+    A union-find over horizontal runs of equal keys, in whole-array steps.
+    Runs are numbered in row-major order; a run joins the runs of the next
+    row through vertical (and, for 8-connectivity, diagonal) equal-key
+    edges. An edge whose two pixels both continue the runs of the edge just
+    to its left joins the same two runs, so only edges at a run start are
+    kept. Every root is hooked onto the smallest root it shares an edge
+    with, then pointers jump until each run points at its root; this
+    repeats until no edge joins two roots. Roots only ever move to smaller
+    run ids, so a region's root is its first run, which starts at the
+    region's first pixel.
     """
     height, width = keys.shape
-    index = np.arange(keys.size, dtype=np.int32).reshape(height, width)
-    steps = ((0, 1), (1, 0)) + (((1, 1), (1, -1)) if neighborhood == 8 else ())
+    starts = np.empty(keys.shape, dtype=bool)
+    starts[:, :1] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
+    run = (np.cumsum(starts) - 1).reshape(height, width)
+    run_start = np.flatnonzero(starts)
+    steps = ((1, 0),) + (((1, 1), (1, -1)) if neighborhood == 8 else ())
     heads, tails = [], []
-    for dy, dx in steps:  # edges towards later pixels, one direction at a time
+    for dy, dx in steps:  # edges towards the next row, one direction at a time
         a = (slice(0, height - dy), slice(max(0, -dx), width - max(0, dx)))
         b = (slice(dy, height), slice(max(0, dx), width - max(0, -dx)))
-        equal = keys[a] == keys[b]
-        heads.append(index[a][equal])
-        tails.append(index[b][equal])
+        joins = (keys[a] == keys[b]) & (starts[a] | starts[b])
+        heads.append(run[a][joins])
+        tails.append(run[b][joins])
     head, tail = np.concatenate(heads), np.concatenate(tails)
-    root = index.ravel()
+    root = np.arange(run_start.size)
     while True:
         root_head, root_tail = root[head], root[tail]
         apart = root_head != root_tail
         if not apart.any():
-            return root
+            break
         # edges inside one tree stay inside it; drop them
         head, tail = head[apart], tail[apart]
         root_head, root_tail = root_head[apart], root_tail[apart]
@@ -396,13 +419,9 @@ def _region_roots(keys: np.ndarray, neighborhood: int) -> np.ndarray:
             if np.array_equal(jumped, root):
                 break
             root = jumped
-
-
-def _rank_roots(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Region label of each pixel (regions numbered by their first pixel in
-    row-major order) and the flat index of each region's first pixel."""
     is_root = root == np.arange(root.size)
-    return (np.cumsum(is_root) - 1)[root], np.flatnonzero(is_root)
+    region = (np.cumsum(is_root) - 1)[root]
+    return region[run].ravel(), run_start[is_root]
 
 
 def proximity_cluster(labels: np.ndarray, neighborhood: int) -> np.ndarray:
@@ -417,7 +436,7 @@ def proximity_cluster(labels: np.ndarray, neighborhood: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ConfigError(f"label map must be 2D, got shape {labels.shape}")
-    region, _ = _rank_roots(_region_roots(labels, neighborhood))
+    region, _ = _connected_regions(labels, neighborhood)
     return region.reshape(labels.shape)
 
 
@@ -516,7 +535,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         tables[-1]["em_iterations"][fit] = fitted
         keys = (label * 2 + side).reshape(height, width)
         previous = label
-        label, first_pixel = _rank_roots(_region_roots(keys, cfg.neighborhood))
+        label, first_pixel = _connected_regions(keys, cfg.neighborhood)
         parent = previous[first_pixel]
         # a splittable cluster with one child was left whole by its fit
         carried = (splittable

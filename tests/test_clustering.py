@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from tree_oracle import reference_em, reference_flood
@@ -15,7 +17,8 @@ from mkfilter import (NODE_DTYPE, ClusterConfig, ClusterTree, ConfigError,
                       Histogram, Raster, build_cluster_tree, build_histogram,
                       build_kernel_field, em_similarity_cluster,
                       initial_gauss_pair, proximity_cluster)
-from mkfilter.clustering import EM_MAX_ITERATIONS, _segmented_em
+from mkfilter.clustering import (EM_MAX_ITERATIONS, _segment_histograms,
+                                 _segmented_em)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -129,6 +132,63 @@ def test_histogram_weights_sum_to_pixel_count():
         pixels = rng.normal(0, 50, rng.integers(1, 400))
         h = build_histogram(pixels, 1.0)
         assert h.counts.sum() == pixels.size
+
+
+def per_segment_histograms(values, segment, n_segments, bin_width):
+    """Each segment binned on its own with ``np.unique``, the way the tree
+    oracle bins a cluster, then laid out back to back: (centers, counts,
+    starts, inverse)."""
+    centers, counts, starts = [], [], []
+    inverse = np.empty(values.size, dtype=np.int64)
+    offset = 0
+    for s in range(n_segments):
+        idx = np.flatnonzero(segment == s)
+        pix = values[idx]
+        base = math.floor(pix.min() / bin_width) * bin_width
+        bins = np.floor((pix - base) / bin_width).astype(np.int64)
+        occupied, local, count = np.unique(bins, return_inverse=True,
+                                           return_counts=True)
+        centers.append(base + (occupied + 0.5) * bin_width)
+        counts.append(count.astype(np.float64))
+        starts.append(offset)
+        inverse[idx] = local + offset
+        offset += occupied.size
+    return (np.concatenate(centers), np.concatenate(counts),
+            np.array(starts, dtype=np.int64), inverse)
+
+
+def assert_histograms_match_per_segment(values, segment, bin_width):
+    n_segments = int(segment.max()) + 1
+    hist, inverse = _segment_histograms(values, segment, n_segments, bin_width)
+    centers, counts, starts, ref_inverse = per_segment_histograms(
+        values, segment, n_segments, bin_width)
+    for got, want in ((hist.centers, centers), (hist.counts, counts),
+                      (hist.starts, starts), (inverse, ref_inverse)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(
+           st.tuples(st.integers(0, 5),
+                     st.integers(-300, 300).map(float)
+                     | st.floats(-1e4, 1e4, allow_nan=False)),
+           min_size=1, max_size=200),
+       bin_width=st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0])
+       | st.floats(0.5, 4.0))
+def test_segment_histograms_match_per_segment_unique(samples, bin_width):
+    """Random segment layouts, negative values and ties: the one-key sort
+    gives each segment exactly the histogram it gets on its own."""
+    ids, values = zip(*samples)
+    segment = np.unique(ids, return_inverse=True)[1].astype(np.int64)
+    assert_histograms_match_per_segment(np.array(values), segment, bin_width)
+
+
+def test_segment_histograms_rank_bins_when_the_key_would_wrap():
+    # each segment spans 8e18 + 1 bins; segment * span + bin passes int64
+    values = np.array([0.0, 8e18, 8e18, 0.0, 8e18])
+    segment = np.array([0, 0, 1, 1, 1])
+    assert_histograms_match_per_segment(values, segment, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +373,46 @@ def test_proximity_labels_follow_row_major_first_pixel(neighborhood):
         assert out.dtype == np.int64 and out.shape == labels.shape
         assert np.array_equal(out, row_major_components(labels, neighborhood))
         assert np.array_equal(out, reference_flood(labels, neighborhood))
+
+
+@st.composite
+def run_maps(draw):
+    """Key maps from 1 x 1 to 32 x 32, 1 x N and N x 1 included, built
+    from horizontal runs of at most three keys: random runs, or staircases
+    of runs that touch the next row's run only at a corner. Some maps are
+    float, with NaN pixels (NaN equals nothing, not even itself)."""
+    side = st.just(1) | st.integers(1, 32)
+    height, width = draw(side), draw(side)
+    n_keys = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(1, 12), min_size=1))
+        run_keys = draw(st.lists(st.integers(0, n_keys - 1),
+                                 min_size=len(lengths), max_size=len(lengths)))
+        flat = np.resize(np.repeat(run_keys, lengths), height * width)
+    else:
+        step, offset = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+        direction = draw(st.sampled_from([1, -1]))
+        x, y = np.arange(width), np.arange(height)[:, None]
+        flat = ((x - direction * step * y - offset) // step % n_keys).ravel()
+    grid = flat.reshape(height, width)
+    spots = st.tuples(st.integers(0, height - 1), st.integers(0, width - 1))
+    for y, x in draw(st.lists(spots, max_size=4)):
+        grid[y, x] = (grid[y, x] + 1) % max(n_keys, 2)
+    if draw(st.booleans()):
+        grid = grid.astype(np.float64)
+        for y, x in draw(st.lists(spots, max_size=6)):
+            grid[y, x] = np.nan
+    return grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=run_maps(), neighborhood=st.sampled_from([4, 8]))
+def test_proximity_matches_reference_flood_on_run_maps(keys, neighborhood):
+    """Run-based connectivity against the stack flood fill, label for
+    label, where runs are long and regions meet only diagonally."""
+    out = proximity_cluster(keys, neighborhood)
+    assert out.dtype == np.int64 and out.shape == keys.shape
+    assert np.array_equal(out, reference_flood(keys, neighborhood))
 
 
 def test_proximity_exact_labels_on_small_maps():
