@@ -16,7 +16,7 @@ per-pixel "context": a leaf's own deviation plus those of its ancestors
 drive the range kernels in :mod:`mkfilter.filters`.
 
 A level is built in whole-array numpy steps, not one cluster at a time:
-one histogram pass that sorts the pixels by a single (cluster, bin) key,
+one histogram pass that counts the pixels by a single (cluster, bin) key,
 one segmented EM over the histograms of all splittable clusters, one
 connectivity pass, a union-find over the image's horizontal runs of equal
 labels, and one ``np.bincount`` pass for the node statistics. A
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 EM_MAX_ITERATIONS = 500
+
+# A histogram counts its (segment, bin) keys while the key space stays
+# within this many keys per value (or per 1024 values on small inputs).
+_KEYS_PER_VALUE = 8
 
 
 @dataclass(frozen=True)
@@ -163,13 +167,16 @@ class ClusterTree:
 class EmResult:
     """Fitted two-component mixtures. ``theta`` is (mu, sigma, weight) x
     component, with a trailing segment axis when the fit started with
-    one; ``degenerate`` (a single bin) and ``log_likelihood`` (one entry
-    per EM iteration) are then per segment too."""
+    one; ``degenerate`` (a single bin), ``log_likelihood`` (one entry per
+    EM iteration) and ``iterations`` (the iterations run, 0 for a single
+    bin) are then per segment too. ``log_likelihood`` is None where the
+    fit was run without recording it."""
 
     theta: np.ndarray
     labels: np.ndarray  # per-bin hard labels, 0 -> first component
     degenerate: bool | np.ndarray
-    log_likelihood: np.ndarray | list[np.ndarray]
+    log_likelihood: np.ndarray | list[np.ndarray] | None
+    iterations: int | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +190,13 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
 
     The occupied bins of all segments are laid out back to back, segment
     by segment and ascending within a segment; every segment must be
-    non-empty. One sort of the key ``segment * stride + bin`` groups them;
-    bins are ranked densely first where that key would pass the int64
-    range. Returns the :class:`Histogram` and ``inverse``, each value's
-    bin.
+    non-empty. They are the occupied values of the key
+    ``segment * stride + bin``, which one ``np.bincount`` counts: the
+    occupied keys ascend, so a running count of them ranks each value's
+    key. Only a key space far larger than the number of values (it may
+    even pass the int64 range) ranks the bins and then the keys with
+    ``np.unique`` instead. Returns the :class:`Histogram` and ``inverse``,
+    each value's bin.
     """
     lowest = np.full(n_segments, np.inf)
     np.minimum.at(lowest, segment, values)
@@ -198,26 +208,25 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
     bins = bins.astype(np.int64)
     low = int(bins.min())
     stride = int(bins.max()) - low + 1
-    if n_segments * stride <= np.iinfo(np.int64).max:
-        offset = bins - low
-    else:  # the key would wrap: rank the occupied bins densely first
-        _, offset = np.unique(bins, return_inverse=True)
-        stride = int(offset.max()) + 1
-    key = segment * stride + offset
-    order = np.argsort(key)
-    key_sorted = key[order]
-    first = np.empty(values.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
-    inverse = np.empty(values.size, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    heads = np.flatnonzero(first)
-    counts = np.diff(np.append(heads, values.size)).astype(np.float64)
-    members = order[heads]
-    bin_segment = segment[members]
-    centers = bases[bin_segment] + (bins[members] + 0.5) * bin_width
-    starts = np.searchsorted(bin_segment, np.arange(n_segments))
-    return Histogram(centers, counts, starts, bin_width), inverse
+    if n_segments * stride <= _KEYS_PER_VALUE * max(values.size, 1024):
+        key = segment * stride + (bins - low)
+        tally = np.bincount(key)
+        occupied = tally > 0
+        inverse = (np.cumsum(occupied) - 1)[key]
+        head = np.flatnonzero(occupied)
+        counts = tally[head]
+        bin_of = np.arange(low, low + stride)  # the bin of each key offset
+    else:
+        bin_of, offset = np.unique(bins, return_inverse=True)
+        stride = bin_of.size
+        head, inverse, counts = np.unique(segment * stride + offset,
+                                          return_inverse=True,
+                                          return_counts=True)
+    bin_segment, offset = np.divmod(head, stride)
+    centers = bases[bin_segment] + (bin_of[offset] + 0.5) * bin_width
+    starts = np.flatnonzero(np.diff(bin_segment, prepend=-1))
+    return (Histogram(centers, counts.astype(np.float64), starts, bin_width),
+            inverse)
 
 
 def build_histogram(pixels, bin_width: float) -> Histogram:
@@ -247,7 +256,7 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
-                  max_iterations: int) -> EmResult:
+                  max_iterations: int, *, trace: bool = False) -> EmResult:
     """Fit one two-component mixture per histogram segment, all segments in
     the same whole-array steps.
 
@@ -257,7 +266,9 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     parameters move less than ``tol``, when a component loses all support
     (its parameters then stay as they were), or at the iteration cap; the
     active layout is rebuilt only then. Each segment runs exactly the
-    steps of a fit on its own histogram.
+    steps of a fit on its own histogram. Each segment's iteration count is
+    recorded as it leaves; its log-likelihood per iteration only with
+    ``trace``.
     """
     x, n = hist.centers, hist.counts
     n_bins = np.diff(np.append(hist.starts, x.size))
@@ -270,17 +281,19 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     theta[2][:, degenerate] = [[1.0], [0.0]]
     bin_seg = np.repeat(np.arange(n_seg), n_bins)
     labels = np.zeros(x.size, dtype=np.int64)
+    iterations = np.zeros(n_seg, dtype=np.int64)
     trace_seg: list[np.ndarray] = []
     trace_ll: list[np.ndarray] = []
 
-    active = np.flatnonzero(~degenerate)
+    is_active = ~degenerate
+    active = np.flatnonzero(is_active)
     iteration = 0
     # zero weights give log(0) = -inf cleanly; a segment whose component
     # lost all mass divides by zero, and its new parameters are discarded
     with np.errstate(divide="ignore", invalid="ignore"):
         while active.size and iteration < max_iterations:
             # layout of the active segments' bins, rebuilt when one finishes
-            bins = np.flatnonzero(np.isin(bin_seg, active))
+            bins = np.flatnonzero(is_active[bin_seg])
             local = np.repeat(np.arange(active.size), n_bins[active])
             local_starts = np.append(0, np.cumsum(n_bins[active])[:-1])
             xa, na = x[bins], n[bins]
@@ -297,8 +310,10 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
                 spread = np.exp(log_p - top)
                 log_norm = top + np.log(spread[0] + spread[1])
                 resp = np.exp(log_p - log_norm)
-                trace_seg.append(active)
-                trace_ll.append(np.add.reduceat(na * log_norm, local_starts))
+                if trace:
+                    trace_seg.append(active)
+                    trace_ll.append(np.add.reduceat(na * log_norm,
+                                                    local_starts))
 
                 # M step, the deviation clamped at the floor
                 n_resp = na * resp
@@ -325,22 +340,26 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
             finished = done[local]
             labels[bins[finished]] = np.where(
                 resp[0, finished] >= resp[1, finished], 0, 1)
+            left = active[done]
+            iterations[left] = iteration
+            is_active[left] = False
             active = active[~done]
 
-    traces = _split_traces(trace_seg, trace_ll, n_seg)
+    traces = _split_traces(trace_seg, trace_ll, iterations) if trace else None
     if one:
-        return EmResult(theta[:, :, 0], labels, bool(degenerate[0]), traces[0])
-    return EmResult(theta, labels, degenerate, traces)
+        return EmResult(theta[:, :, 0], labels, bool(degenerate[0]),
+                        traces and traces[0], int(iterations[0]))
+    return EmResult(theta, labels, degenerate, traces, iterations)
 
 
-def _split_traces(trace_seg, trace_ll, n_seg) -> list[np.ndarray]:
-    """Regroup per-iteration log-likelihood rows into one trace per segment."""
+def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:
+    """Regroup per-iteration log-likelihood rows into one trace per
+    segment, of its iteration count."""
     if not trace_seg:
-        return [np.empty(0) for _ in range(n_seg)]
-    seg = np.concatenate(trace_seg)
-    order = np.argsort(seg, kind="stable")
-    bounds = np.cumsum(np.bincount(seg, minlength=n_seg))[:-1]
-    return np.split(np.concatenate(trace_ll)[order], bounds)
+        return [np.empty(0) for _ in iterations]
+    order = np.argsort(np.concatenate(trace_seg), kind="stable")
+    return np.split(np.concatenate(trace_ll)[order],
+                    np.cumsum(iterations)[:-1])
 
 
 def em_similarity_cluster(
@@ -364,7 +383,8 @@ def em_similarity_cluster(
     """
     if sigma_floor is None:
         sigma_floor = hist.bin_width
-    return _segmented_em(hist, init, tol, sigma_floor, max_iterations)
+    return _segmented_em(hist, init, tol, sigma_floor, max_iterations,
+                         trace=True)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +503,7 @@ def _split_sides(values: np.ndarray, label: np.ndarray, fit: np.ndarray,
     # a degenerate or one-sided fit gives all its pixels one side, which
     # leaves the cluster whole
     side[members] = fits.labels[inverse]
-    return side, [trace.size for trace in fits.log_likelihood]
+    return side, fits.iterations
 
 
 def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:

@@ -61,22 +61,27 @@ class KernelField:
     """Range-kernel parameters in leaf columns, plus the pixel->leaf map.
 
     Row k of ``delta``/``psi`` belongs to leaf ``ids[k]``; ``rows`` gives
-    each pixel of ``leaf_map`` its row. The ids ascend from 0 up and are
-    exactly those of the leaf map; delta and psi are positive and finite.
+    each pixel of ``leaf_map`` its row, ``leaf_map - ids[0]``. The ids are
+    one range of consecutive non-negative integers, ascending, and exactly
+    those of the leaf map (a tree's leaves are the ids of its last level);
+    delta and psi are positive and finite.
     """
 
     def __init__(self, leaf_map, ids, delta, psi):
         self.leaf_map, self.ids = np.asarray(leaf_map), np.asarray(ids, np.int64)
         self.delta, self.psi = np.asarray(delta, float), np.asarray(psi, float)
-        if not (self.ids.size and np.all(np.diff(self.ids, prepend=-1) > 0)):
-            raise ConfigError("leaf ids must be non-negative and ascending")
+        if not (self.ids.size and self.ids[0] >= 0
+                and np.all(np.diff(self.ids) == 1)):
+            raise ConfigError("leaf ids must be consecutive, non-negative "
+                              "and ascending")
         if not np.all((self.delta > 0, self.delta < np.inf,
                        self.psi > 0, self.psi < np.inf)):
             raise ConfigError("delta and psi must be positive and finite")
-        self.rows = np.searchsorted(self.ids, self.leaf_map).clip(
-            max=self.ids.size - 1)
-        if not (np.array_equal(self.ids[self.rows], self.leaf_map)
-                and np.bincount(self.rows.ravel(), minlength=self.ids.size).all()):
+        self.rows = self.leaf_map - self.ids[0]
+        if not (self.rows.dtype.kind == "i" and self.rows.size
+                and self.rows.min() >= 0
+                and (uses := np.bincount(self.rows.ravel())).size == self.ids.size
+                and uses.all()):
             raise ConfigError("the leaf map must use every leaf id and no other")
 
 

@@ -168,20 +168,68 @@ def assert_histograms_match_per_segment(values, segment, bin_width):
         assert got.tobytes() == want.tobytes()
 
 
+# narrow integer values in a few segments: a small key space, counted
+NARROW_SAMPLES = st.lists(st.tuples(st.integers(0, 5),
+                                    st.integers(-300, 300).map(float)),
+                          min_size=1, max_size=200)
+# wide float spans across many segments: a key space far beyond the
+# number of values, ranked
+WIDE_SAMPLES = st.lists(st.tuples(st.integers(0, 40),
+                                  st.floats(-1e6, 1e6, allow_nan=False)),
+                        min_size=1, max_size=200)
+
+
 @settings(max_examples=150, deadline=None)
-@given(samples=st.lists(
-           st.tuples(st.integers(0, 5),
-                     st.integers(-300, 300).map(float)
-                     | st.floats(-1e4, 1e4, allow_nan=False)),
-           min_size=1, max_size=200),
+@given(samples=NARROW_SAMPLES | WIDE_SAMPLES,
        bin_width=st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0])
        | st.floats(0.5, 4.0))
 def test_segment_histograms_match_per_segment_unique(samples, bin_width):
-    """Random segment layouts, negative values and ties: the one-key sort
-    gives each segment exactly the histogram it gets on its own."""
+    """Random segment layouts, negative values and ties, in counted and in
+    ranked key spaces: each segment gets exactly the histogram it gets on
+    its own."""
     ids, values = zip(*samples)
     segment = np.unique(ids, return_inverse=True)[1].astype(np.int64)
     assert_histograms_match_per_segment(np.array(values), segment, bin_width)
+
+
+def spy_on(monkeypatch, *names):
+    """Count the calls of the named numpy functions, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _call=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+def test_segment_histograms_count_a_narrow_key_space(monkeypatch):
+    values = np.array([3.0, 7.5, 7.9, 3.2, -2.0, 250.0, -1.5, 7.0])
+    segment = np.array([0, 0, 0, 0, 1, 1, 1, 2])
+    calls = spy_on(monkeypatch, "argsort", "sort", "unique", "searchsorted")
+    hist, inverse = _segment_histograms(values, segment, 3, 1.0)
+    assert calls == dict.fromkeys(calls, 0)
+    assert hist.centers.tolist() == [3.5, 7.5, -1.5, 250.5, 7.5]
+    assert hist.counts.tolist() == [2.0, 2.0, 2.0, 1.0, 1.0]
+    assert hist.starts.tolist() == [0, 2, 4]
+    assert inverse.tolist() == [0, 1, 1, 0, 2, 3, 2, 4]
+    monkeypatch.undo()
+    assert_histograms_match_per_segment(values, segment, 1.0)
+
+
+def test_segment_histograms_rank_a_wide_key_space(monkeypatch):
+    # three segments spanning a million bins each, for five values
+    values = np.array([0.0, 1e6, 5e5, -1e6, 0.25])
+    segment = np.array([0, 0, 1, 1, 2])
+    calls = spy_on(monkeypatch, "unique", "bincount")
+    hist, inverse = _segment_histograms(values, segment, 3, 1.0)
+    assert calls == {"unique": 2, "bincount": 0}
+    assert hist.centers.tolist() == [0.5, 1e6 + 0.5, -1e6 + 0.5, 5e5 + 0.5,
+                                     0.5]
+    assert hist.starts.tolist() == [0, 2, 4]
+    assert inverse.tolist() == [0, 1, 3, 2, 4]
+    monkeypatch.undo()
+    assert_histograms_match_per_segment(values, segment, 1.0)
 
 
 def test_segment_histograms_rank_bins_when_the_key_would_wrap():
@@ -227,6 +275,7 @@ def test_em_single_bin_degenerates():
     assert result.degenerate
     assert result.labels.tolist() == [0]
     assert result.theta[2].tolist() == [1.0, 0.0]
+    assert result.iterations == 0
 
 
 def test_em_log_likelihood_non_decreasing():
@@ -252,7 +301,9 @@ def test_em_sigma_respects_floor():
 
 def test_segmented_em_matches_one_histogram_fits():
     """A K-segment batch gives each segment the fit it gets alone, and the
-    per-cluster loop oracle agrees on labels, theta and iteration count."""
+    per-cluster loop oracle agrees on labels, theta and iteration count.
+    The fit is the same whether or not it records the log-likelihood, and
+    each segment's iteration count is the length of its trace."""
     rng = np.random.default_rng(31)
     samples = [
         np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)]),
@@ -275,7 +326,15 @@ def test_segmented_em_matches_one_histogram_fits():
     batch = Histogram(np.concatenate([h.centers for h in hists]),
                       np.concatenate([h.counts for h in hists]), starts, 1.0)
     fits = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
-                         EM_MAX_ITERATIONS)
+                         EM_MAX_ITERATIONS, trace=True)
+    untraced = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
+                             EM_MAX_ITERATIONS)
+    assert untraced.log_likelihood is None
+    for name in ("theta", "labels", "degenerate", "iterations"):
+        got, want = getattr(untraced, name), getattr(fits, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert fits.iterations.tolist() == [t.size for t in fits.log_likelihood]
     ends = list(starts[1:]) + [None]
     for k, (hist, init) in enumerate(zip(hists, inits)):
         trace = fits.log_likelihood[k]
@@ -284,12 +343,14 @@ def test_segmented_em_matches_one_histogram_fits():
             assert np.array_equal(fits.labels[starts[k]:ends[k]], single.labels)
             assert bool(fits.degenerate[k]) == single.degenerate
             assert trace.size == single.log_likelihood.size
+            assert fits.iterations[k] == single.iterations
             np.testing.assert_allclose(fits.theta[:, :, k], single.theta,
                                        rtol=1e-12, atol=0.0)
         if trace.size > 1:
             assert np.diff(trace).min() > -1e-9
     assert fits.degenerate.tolist() == [False, False, True, False, False,
                                         True, False, False, False]
+    assert fits.iterations[fits.degenerate].tolist() == [0, 0]
     assert fits.theta[2, :, 2].tolist() == [1.0, 0.0]
     assert fits.log_likelihood[-2].size == 1
     assert fits.theta[:, 1, -2].tolist() == [1e6, 1.0, 0.5]

@@ -344,12 +344,27 @@ def test_param_validation():
             ({0: (1.0, 1.0), 5: (1.0, 1.0)}, zeros),  # id with no pixels
             ({-1: (1.0, 1.0)}, zeros - 1),          # negative leaf id
             ({-1: (1.0, 1.0), 0: (2.0, 1.0)}, np.array([[-1, 0]])),
+            ({0: (1.0, 1.0), 2: (1.0, 1.0)}, np.array([[0, 2]])),  # a gap
+            ({0: (1.0, 1.0)}, zeros + 0.0),         # a float leaf map
             ({}, zeros)]:
         with pytest.raises(ConfigError):
             records_field(records, leaf_map)
+    with pytest.raises(ConfigError):  # every id used, but out of order
+        KernelField(np.array([[0, 1, 2]]), [0, 2, 1], [1.0] * 3, [1.0] * 3)
     with pytest.raises(ConfigError):
         weighted_mean_filter(Raster(np.zeros((3, 3))),
                              BfParams(3, 57, 5), 0)
+
+
+def test_kernel_field_rows_start_at_the_first_id():
+    """A leaf-id range need not start at 0: the last level of a tree
+    starts after every shallower level's ids."""
+    leaf_map = np.array([[7, 8, 8], [9, 9, 7]])
+    field = records_field({7: (1.0, 1.0), 8: (2.0, 1.0), 9: (3.0, 0.5)},
+                          leaf_map)
+    assert field.rows.tolist() == [[0, 1, 1], [2, 2, 0]]
+    assert field.delta[field.rows].tolist() == [[1.0, 2.0, 2.0],
+                                                [3.0, 3.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,7 @@ def test_em_work_run_on_deep_inputs_is_pinned(monkeypatch, name, fits,
 
     def spy(*args, **kwargs):
         result = segmented_em(*args, **kwargs)
-        run.extend(trace.size for trace in result.log_likelihood)
+        run.extend(result.iterations.tolist())
         return result
 
     monkeypatch.setattr(clustering, "_segmented_em", spy)

@@ -29,7 +29,7 @@ def reference_em(hist: Histogram, init: np.ndarray, tol: float,
     sigma = np.maximum(sigma, sigma_floor)
     if x.size == 1:
         theta = np.array([mu, sigma, [1.0, 0.0]])
-        return EmResult(theta, np.zeros(1, dtype=np.int64), True, np.empty(0))
+        return EmResult(theta, np.zeros(1, dtype=np.int64), True, np.empty(0), 0)
 
     total = n.sum()
 
@@ -66,7 +66,8 @@ def reference_em(hist: Histogram, init: np.ndarray, tol: float,
             break
 
     labels = np.where(resp[0] >= resp[1], 0, 1).astype(np.int64)
-    return EmResult(np.array([mu, sigma, w]), labels, False, np.asarray(trace))
+    return EmResult(np.array([mu, sigma, w]), labels, False, np.asarray(trace),
+                    len(trace))
 
 
 def reference_flood(keys: np.ndarray, neighborhood: int) -> np.ndarray:
@@ -138,7 +139,7 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
                              bin_width=cfg.bin_width)
             init = initial_gauss_pair(float(pix.max()), cfg.bin_width)
             result = reference_em(hist, init, cfg.em_tol, cfg.bin_width)
-            rows[node_id][6] = result.log_likelihood.size
+            rows[node_id][6] = result.iterations
             if result.degenerate:
                 continue
             pixel_side = result.labels[inverse]
