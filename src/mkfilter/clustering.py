@@ -348,7 +348,8 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     traces = _split_traces(trace_seg, trace_ll, iterations) if trace else None
     if one:
         return EmResult(theta[:, :, 0], labels, bool(degenerate[0]),
-                        traces and traces[0], int(iterations[0]))
+                        None if traces is None else traces[0],
+                        int(iterations[0]))
     return EmResult(theta, labels, degenerate, traces, iterations)
 
 
