@@ -12,12 +12,12 @@ from .clustering import (ClusterConfig, ClusterTree, NODE_DTYPE, Histogram,
                          build_histogram, initial_gauss_pair,
                          em_similarity_cluster, proximity_cluster,
                          build_cluster_tree)
-from .filters import (BfParams, KernelField, MkfRule, MkfResult, bf_weight,
-                      mkf_weight, contextual_gain, weighted_mean_filter,
+from .filters import (BfParams, KernelField, MkfRule, MkfResult,
+                      contextual_gain, weighted_mean_filter,
                       build_kernel_field, mkf_denoise, mkf_filter)
 from .baselines import (TvParams, CfParams, tv_denoise, tv_denoise_trace,
                         cf_gaussian_denoise, bf_denoise)
-from .noise import (NoiseSpec, PhaseSpec, add_integral_noise, normalized_level,
+from .noise import (NoiseSpec, PhaseSpec, add_integral_noise,
                     make_noise_field, add_spatial_noise,
                     synthesize_complex_slice, phase_map, parse_noise_spec,
                     apply_noise, GENERATOR_ID)
@@ -32,12 +32,12 @@ __all__ = [
     "ClusterConfig", "ClusterTree", "NODE_DTYPE", "Histogram",
     "build_histogram", "initial_gauss_pair",
     "em_similarity_cluster", "proximity_cluster", "build_cluster_tree",
-    "BfParams", "KernelField", "MkfRule", "MkfResult", "bf_weight",
-    "mkf_weight", "contextual_gain", "weighted_mean_filter",
+    "BfParams", "KernelField", "MkfRule", "MkfResult",
+    "contextual_gain", "weighted_mean_filter",
     "build_kernel_field", "mkf_denoise", "mkf_filter",
     "TvParams", "CfParams", "tv_denoise", "tv_denoise_trace",
     "cf_gaussian_denoise", "bf_denoise",
-    "NoiseSpec", "PhaseSpec", "add_integral_noise", "normalized_level",
+    "NoiseSpec", "PhaseSpec", "add_integral_noise",
     "make_noise_field", "add_spatial_noise", "synthesize_complex_slice",
     "phase_map", "parse_noise_spec", "apply_noise", "GENERATOR_ID",
     "ScorePair", "mae", "ssim", "score_pair",

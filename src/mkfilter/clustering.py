@@ -21,7 +21,11 @@ one segmented EM over the histograms of all splittable clusters, one
 connectivity pass, a union-find over the image's horizontal runs of equal
 labels, and one ``np.bincount`` pass for the node statistics. A
 splittable cluster that its fit left whole reaches the next level with the
-same pixels and keeps that fit there instead of being fitted again.
+same pixels and keeps that fit there instead of being fitted again. In
+the EM, a lone active segment's parameters broadcast over its bins
+instead of being gathered, and one reduction per iteration tells that no
+segment finishes; the active layout is rebuilt only when that test fails
+and a segment does leave.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
 are the one-cluster cases of the same code.
 """
@@ -264,11 +268,17 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     (3, 2, segments), or (3, 2) for a one-segment histogram; the result
     has the same shape. A segment leaves the active set when its
     parameters move less than ``tol``, when a component loses all support
-    (its parameters then stay as they were), or at the iteration cap; the
-    active layout is rebuilt only then. Each segment runs exactly the
-    steps of a fit on its own histogram. Each segment's iteration count is
-    recorded as it leaves; its log-likelihood per iteration only with
-    ``trace``.
+    (its parameters then stay as they were), or at the iteration cap.
+    Each iteration first takes one reduction, the smallest of the active
+    segments' largest parameter moves; only when it falls below ``tol``
+    (or is nan), or at the cap, does the full test run, and the active
+    layout is rebuilt only when a segment leaves. Per layout the work
+    arrays are allocated once and every step writes into them. Several
+    active segments gather their parameters for each bin; a lone one
+    broadcasts its parameter columns over its bins instead. Each segment
+    runs exactly the float operations of a fit on its own histogram, in
+    the same order. Each segment's iteration count is recorded as it
+    leaves; its log-likelihood per iteration only with ``trace``.
     """
     x, n = hist.centers, hist.counts
     n_bins = np.diff(np.append(hist.starts, x.size))
@@ -299,43 +309,80 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
             xa, na = x[bins], n[bins]
             total = np.add.reduceat(na, local_starts)
             th = theta[:, :, active]
+            # a lone segment's parameter columns broadcast over its bins
+            gather = local if active.size > 1 else None
+            # work arrays of the layout; log_p turns into resp in place
+            new, step = np.empty((2,) + th.shape)
+            step_rows = step.reshape(6, -1)
+            log_th = np.empty_like(th[1:])
+            log_sigma, log_weight = log_th
+            const = np.empty_like(th[0])
+            log_p, work = np.empty((2, 2, xa.size))
+            log_p0, log_p1 = log_p
+            work0, work1 = work
+            top, log_norm = np.empty((2, xa.size))
+            # n_resp and n_resp * x per component, summed in one reduceat
+            weighted = np.empty((4, xa.size))
+            n_resp, n_resp_x = weighted[:2], weighted[2:]
+            sums = np.empty((4, active.size))
+            mass, mass_x = sums[:2], sums[2:]
             while True:
                 iteration += 1
                 # E step in log space, per bin with its segment's parameters
-                const = np.log(th[2]) - np.log(th[1]) - _HALF_LOG_2PI
-                mu_b, sigma_b = th[:2].take(local, axis=2)
-                log_p = (const.take(local, axis=1)
-                         - 0.5 * ((xa - mu_b) / sigma_b) ** 2)
-                top = np.maximum(log_p[0], log_p[1])
-                spread = np.exp(log_p - top)
-                log_norm = top + np.log(spread[0] + spread[1])
-                resp = np.exp(log_p - log_norm)
+                np.log(th[1:], out=log_th)
+                np.subtract(log_weight, log_sigma, out=const)
+                np.subtract(const, _HALF_LOG_2PI, out=const)
+                mu_sigma = _per_bin(th[:2], gather)
+                np.subtract(xa, mu_sigma[0], out=work)
+                np.divide(work, mu_sigma[1], out=work)
+                np.square(work, out=work)
+                np.multiply(work, 0.5, out=work)
+                np.subtract(_per_bin(const, gather), work, out=log_p)
+                np.maximum(log_p0, log_p1, out=top)
+                np.subtract(log_p, top, out=work)
+                np.exp(work, out=work)
+                np.add(work0, work1, out=log_norm)
+                np.log(log_norm, out=log_norm)
+                np.add(top, log_norm, out=log_norm)
+                np.subtract(log_p, log_norm, out=log_p)
+                resp = np.exp(log_p, out=log_p)
                 if trace:
                     trace_seg.append(active)
                     trace_ll.append(np.add.reduceat(na * log_norm,
                                                     local_starts))
 
                 # M step, the deviation clamped at the floor
-                n_resp = na * resp
-                mass = np.add.reduceat(n_resp, local_starts, axis=1)
-                new = np.empty_like(th)
-                np.divide(np.add.reduceat(n_resp * xa, local_starts, axis=1),
-                          mass, out=new[0])
-                var = np.add.reduceat(
-                    n_resp * (xa - new[0].take(local, axis=1)) ** 2,
-                    local_starts, axis=1) / mass
-                np.maximum(np.sqrt(var), sigma_floor, out=new[1])
+                np.multiply(na, resp, out=n_resp)
+                np.multiply(n_resp, xa, out=n_resp_x)
+                np.add.reduceat(weighted, local_starts, axis=1, out=sums)
+                mu, sigma = new[0], new[1]
+                np.divide(mass_x, mass, out=mu)
+                np.subtract(xa, _per_bin(mu, gather), out=work)
+                np.square(work, out=work)
+                np.multiply(n_resp, work, out=work)
+                np.add.reduceat(work, local_starts, axis=1, out=sigma)
+                np.divide(sigma, mass, out=sigma)
+                np.sqrt(sigma, out=sigma)
+                np.maximum(sigma, sigma_floor, out=sigma)
                 np.divide(mass, total, out=new[2])
-                shift = np.abs(new - th).reshape(6, -1).max(axis=0)
-                lost = np.minimum(mass[0], mass[1]) <= 0.0
-                done = lost | (shift < tol)
-                if np.count_nonzero(lost):
-                    new[:, :, lost] = th[:, :, lost]
-                th = new
-                if iteration == max_iterations:
-                    done[:] = True
-                if np.count_nonzero(done):
-                    break
+                np.subtract(new, th, out=step)
+                np.abs(step, out=step)
+                shift = np.maximum.reduce(step_rows, axis=0)
+                # One reduction tells that no segment finishes. It also
+                # sees ``lost``: a component without mass has only zero
+                # terms n_resp * x, so its new mean is 0 / 0 = nan, the
+                # segment's shift is nan, and nan >= tol is false.
+                if (iteration == max_iterations
+                        or not np.minimum.reduce(shift) >= tol):
+                    lost = np.minimum(mass[0], mass[1]) <= 0.0
+                    done = lost | (shift < tol)
+                    if iteration == max_iterations:
+                        done[:] = True
+                    if done.any():
+                        new[:, :, lost] = th[:, :, lost]
+                        th = new
+                        break
+                th, new = new, th
             theta[:, :, active] = th
             finished = done[local]
             labels[bins[finished]] = np.where(
@@ -351,6 +398,13 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
                         None if traces is None else traces[0],
                         int(iterations[0]))
     return EmResult(theta, labels, degenerate, traces, iterations)
+
+
+def _per_bin(columns: np.ndarray, local: np.ndarray | None) -> np.ndarray:
+    """Each bin's parameters from per-segment columns (last axis): gathered
+    by ``local``, the layout's segment of each bin, or the columns of a lone
+    segment as they are, to broadcast over its bins."""
+    return columns if local is None else columns.take(local, axis=-1)
 
 
 def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:

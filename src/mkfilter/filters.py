@@ -17,7 +17,6 @@ factors by each strip's center pixels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,14 +24,12 @@ import numpy as np
 
 from .clustering import ClusterConfig, ClusterTree, build_cluster_tree
 from .errors import ConfigError, require_bandwidth
-from .raster import Coordinate, Raster
+from .raster import Raster
 
 __all__ = [
     "BfParams",
     "KernelField",
     "MkfResult",
-    "bf_weight",
-    "mkf_weight",
     "contextual_gain",
     "weighted_mean_filter",
     "build_kernel_field",
@@ -96,29 +93,6 @@ class MkfResult(NamedTuple):
     raster: Raster
     tree: ClusterTree
     field: KernelField
-
-
-# ---------------------------------------------------------------------------
-# pointwise weights (the engine below evaluates the same formulas in bulk)
-
-
-def bf_weight(center: Coordinate, neighbor: Coordinate,
-              center_value: float, neighbor_value: float,
-              p: BfParams) -> float:
-    """Bilateral weight: spatial Gaussian times range Gaussian, in (0, 1]."""
-    spatial = (center.x - neighbor.x) ** 2 + (center.y - neighbor.y) ** 2
-    ranged = (center_value - neighbor_value) ** 2
-    return math.exp(-spatial / (2.0 * p.h_x ** 2) - ranged / (2.0 * p.h_I ** 2))
-
-
-def mkf_weight(center: Coordinate, neighbor: Coordinate,
-               center_value: float, neighbor_value: float,
-               h_x: float, delta: float, psi: float) -> float:
-    """Multi-kernel weight; psi rescales the squared range distance, so the
-    effective range bandwidth is delta / sqrt(psi)."""
-    spatial = (center.x - neighbor.x) ** 2 + (center.y - neighbor.y) ** 2
-    ranged = (center_value - neighbor_value) ** 2
-    return math.exp(-spatial / (2.0 * h_x ** 2) - ranged * psi / (2.0 * delta ** 2))
 
 
 def contextual_gain(delta_parent, delta_grandparent):

@@ -25,11 +25,9 @@ from .raster import ComplexRaster, Coordinate, Raster
 
 __all__ = [
     "GENERATOR_ID",
-    "EIGHT_BIT_VARIANCE",
     "NoiseSpec",
     "PhaseSpec",
     "add_integral_noise",
-    "normalized_level",
     "make_noise_field",
     "add_spatial_noise",
     "synthesize_complex_slice",
@@ -40,7 +38,6 @@ __all__ = [
 ]
 
 GENERATOR_ID = "numpy-pcg64"
-EIGHT_BIT_VARIANCE = 65025.0  # 255^2
 
 # background phase: quadratic polynomial over normalized [-1, 1] coords
 DEFAULT_PHASE_COEFFS = (0.3, 0.5, -0.4, 0.25, 0.15, -0.2)
@@ -111,11 +108,6 @@ def add_integral_noise(image: Raster, level: float, seed: int) -> Raster:
     with overflow_is_config_error("the noisy image"):
         noisy = image.data + rng.normal(0.0, math.sqrt(level), image.data.shape)
     return image.with_data(noisy)
-
-
-def normalized_level(level: float) -> float:
-    """Noise level normalized by the squared 8-bit range (255^2)."""
-    return level / EIGHT_BIT_VARIANCE
 
 
 def make_noise_field(width: int, height: int,

@@ -14,9 +14,10 @@ from tree_oracle import reference_em, reference_flood
 
 import mkfilter
 from mkfilter import (NODE_DTYPE, ClusterConfig, ClusterTree, ConfigError,
-                      Histogram, Raster, build_cluster_tree, build_histogram,
-                      build_kernel_field, em_similarity_cluster,
-                      initial_gauss_pair, proximity_cluster)
+                      Histogram, Raster, add_integral_noise, build_cluster_tree,
+                      build_histogram, build_kernel_field,
+                      em_similarity_cluster, initial_gauss_pair, phantoms,
+                      proximity_cluster)
 from mkfilter.clustering import (EM_MAX_ITERATIONS, _segment_histograms,
                                  _segmented_em)
 
@@ -355,6 +356,107 @@ def test_segmented_em_matches_one_histogram_fits():
     assert fits.log_likelihood[-2].size == 1
     assert fits.theta[:, 1, -2].tolist() == [1e6, 1.0, 0.5]
     assert not fits.labels[starts[-1]:].any()
+
+
+def _batch(hists):
+    """The histograms back to back, one segment each."""
+    starts = np.cumsum([0] + [h.centers.size for h in hists[:-1]])
+    return Histogram(np.concatenate([h.centers for h in hists]),
+                     np.concatenate([h.counts for h in hists]), starts, 1.0)
+
+
+def _em_bytes(fit, segment, bins=slice(None)):
+    """theta, labels, iterations and trace of one segment, as bytes."""
+    return [fit.theta[:, :, segment].tobytes(), fit.labels[bins].tobytes(),
+            fit.iterations[segment].tobytes(),
+            fit.log_likelihood[segment].tobytes()]
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 7, EM_MAX_ITERATIONS])
+def test_lone_segment_fit_equals_its_gathered_fit(max_iterations):
+    """A histogram fitted alone broadcasts its parameters over its bins;
+    fitted beside an identical copy, it gathers them by segment until
+    both leave together. The two paths give the same bytes: the capped
+    root fit of a noisy phantom, a fit that converges and one whose second
+    component loses all mass at once."""
+    rng = np.random.default_rng(7)
+    root = add_integral_noise(phantoms.bsd_style(40, 40, seed=3), 1000.0, 11)
+    bimodal = np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)])
+    far = rng.normal(50, 5, 40)
+    cases = [(root.data, initial_gauss_pair(float(root.data.max()), 1.0)),
+             (bimodal, initial_gauss_pair(float(bimodal.max()), 1.0)),
+             (far, np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]]))]
+    iterations = []
+    for values, init in cases:
+        hist = build_histogram(values, 1.0)
+        alone = _segmented_em(hist, init[..., None], 1e-4, 1.0, max_iterations,
+                              trace=True)
+        paired = _segmented_em(_batch([hist, hist]), np.stack([init, init], -1),
+                               1e-4, 1.0, max_iterations, trace=True)
+        size = hist.centers.size
+        assert _em_bytes(alone, 0) == _em_bytes(paired, 0, slice(0, size))
+        assert _em_bytes(alone, 0) == _em_bytes(paired, 1, slice(size, None))
+        iterations.append(alone.iterations[0])
+    if max_iterations == EM_MAX_ITERATIONS:  # the cap, convergence, lost
+        assert iterations[0] == EM_MAX_ITERATIONS
+        assert 2 < iterations[1] < EM_MAX_ITERATIONS
+        assert iterations[2] == 1
+
+
+@pytest.mark.parametrize("fixed_point", [True, False])
+@pytest.mark.parametrize("max_iterations", [1, 2, 7])
+def test_segmented_em_lost_converged_and_capped_in_one_iteration(
+        max_iterations, fixed_point):
+    """In one batch a component loses all mass at iteration 1 while the
+    other segments go on; one fit converges at iteration 2 and two run to
+    the cap. With a cap of 1 or 2 the exits coincide in one iteration.
+    With ``fixed_point`` a fit that starts at its fixed point converges
+    at iteration 1 beside the lost one; without it, nothing else leaves
+    at iteration 1, so the one-reduction test alone must see the lost
+    component. Every segment matches the one-histogram loop oracle at the
+    same cap, and the bytes of its fit alone."""
+    rng = np.random.default_rng(19)
+    spikes = [0.2] * 30 + [100.7] * 10  # bins centred on 0.5 and 100.5
+    exact = np.array([[0.5, 100.5], [1.0, 1.0], [0.75, 0.25]])
+    near = exact.copy()
+    near[0, 0] += 1e-3
+    samples = [rng.normal(50, 5, 40), spikes,
+               np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)]),
+               rng.uniform(0, 255, 300)]
+    inits = [np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]]), near,
+             initial_gauss_pair(float(samples[2].max()), 1.0),
+             initial_gauss_pair(float(samples[3].max()), 1.0)]
+    expected = [1, 2, max_iterations, max_iterations]
+    if fixed_point:
+        samples.append(spikes)
+        inits.append(exact)
+        expected.append(1)
+    hists = [build_histogram(v, 1.0) for v in samples]
+    batch = _batch(hists)
+    fits = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
+                         max_iterations, trace=True)
+    assert fits.iterations.tolist() == [min(k, max_iterations)
+                                        for k in expected]
+    # the lost component keeps its start; the exact start is a fixed point
+    assert fits.theta[:, :, 0].tolist() == inits[0].tolist()
+    if max_iterations >= 2:
+        assert fits.theta[:, :, 1].tolist() == exact.tolist()
+    if fixed_point:
+        assert fits.theta[:, :, -1].tolist() == exact.tolist()
+    ends = list(batch.starts[1:]) + [None]
+    for k, (hist, init) in enumerate(zip(hists, inits)):
+        bins = slice(batch.starts[k], ends[k])
+        alone = _segmented_em(hist, init[..., None], 1e-4, 1.0,
+                              max_iterations, trace=True)
+        assert _em_bytes(alone, 0) == _em_bytes(fits, k, bins)
+        ref = reference_em(hist, init, 1e-4, 1.0,
+                           max_iterations=max_iterations)
+        assert np.array_equal(fits.labels[bins], ref.labels)
+        assert fits.iterations[k] == ref.iterations
+        np.testing.assert_allclose(fits.theta[:, :, k], ref.theta,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fits.log_likelihood[k], ref.log_likelihood,
+                                   rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkfilter import (BfParams, ClusterConfig, ConfigError, Coordinate,
-                      KernelField, MkfRule, Raster, bf_weight, contextual_gain,
-                      filters, mkf_denoise, mkf_weight, weighted_mean_filter)
+                      KernelField, MkfRule, Raster, contextual_gain, filters,
+                      mkf_denoise, weighted_mean_filter)
 from mkfilter.filters import write_kernel_csv
 
 # ---------------------------------------------------------------------------
 # oracle: per-pixel direct sums built on the scalar weight functions
+
+
+def bf_weight(center: Coordinate, neighbor: Coordinate,
+              center_value: float, neighbor_value: float,
+              p: BfParams) -> float:
+    """Bilateral weight: spatial Gaussian times range Gaussian, in (0, 1]."""
+    spatial = (center.x - neighbor.x) ** 2 + (center.y - neighbor.y) ** 2
+    ranged = (center_value - neighbor_value) ** 2
+    return math.exp(-spatial / (2.0 * p.h_x ** 2) - ranged / (2.0 * p.h_I ** 2))
+
+
+def mkf_weight(center: Coordinate, neighbor: Coordinate,
+               center_value: float, neighbor_value: float,
+               h_x: float, delta: float, psi: float) -> float:
+    """Multi-kernel weight; psi rescales the squared range distance, so the
+    effective range bandwidth is delta / sqrt(psi)."""
+    spatial = (center.x - neighbor.x) ** 2 + (center.y - neighbor.y) ** 2
+    ranged = (center_value - neighbor_value) ** 2
+    return math.exp(-spatial / (2.0 * h_x ** 2) - ranged * psi / (2.0 * delta ** 2))
 
 
 def brute_force_filter(values, h_x, radius, field=None, bf=None):

@@ -7,8 +7,14 @@ import pytest
 
 from mkfilter import (ConfigError, Coordinate, PhaseSpec, Raster,
                       add_integral_noise, add_spatial_noise, apply_noise,
-                      make_noise_field, normalized_level, parse_noise_spec,
-                      phase_map, synthesize_complex_slice)
+                      make_noise_field, parse_noise_spec, phase_map,
+                      synthesize_complex_slice)
+
+
+def normalized_level(level: float) -> float:
+    """Noise level normalized by the squared 8-bit range (255^2), the
+    convention the noise module's levels follow."""
+    return level / 65025.0
 
 
 def flat(value=0.0, size=256):
