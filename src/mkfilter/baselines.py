@@ -11,6 +11,17 @@
   (boundaries use odd reflection, which planes survive; plain mirroring
   would not preserve them at the borders).
 - bf_denoise: classic bilateral filtering, delegated to the shared engine.
+
+TV and CF read and write only contiguous 1-D slices. numpy runs a 2-D
+strided view one row at a time, and at 64 to 128 pixels a row that loop
+costs more than the arithmetic. TV works on the raveled image, and CF on
+four phase planes of the padded image, split by row and column parity, in
+which each of a subset's nine neighbours is one flat slice. A flat slice
+also covers cells between rows (TV's row wraps, the planes' border and
+padding cells); they never reach a real pixel, and never raise an overflow
+that the row-by-row form would not. Every real pixel gets the same float
+operations in the same order, so rasters and energy traces are
+bit-identical to the row-by-row forms, signed zeros included.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, overflow_is_config_error, require_positive
+from .errors import (ConfigError, overflow_is_config_error, require_addressable,
+                     require_positive)
 from .filters import BfParams, weighted_mean_filter
 from .raster import Raster
 
@@ -62,29 +74,39 @@ class CfParams:
 # total variation
 
 
-def _gradient_norm(u: np.ndarray, work) -> np.ndarray:
-    """Smoothed |grad u| into the norm array of work = (gx, gy, norm, tmp),
-    with u's forward differences in gx and gy (the mirror boundary makes
-    the last column of gx and the last row of gy zero); tmp is scratch."""
+def _gradient_norm(u: np.ndarray, width: int, work) -> np.ndarray:
+    """Smoothed |grad u| of the raveled image u, with rows of `width`
+    pixels, into the norm array of work = (gx, gy, norm, tmp), with u's
+    forward differences in gx and gy (the mirror boundary makes each row's
+    last gx and the last row's gy zero); tmp is scratch.
+
+    The x-difference across a row wrap, from a row's last pixel to the
+    next row's first, is computed with the others and then zeroed. Under
+    the overflow guard it raises only where the row-wise form raises the
+    same error: for a finite u it overflows only if the two pixels are over
+    1.7e308 apart, so one of the fewer than 2**63 real differences on a
+    path between them exceeds 1e155, and its square overflows.
+    """
     gx, gy, norm, tmp = work
-    np.subtract(u[:, 1:], u[:, :-1], out=gx[:, :-1])
-    gx[:, -1] = 0.0
-    np.subtract(u[1:], u[:-1], out=gy[:-1])
-    gy[-1] = 0.0
+    np.subtract(u[1:], u[:-1], out=gx[:-1])
+    gx[width - 1::width] = 0.0
+    np.subtract(u[width:], u[:-width], out=gy[:-width])
+    gy[-width:] = 0.0
     np.multiply(gx, gx, out=norm)
     norm += np.multiply(gy, gy, out=tmp)
     norm += TV_EPSILON * TV_EPSILON
     return np.sqrt(norm, out=norm)
 
 
-def _rof_energy(u: np.ndarray, observed: np.ndarray, lam: float,
+def _rof_energy(u: np.ndarray, observed: np.ndarray, lam: float, width: int,
                 work, residual: np.ndarray) -> float:
-    """The energy of u, leaving u's gradient state behind: gx, gy and norm
-    in work as _gradient_norm fills them, and u - observed in residual."""
+    """The energy of the raveled u, leaving u's gradient state behind: gx,
+    gy and norm in work as _gradient_norm fills them, and u - observed in
+    residual."""
     # an overflow, or inf - inf in a difference of an overflowed candidate,
     # is an infinite or nan energy, which the step halving rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        tv = _gradient_norm(u, work).sum()
+        tv = _gradient_norm(u, width, work).sum()
         np.subtract(u, observed, out=residual)
         fidelity = 0.5 * lam * np.square(residual, out=work[3]).sum()
     return float(tv + fidelity)
@@ -92,9 +114,10 @@ def _rof_energy(u: np.ndarray, observed: np.ndarray, lam: float,
 
 def rof_energy(u: np.ndarray, observed: np.ndarray, lam: float) -> float:
     """Smoothed ROF energy: sum of |grad u| plus (lam/2) * squared residual."""
-    return _rof_energy(u, observed, lam,
-                       tuple(np.empty_like(u) for _ in range(4)),
-                       np.empty_like(u))
+    flat = np.ravel(u)
+    return _rof_energy(flat, np.ravel(observed), lam, u.shape[1],
+                       tuple(np.empty_like(flat) for _ in range(4)),
+                       np.empty_like(flat))
 
 
 def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, np.ndarray]:
@@ -116,7 +139,9 @@ def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, n
     or when u's energy is not finite: a finite energy is a finite sum of
     norms, so the guarded recomputation could not have overflowed.
     """
-    observed = image.data
+    require_addressable("the energy trace", p.iters + 1)
+    height, width = image.data.shape
+    observed = image.data.ravel()
     u = observed.copy()
     # every array of the descent is allocated once and computed in place:
     # fresh 128 px temporaries on each iteration had the C allocator map
@@ -125,31 +150,35 @@ def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, n
     work = gx, gy, norm, tmp = tuple(np.empty_like(u) for _ in range(4))
     step = min(p.step, 1.0 / p.lam)
     trace = np.empty(p.iters + 1)
-    trace[0] = _rof_energy(u, observed, p.lam, work, residual)
+    trace[0] = _rof_energy(u, observed, p.lam, width, work, residual)
     # whether work and residual hold u's gradient state, free of overflow
     reuse = np.isfinite(trace[0])
     for it in range(1, p.iters + 1):
         if not reuse:
             with overflow_is_config_error("the TV gradient norm"):
-                _gradient_norm(u, work)
+                _gradient_norm(u, width, work)
             np.subtract(u, observed, out=residual)
         px = np.divide(gx, norm, out=gx)
         py = np.divide(gy, norm, out=gy)
         np.negative(px, out=grad)
         grad -= py
-        grad[:, 1:] += px[:, :-1]
-        grad[1:, :] += py[:-1, :]
+        # each row's last px now carries into the next row's first pixel:
+        # x + -0.0 is x for every x, signed zeros and nan included
+        px[width - 1::width] = -0.0
+        grad[1:] += px[:-1]
+        grad[width:] += py[:-width]
         grad += np.multiply(p.lam, residual, out=tmp)
 
         np.subtract(u, np.multiply(step, grad, out=candidate), out=candidate)
-        energy = _rof_energy(candidate, observed, p.lam, work, residual)
+        energy = _rof_energy(candidate, observed, p.lam, width, work, residual)
         for _ in range(60):
             if energy <= trace[it - 1]:
                 break
             step *= 0.5
             np.subtract(u, np.multiply(step, grad, out=candidate),
                         out=candidate)
-            energy = _rof_energy(candidate, observed, p.lam, work, residual)
+            energy = _rof_energy(candidate, observed, p.lam, width, work,
+                                 residual)
         if energy <= trace[it - 1]:
             u, candidate = candidate, u
             trace[it] = energy
@@ -157,7 +186,7 @@ def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, n
         else:
             trace[it] = trace[it - 1]  # stationary to float precision
             reuse = False  # work holds the last rejected candidate's state
-    return image.with_data(u), trace
+    return image.with_data(u.reshape(height, width)), trace
 
 
 def tv_denoise(image: Raster, p: TvParams = TvParams()) -> Raster:
@@ -169,83 +198,154 @@ def tv_denoise(image: Raster, p: TvParams = TvParams()) -> Raster:
 
 # the four interleaved subsets, updated in this order
 _CF_SUBSETS = ((0, 0), (1, 1), (0, 1), (1, 0))
+# An iteration that starts with every magnitude below this one cannot
+# overflow, so its passes skip the check of their real pixels: a pass's
+# border reflection at most triples the interior's largest magnitude, a
+# candidate is at most four times its inputs, and an update leaves the
+# interior at most five times as large, so the fourth pass stays below
+# 12 * 5**3 = 1500 times the bound.
+_CF_SAFE = 1e305
 
 
-def _reflect_border(p: np.ndarray) -> None:
-    """Refresh the one-pixel border of p from its interior, as
-    ``np.pad(interior, 1, mode="reflect", reflect_type="odd")`` pads: rows
-    first, then columns over the padded rows, each pad value 2 * edge -
-    next; a length-1 side copies its edge instead."""
-    for q in (p[:, 1:-1], p.T):
-        if q.shape[0] == 3:
-            q[0] = q[-1] = q[1]
+def _cf_border(planes: np.ndarray, height: int, width: int) -> list:
+    """The refresh of the one-pixel border of the padded image held in
+    planes, as ``np.pad(interior, 1, mode="reflect", reflect_type="odd")``
+    pads: (pad, edge, next) views, rows first, over the interior columns,
+    then columns over the padded rows; each pad value is 2 * edge - next,
+    and a length-1 side, whose next is None, copies its edge instead."""
+    def row(r):  # its odd columns, then its even ones
+        return (planes[r % 2, 1, r // 2, :(width + 1) // 2],
+                planes[r % 2, 0, r // 2, 1:width // 2 + 1])
+
+    def column(c):  # both row parities, the zero padding row included
+        return (planes[:, c % 2, :, c // 2],)
+
+    return [(p, e, q if size > 1 else None)
+            for line, size in ((row, height), (column, width))
+            for pad, edge, inner in ((0, 1, 2), (size + 1, size, size - 1))
+            for p, e, q in zip(line(pad), line(edge), line(inner))]
+
+
+def _reflect_border(border: list) -> None:
+    """Refresh the border from the views that _cf_border returns."""
+    for pad, edge, inner in border:
+        if inner is None:
+            pad[...] = edge
         else:
-            np.multiply(q[1], 2.0, out=q[0])
-            q[0] -= q[2]
-            np.multiply(q[-2], 2.0, out=q[-1])
-            q[-1] -= q[-3]
+            np.multiply(edge, 2.0, out=pad)
+            pad -= inner
 
 
-def _cf_pass(p: np.ndarray, stack: np.ndarray, magnitude: np.ndarray,
-             oy: int, ox: int) -> None:
-    """Move one subset's pixels, the interior of the padded image p, by
-    their minimal projection distance. ``stack`` and ``magnitude`` are
-    (8, rows, cols) work arrays at least as large as any subset."""
-    _reflect_border(p)
-    height, width = p.shape[0] - 2, p.shape[1] - 2
-    yc = slice(1 + oy, 1 + height, 2)
-    xc = slice(1 + ox, 1 + width, 2)
-    yn = slice(yc.start - 1, yc.stop - 1, 2)
-    ys = slice(yc.start + 1, yc.stop + 1, 2)
-    xw = slice(xc.start - 1, xc.stop - 1, 2)
-    xe = slice(xc.start + 1, xc.stop + 1, 2)
-    c = p[yc, xc]
-    n = p[yn, xc]
-    s = p[ys, xc]
-    w = p[yc, xw]
-    e = p[yc, xe]
-    nw = p[yn, xw]
-    ne = p[yn, xe]
-    sw = p[ys, xw]
-    se = p[ys, xe]
-    rows, cols = c.shape
-    candidates = stack[:, :rows, :cols]
-    # 0.5 * (a + b) - c for the four lines through c
-    for k, (a, b) in enumerate(((n, s), (w, e), (nw, se), (ne, sw))):
-        np.add(a, b, out=candidates[k])
-        candidates[k] *= 0.5
-        candidates[k] -= c
-    # a + b - corner - c for the four planes of a corner triangle
-    for k, (a, b, corner) in enumerate(
-            ((n, w, nw), (n, e, ne), (w, s, sw), (e, s, se)), start=4):
-        np.add(a, b, out=candidates[k])
-        candidates[k] -= corner
-        candidates[k] -= c
-    # the candidate of least magnitude, the first plane winning ties as
-    # argmin does: planes 6 down to 0 each overwrite the pixels where they
-    # reach the least magnitude, which is cheaper than argmin plus a gather
-    mag = np.abs(candidates, out=magnitude[:, :rows, :cols])
-    least = mag.min(axis=0)
-    best = candidates[7]
-    for k in range(6, -1, -1):
-        best = np.where(mag[k] == least, candidates[k], best)
-    c += best
+def _cf_views(planes: np.ndarray, stack: np.ndarray, magnitude: np.ndarray,
+              flags: np.ndarray, height: int, width: int, oy: int, ox: int):
+    """The views one pass over subset (oy, ox) reads and writes, or None
+    for an empty subset: the subset c and its eight neighbours as flat
+    slices of planes, the candidate and magnitude rows of the (8, plane
+    size) work arrays, and the subset's real pixels in c and in the
+    candidates.
+
+    The subset is one phase plane's interior and each neighbour is one
+    phase plane shifted, so every read is one flat slice running from the
+    subset's first pixel to its last. The slice also covers the border and
+    padding cells between two plane rows."""
+    plane_width = planes.shape[3]
+    rows, cols = (height - oy + 1) // 2, (width - ox + 1) // 2
+    if not rows or not cols:
+        return None
+    size = (rows - 1) * plane_width + cols
+    flat = planes.reshape(2, 2, -1)
+
+    def shifted(dy, dx):
+        y, x = 1 + oy + dy, 1 + ox + dx
+        start = y // 2 * plane_width + x // 2
+        return flat[y % 2, x % 2, start:start + size]
+
+    real = stack[:, :rows * plane_width].reshape(8, rows, plane_width)
+    i, j = (1 + oy) // 2, (1 + ox) // 2
+    return (shifted(0, 0),
+            tuple(shifted(dy, dx) for dy, dx in ((-1, 0), (1, 0), (0, -1),
+                                                 (0, 1), (-1, -1), (-1, 1),
+                                                 (1, -1), (1, 1))),
+            stack[:, :size], magnitude[:, :size], flags[:, :, :size],
+            planes[(1 + oy) % 2, (1 + ox) % 2, i:i + rows, j:j + cols],
+            real[:, :, :cols])
+
+
+def _cf_pass(views, checked: bool) -> None:
+    """Move one subset's pixels, given by the views of _cf_views, by their
+    minimal projection distance.
+
+    The border and padding cells between two plane rows are computed and
+    written like the subset's pixels. No real pixel reads a padding cell,
+    which sees zero neighbours above and below and so stays zero, and a
+    real pixel reads a border cell only after the next border refresh has
+    rewritten it. Their candidates may overflow where no real pixel's
+    does, so the pass ignores overflow. When `checked`, it then raises
+    FloatingPointError, as the overflow guard would have, if a real pixel's
+    candidate or update is not finite: from finite inputs, an overflow
+    leaves an inf.
+    """
+    c, (n, s, w, e, nw, ne, sw, se), candidates, magnitude, flags, real_c, \
+        real_candidates = views
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 0.5 * (a + b) - c for the four lines through c
+        for k, (a, b) in enumerate(((n, s), (w, e), (nw, se), (ne, sw))):
+            np.add(a, b, out=candidates[k])
+            candidates[k] *= 0.5
+            candidates[k] -= c
+        # a + b - corner - c for the four planes of a corner triangle
+        for k, (a, b, corner) in enumerate(
+                ((n, w, nw), (n, e, ne), (w, s, sw), (e, s, se)), start=4):
+            np.add(a, b, out=candidates[k])
+            candidates[k] -= corner
+            candidates[k] -= c
+        # the candidate of least magnitude, the first plane winning ties as
+        # argmin does. It is the least magnitude with that plane's sign, so
+        # only the sign is chosen: planes 6 down to 0 each set it where they
+        # reach the least magnitude, on bytes, which is cheaper than
+        # choosing floats or argmin plus a gather
+        mag = np.abs(candidates, out=magnitude)
+        least = mag.min(axis=0)
+        ties = np.equal(mag, least, out=flags[0])
+        signs = np.signbit(candidates, out=flags[1])
+        sign = signs[7]
+        for k in range(6, -1, -1):
+            sign ^= (sign ^ signs[k]) & ties[k]
+        c += np.negative(least, out=least, where=sign)
+    if checked and not (np.isfinite(real_candidates).all()
+                        and np.isfinite(real_c).all()):
+        raise FloatingPointError("overflow in the curvature filter")
 
 
 def cf_gaussian_denoise(image: Raster, p: CfParams = CfParams()) -> Raster:
     height, width = image.data.shape
-    # the padded image holds the iterate in its interior; it and the
-    # candidate stacks are allocated once, since fresh 256 KiB stacks on
-    # every pass had the C allocator map and page-fault them again
-    padded = np.empty((height + 2, width + 2))
-    padded[1:-1, 1:-1] = image.data
-    shape = (8, (height + 1) // 2, (width + 1) // 2)
+    # the image padded by one pixel and then to even sides, split by row
+    # and column parity into four phase planes of one shape: planes[a, b,
+    # i, j] is padded pixel (2i + a, 2j + b). They hold the iterate between
+    # passes; they and the candidate stacks are allocated once, since
+    # fresh 256 KiB stacks on every pass had the C allocator map and
+    # page-fault them again
+    plane_rows, plane_width = (height + 3) // 2, (width + 3) // 2
+    padded = np.zeros((2 * plane_rows, 2 * plane_width))
+    padded[1:height + 1, 1:width + 1] = image.data
+    planes = padded.reshape(plane_rows, 2, plane_width, 2).transpose(
+        1, 3, 0, 2).copy()
+    shape = (8, plane_rows * plane_width)
     stack, magnitude = np.empty(shape), np.empty(shape)
+    flags = np.empty((2, *shape), dtype=bool)
+    border = _cf_border(planes, height, width)
+    passes = [views for oy, ox in _CF_SUBSETS
+              if (views := _cf_views(planes, stack, magnitude, flags,
+                                     height, width, oy, ox)) is not None]
     with overflow_is_config_error("the curvature filter update"):
         for _ in range(p.iters):
-            for oy, ox in _CF_SUBSETS:
-                _cf_pass(padded, stack, magnitude, oy, ox)
-    return image.with_data(padded[1:-1, 1:-1])
+            # nan fails the comparison too
+            checked = not max(planes.max(), -planes.min()) < _CF_SAFE
+            for views in passes:
+                _reflect_border(border)
+                _cf_pass(views, checked)
+    padded = planes.transpose(2, 0, 3, 1).reshape(padded.shape)
+    return image.with_data(padded[1:height + 1, 1:width + 1])
 
 
 # ---------------------------------------------------------------------------

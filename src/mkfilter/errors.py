@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks on positive
-real parameters, kernel bandwidths and float64 overflow."""
+real parameters, kernel bandwidths, array sizes and float64 overflow."""
 
 import contextlib
 import math
@@ -37,6 +37,15 @@ def require_bandwidth(**values) -> None:
         if twice_square == 0.0 or math.isinf(1.0 / twice_square):
             raise ConfigError(f"{name} is too small for 1/(2*{name}^2) to "
                               f"be finite, got {value}")
+
+
+def require_addressable(what: str, *shape: int) -> None:
+    """Raise MemoryError when a float64 array of `shape` would be larger
+    than numpy can address. numpy raises ValueError or TypeError there, not
+    the MemoryError of an allocation that merely fails."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} of shape {shape} is larger than numpy "
+                          f"can address")
 
 
 @contextlib.contextmanager

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterConfig, ClusterTree, build_cluster_tree
-from .errors import ConfigError, require_bandwidth
+from .errors import ConfigError, require_addressable, require_bandwidth
 from .raster import Raster
 
 __all__ = [
@@ -127,6 +127,8 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     same terms in the same order as a whole-image pass would.
     """
     height, width = values.shape
+    require_addressable("the padded image", height + 2 * radius,
+                        width + 2 * radius)
     padded = np.pad(values, radius, mode="symmetric")
     inv_space = 1.0 / (2.0 * h_x * h_x)
     offsets = [(radius + dy, radius + dx, -(dx * dx + dy * dy) * inv_space)

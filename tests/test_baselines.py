@@ -116,27 +116,73 @@ def reference_tv(values, lam, iters, step):
     return u, np.array(trace), halved, stationary
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7),
-                                   (128, 128)])
-def test_tv_matches_recomputing_reference(shape):
+# odd and even sides, rows shorter and longer than the columns, and a
+# 127 x 130 plane whose rows and phase planes are all ragged
+REFERENCE_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 3), (3, 2), (2, 9), (3, 3),
+                    (5, 7), (7, 4), (128, 128), (127, 130)]
+
+
+def reference_inputs(shape):
+    """Two normal draws, and three tie-heavy ones: small integers, half of
+    them zeros of either sign, make candidates and differences of equal
+    magnitude common, with opposite signs as often as not, so a changed
+    tie rule or a lost signed zero shows in the result."""
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    inputs = [rng.normal(0.3 * scale, scale, shape) for scale in (255.0, 1e6)]
+    for high in (1, 2, 5):
+        ties = rng.integers(-high, high + 1, shape).astype(np.float64)
+        ties[rng.random(shape) < 0.25] = 0.0
+        ties[rng.random(shape) < 0.25] = -0.0
+        inputs.append(ties)
+    return inputs
+
+
+def assert_same_tv(values, lam, iters, step):
+    """tv_denoise_trace gives reference_tv's raster, signed zeros included,
+    and trace; returns the reference's halved and stationary counts."""
+    got, trace = tv_denoise_trace(Raster(values),
+                                  TvParams(lam=lam, iters=iters, step=step))
+    want, want_trace, halved, stationary = reference_tv(values, lam, iters,
+                                                        step)
+    assert np.array_equal(got.data, want)
+    assert np.array_equal(np.signbit(got.data), np.signbit(want))
+    assert np.array_equal(trace, want_trace)
+    return halved, stationary
+
+
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES)
+def test_tv_matches_recomputing_reference(shape):
     halved = stationary = 0
-    for scale in (255.0, 1e6):
-        values = rng.normal(0.3 * scale, scale, shape)
+    for values in reference_inputs(shape):
         # the benchmark's lam and step; a step of 15 that the halving cuts;
         # a step of 1e30 that 60 halvings leave too long, so the first
         # iteration stays stationary and a later one resumes the halving
         for lam, iters, step in ((1.25, 20, 0.1), (0.05, 8, 15.0),
                                  (1e-30, 6, 1e30)):
-            got, trace = tv_denoise_trace(
-                Raster(values), TvParams(lam=lam, iters=iters, step=step))
-            want, want_trace, h, s = reference_tv(values, lam, iters, step)
-            assert np.array_equal(got.data, want)
-            assert np.array_equal(trace, want_trace)
+            h, s = assert_same_tv(values, lam, iters, step)
             halved += h
             stationary += s
     # a single pixel has a zero gradient, so every step is accepted whole
     assert (halved > 0 and stationary > 0) == (shape != (1, 1))
+
+
+def test_tv_row_wrap_difference_is_dropped():
+    # the flat x-difference from each row's last pixel to the next row's
+    # first is the largest in the image, and must not leak into either
+    values = np.array([[0.0, 1.0, 2.0, 900.0],
+                       [-900.0, -1.0, 0.0, 1.0],
+                       [2.0, -0.0, 1.0, 3.0]])
+    assert np.abs(np.diff(values.ravel())).argmax() in (3, 7)
+    for lam, iters, step in ((1.25, 20, 0.1), (1e-30, 6, 1e30)):
+        assert_same_tv(values, lam, iters, step)
+    # near the float64 maximum the wrap's difference overflows; so does the
+    # square of a real difference, and both forms raise the same error
+    values = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(ConfigError) as want:
+        reference_tv(values, 1.25, 1, 0.1)
+    with pytest.raises(ConfigError) as got:
+        tv_denoise_trace(Raster(values), TvParams(iters=1))
+    assert str(got.value) == str(want.value)
 
 
 def test_tv_gradient_overflow_is_the_same_config_error():
@@ -239,26 +285,40 @@ def reference_cf(values, iters):
     return u
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 3), (5, 7),
-                                   (128, 128)])
+@pytest.mark.parametrize("shape", REFERENCE_SHAPES)
 def test_cf_matches_fresh_pad_reference(shape):
-    # a length-1 side is where np.pad's odd reflection copies the edge
-    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-    inputs = [rng.normal(0.3 * scale, scale, shape) for scale in (255.0, 1e6)]
-    # small integers, half of them zeros of either sign, make candidates
-    # of equal magnitude common, with opposite signs as often as not, so
-    # which of the tied planes the filter picks shows in the result
-    for high in (1, 2, 5):
-        ties = rng.integers(-high, high + 1, shape).astype(np.float64)
-        ties[rng.random(shape) < 0.25] = 0.0
-        ties[rng.random(shape) < 0.25] = -0.0
-        inputs.append(ties)
-    for values in inputs:
+    # a length-1 side is where np.pad's odd reflection copies the edge; the
+    # tie-heavy inputs show which of the tied planes the filter picks
+    for values in reference_inputs(shape):
         for iters in (1, 3, 10):
             got = cf_gaussian_denoise(Raster(values), CfParams(iters=iters))
             want = reference_cf(values, iters)
             assert np.array_equal(got.data, want)
             assert np.array_equal(np.signbit(got.data), np.signbit(want))
+
+
+def test_cf_overflow_only_outside_the_image_is_not_an_error():
+    # the first column's odd reflection is 2 * 0.6e308 - 0.2e308 = 1e308 on
+    # every row. Between two plane rows, a pass also computes candidates
+    # for the reflected column, whose line through its neighbours above and
+    # below adds 1e308 to 1e308 and overflows; no real pixel's candidate or
+    # update does, and every column is constant, so the image is a fixed
+    # point
+    values = np.full((6, 5), 0.2e308)
+    values[:, 0] = 0.6e308
+    want = reference_cf(values, 2)
+    assert np.array_equal(want, values)
+    got = cf_gaussian_denoise(Raster(values), CfParams(iters=2))
+    assert np.array_equal(got.data, want)
+    # where a real pixel's candidate overflows too, both raise
+    values = values.copy()
+    values[2, 2] = -1.7e308
+    with pytest.raises(ConfigError) as want:
+        with overflow_is_config_error("the curvature filter update"):
+            reference_cf(values, 1)
+    with pytest.raises(ConfigError) as got:
+        cf_gaussian_denoise(Raster(values), CfParams(iters=1))
+    assert str(got.value) == str(want.value)
 
 
 def test_cf_param_validation():

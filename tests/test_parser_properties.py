@@ -129,6 +129,13 @@ def assert_exit_contract(code, err, runtime_warnings):
 # overflows that are meant (a zero range factor, an infinite energy)
 @example(args=["--filter", "bf", "--hi=1e300"])
 @example(args=["--filter", "tv", "--lam=1e-300", "--step=1e300"])
+# arrays larger than numpy can address: the energy trace, the padded image
+@example(args=["--filter", "tv", "--iters=9223372036854775806"])
+@example(args=["--filter", "tv", "--iters=100000000000000000000"])
+@example(args=["--filter", "bf", "--radius=9223372036854775807"])
+@example(args=["--filter", "bf", "--radius=99999999999999999999"])
+@example(args=["--filter", "mkf", "--radius=9223372036854775807"])
+@example(args=["--filter", "mkf", "--radius=99999999999999999999"])
 def test_denoise_keeps_the_exit_contract(small_pgm, args):
     out = small_pgm.with_name("out.mkfr")
     assert_exit_contract(*run_main(["denoise", str(small_pgm), str(out),
@@ -144,14 +151,48 @@ NEAR_MAX = {
 }
 
 
+# the TV and CF outcomes near the maximum: their overflow guards must raise
+# exactly where the row-by-row forms did
+NEAR_MAX_OUTCOMES = {
+    ("tv", "constant"): (0, ""),
+    ("tv", "checkerboard"): (2, "error: bad-arguments: the TV gradient norm "
+                                "overflows the float64 range\n"),
+    ("cf", "constant"): (0, ""),
+    ("cf", "checkerboard"): (0, ""),
+}
+
+
 @pytest.mark.parametrize("image", sorted(NEAR_MAX))
 @pytest.mark.parametrize("name", ["bf", "mkf", "tv", "cf"])
 def test_denoise_keeps_the_exit_contract_near_max(tmp_path, name, image):
     path = tmp_path / "in.mkfr"
     save_f64_raster(Raster(NEAR_MAX[image]), path)
-    assert_exit_contract(*run_main(["denoise", str(path),
-                                    str(tmp_path / "out.mkfr"),
-                                    "--filter", name]))
+    code, err, runtime_warnings = run_main(["denoise", str(path),
+                                            str(tmp_path / "out.mkfr"),
+                                            "--filter", name])
+    assert_exit_contract(code, err, runtime_warnings)
+    assert NEAR_MAX_OUTCOMES.get((name, image), (code, err)) == (code, err)
+
+
+@pytest.mark.parametrize("command", [
+    ["denoise", "{pgm}", "{out}", "--filter", "tv",
+     "--iters=9223372036854775806"],
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf",
+     "--radius=99999999999999999999"],
+    ["bench-bsd", "{bsd}", "--levels=10", "--filters",
+     "bf:radius=9223372036854775807"],
+    ["bench-brainweb", "{vol}", "--filters", "tv:iters=100000000000000000000"],
+])
+def test_unaddressable_sizes_are_memory_errors(small_pgm, bench_dir,
+                                               command):
+    paths = {"pgm": small_pgm, "out": small_pgm.with_name("out.mkfr"),
+             "bsd": bench_dir / "bsd", "vol": bench_dir / "vol"}
+    code, err, runtime_warnings = run_main(
+        [arg.format(**paths) for arg in command]
+        + ["--out-dir", str(bench_dir / "out")] * (command[0] != "denoise"))
+    assert_exit_contract(code, err, runtime_warnings)
+    assert code == 1
+    assert err.startswith("error: memory: ") and "numpy can address" in err
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,6 +263,9 @@ def bench_dir(small_pgm, other_pgm, tmp_path_factory):
        flags=options({"seed": VALUES}))
 # a single chart point beyond 2**53, where x + 1 rounds back to x
 @example(filters=["bf:radius=1"], levels="1e17", flags=[])
+# a padded image larger than numpy can address
+@example(filters=["bf:radius=9223372036854775807"], levels="10", flags=[])
+@example(filters=["bf:radius=99999999999999999999"], levels="10", flags=[])
 def test_bench_bsd_keeps_the_exit_contract(bench_dir, filters, levels, flags):
     assert_exit_contract(*run_main([
         "bench-bsd", str(bench_dir / "bsd"), "--filters", *filters,
@@ -236,6 +280,11 @@ def test_bench_bsd_keeps_the_exit_contract(bench_dir, filters, levels, flags):
 @example(filters=["bf:radius=1", "cf:iters=1"], flags=["--peak=1e308"])
 @example(filters=["bf:radius=1", "cf:iters=1"], flags=["--peak=1e200"])
 @example(filters=["tv:iters=3"], flags=["--peak=1e300"])
+# an energy trace or a padded image larger than numpy can address
+@example(filters=["tv:iters=9223372036854775806"], flags=[])
+@example(filters=["tv:iters=100000000000000000000"], flags=[])
+@example(filters=["bf:radius=9223372036854775807"], flags=[])
+@example(filters=["bf:radius=99999999999999999999"], flags=[])
 def test_bench_brainweb_keeps_the_exit_contract(bench_dir, filters, flags):
     assert_exit_contract(*run_main([
         "bench-brainweb", str(bench_dir / "vol"), "--filters", *filters,
