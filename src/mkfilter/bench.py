@@ -4,14 +4,13 @@ Every run row carries its full provenance (filter id, canonical parameter
 string, noise descriptor, derived seed), so any row can be re-executed to
 the same mae/ssim. Per-row seeds are derived from the master seed and the
 row key through numpy's SeedSequence, which makes results independent of
-worker count and execution order.
+execution order. The cells of a layout run one after another, in order.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -167,7 +166,8 @@ def parse_filter_spec(text: str) -> FilterSpec:
 
 
 def derive_seed(master: int, *key) -> int:
-    """Stable 64-bit seed from the master seed and a row key."""
+    """Stable 64-bit seed from the master seed and a row key, independent
+    of execution order."""
     if int(master) < 0:
         raise ConfigError(f"seed must be non-negative, got {master}")
     entropy = [int(master)]
@@ -257,12 +257,9 @@ def _run_cell(cell: _Cell) -> list[ResultRow]:
     return rows
 
 
-def _run_cells(cells: list[_Cell], threads: int) -> list[ResultRow]:
-    """Every cell's rows in cell order, the cells run on `threads` threads."""
-    if threads <= 1:
-        return [row for cell in cells for row in _run_cell(cell)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [row for rows in pool.map(_run_cell, cells) for row in rows]
+def _run_cells(cells: list[_Cell]) -> list[ResultRow]:
+    """Every cell's rows, cell after cell."""
+    return [row for cell in cells for row in _run_cell(cell)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,7 @@ def sweep_depth(image_id: str, clean: Raster,
                 sizes=range(10, 201, 10),
                 levels=(10.0, 1000.0),
                 seed: int = 0, h_x: float = BfParams.h_x,
-                radius: int = BfParams.radius, threads: int = 1) -> list[ResultRow]:
+                radius: int = BfParams.radius) -> list[ResultRow]:
     """Tree-depth / cluster-size grid under two noise levels.
 
     The integral benchmark on one image: one cell per level, so every
@@ -286,16 +283,14 @@ def sweep_depth(image_id: str, clean: Raster,
     specs = [filter_spec("mkf", {"depth": depth, "max_cluster": size,
                                  "hx": h_x, "radius": radius})
              for depth in depths for size in sizes]
-    return bench_integral([(image_id, clean)], levels, specs, seed=seed,
-                          threads=threads)
+    return bench_integral([(image_id, clean)], levels, specs, seed=seed)
 
 
 def bench_integral(images: list[tuple[str, Raster]],
                    levels,
                    filter_specs: list[FilterSpec],
                    seed: int = 0,
-                   dynamic_range: float = 255.0,
-                   threads: int = 1) -> list[ResultRow]:
+                   dynamic_range: float = 255.0) -> list[ResultRow]:
     """Per-level scoring of each filter across a set of grayscale images,
     one cell per (image, level): all filters share its noise realization."""
     return _run_cells(
@@ -303,7 +298,7 @@ def bench_integral(images: list[tuple[str, Raster]],
                NoiseSpec(kind="integral", level=float(level),
                          seed=derive_seed(seed, image_id, int(level))),
                filter_specs, dynamic_range)
-         for image_id, clean in images for level in levels], threads)
+         for image_id, clean in images for level in levels])
 
 
 def bench_complex_slices(slices: list[tuple[str, Raster]],
@@ -312,8 +307,7 @@ def bench_complex_slices(slices: list[tuple[str, Raster]],
                          seed: int = 0,
                          peak_sigma: float = 500.0,
                          spread: float | None = None,
-                         dynamic_range: float = 6000.0,
-                         threads: int = 1) -> list[ResultRow]:
+                         dynamic_range: float = 6000.0) -> list[ResultRow]:
     """Complex-slice comparison: each magnitude slice is split into
     real/imaginary components under its background phase, corrupted by the
     spatially-varying field, and the components are filtered independently,
@@ -329,7 +323,7 @@ def bench_complex_slices(slices: list[tuple[str, Raster]],
                               seed=derive_seed(seed, slice_id, component))
             cells.append(_Cell(slice_id, clean, noise, filter_specs,
                                dynamic_range, component))
-    return _run_cells(cells, threads)
+    return _run_cells(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Subcommands: denoise, cluster, noise, metrics, sweep-depth, bench-bsd,
 bench-brainweb. Exit codes: 0 success, 1 I/O or file-format failure,
 2 bad arguments; failures print one machine-parsable `error: ...` line on
-stderr. Shared flags --seed / --threads / --out-dir apply to the batch
-subcommands.
+stderr. Shared flags --seed / --out-dir apply to the batch subcommands,
+which run their cells one after another.
 """
 
 from __future__ import annotations
@@ -83,8 +83,6 @@ def _parse_levels(text: str) -> list[float]:
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed for all derived noise realizations")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent cases")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="directory for CSV/SVG outputs")
 
@@ -258,8 +256,7 @@ def _cmd_sweep_depth(args) -> int:
         depths=_int_range(args.depths),
         sizes=_int_range(args.sizes),
         levels=_parse_levels(args.levels),
-        seed=args.seed, h_x=spatial.h_x, radius=spatial.radius,
-        threads=args.threads)
+        seed=args.seed, h_x=spatial.h_x, radius=spatial.radius)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     bench.write_rows_csv(rows, args.out_dir / "sweep_depth.csv")
     return 0
@@ -294,8 +291,7 @@ def _cmd_bench_bsd(args) -> int:
     if not paths:
         raise ConfigError(f"no .pgm images found in {args.dataset}")
     images = [(p.stem, load_pgm(p)) for p in paths]
-    rows = bench.bench_integral(images, levels, specs,
-                                seed=args.seed, threads=args.threads)
+    rows = bench.bench_integral(images, levels, specs, seed=args.seed)
     _write_bench(rows, args.out_dir, "bsd", "mean {} vs noise level",
                  "noise level", _label_of,
                  lambda r: parse_noise_spec(f"{r.noise},seed=0").level)
@@ -333,7 +329,7 @@ def _cmd_bench_brainweb(args) -> int:
         slices, specs,
         phase_for_slice=lambda i: PhaseSpec(slice_index=i, **phase_extra),
         seed=args.seed, peak_sigma=args.peak, spread=spread,
-        dynamic_range=args.dynamic_range, threads=args.threads)
+        dynamic_range=args.dynamic_range)
     index_of = {name: i for i, (name, _) in enumerate(slices)}
     _write_bench(rows, args.out_dir, "brainweb", "{} per slice", "slice",
                  lambda r: f"{_label_of(r)}/{r.component}",
@@ -356,8 +352,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: bad-arguments: {exc}", file=sys.stderr)

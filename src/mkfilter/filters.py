@@ -10,9 +10,9 @@ of its ancestors, so the effective bandwidth is delta / sqrt(psi).
 
 The engine computes the range factor psi / (2 delta^2) once: one scalar
 for the bilateral filter, one value per leaf for the multi-kernel filter.
-It runs every window offset over row strips of about ``_STRIP_ELEMENTS``
-pixels, so its five work buffers stay in cache, and gathers the per-leaf
-factors by each strip's center pixels.
+It runs every window offset whose spatial weight is not 0 over row strips
+of about ``_STRIP_ELEMENTS`` pixels, so its five work buffers stay in
+cache, and gathers the per-leaf factors by each strip's center pixels.
 """
 
 from __future__ import annotations
@@ -124,16 +124,23 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     None (bilateral), or one entry per leaf that `rows` gathers by the
     center pixel (multi-kernel). Each strip of about ``_STRIP_ELEMENTS`` pixels runs
     every offset into five strip buffers, so each output pixel sums the
-    same terms in the same order as a whole-image pass would.
+    same terms in the same order as a whole-image pass would. Offsets
+    whose spatial weight underflows to 0 would add only zeros and are
+    skipped, so a radius beyond that distance gives the same output.
     """
     height, width = values.shape
     require_addressable("the padded image", height + 2 * radius,
                         width + 2 * radius)
     padded = np.pad(values, radius, mode="symmetric")
     inv_space = 1.0 / (2.0 * h_x * h_x)
-    offsets = [(radius + dy, radius + dx, -(dx * dx + dy * dy) * inv_space)
-               for dy in range(-radius, radius + 1)
-               for dx in range(-radius, radius + 1)]
+    square = np.arange(-radius, radius + 1) ** 2
+    with np.errstate(over="ignore"):  # a huge step's weight is exp(-inf) = 0
+        space = -(square[:, None] + square[None, :]) * inv_space
+    # the range term is >= 0, so where exp(space) is 0 every weight is 0
+    # and the offset would add only zeros: skip it. Kept offsets, as
+    # (row, column) of the padded image, in row-major order.
+    ys, xs = np.nonzero(np.exp(space) > 0)
+    offsets = list(zip(ys.tolist(), xs.tolist(), space[ys, xs].tolist()))
     strip = max(1, _STRIP_ELEMENTS // width)
     buffers = np.empty((5, min(strip, height), width))
     out = np.empty_like(values)

@@ -126,10 +126,17 @@ def make_noise_field(width: int, height: int,
     if spread is None:
         spread = min(width, height) / 4.0
     require_bandwidth(spread=spread)
-    x = np.arange(width) - center.x
-    y = np.arange(height) - center.y
-    rsq = x[None, :] ** 2 + y[:, None] ** 2
-    with np.errstate(over="ignore"):  # far from a narrow peak: exp(-inf) = 0
+    # offsets in float64: int64 squares of a far centre's offsets would
+    # wrap; below 2**26 px the float squares and sums are exact
+    try:
+        x = np.arange(width, dtype=np.float64) - float(center.x)
+        y = np.arange(height, dtype=np.float64) - float(center.y)
+    except OverflowError:
+        raise ConfigError("the noise centre lies beyond the float64 "
+                          "range") from None
+    # far from the peak: r^2 or r^2 / (2 spread^2) is inf, and exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        rsq = x[None, :] ** 2 + y[:, None] ** 2
         field = peak_sigma * np.exp(-rsq / (2.0 * spread * spread))
     return Raster(field, range_hint=(0.0, peak_sigma))
 
@@ -161,8 +168,9 @@ def phase_map(width: int, height: int, spec: PhaseSpec) -> np.ndarray:
     v = np.linspace(-1.0, 1.0, height)[:, None]
     c00, c10, c01, c20, c11, c02 = spec.coefficients
     d0, d1, d2 = spec.drift
-    phi = (c00 + c10 * u + c01 * v + c20 * u * u + c11 * u * v + c02 * v * v
-           + spec.slice_index * (d0 + d1 * u + d2 * v))
+    with overflow_is_config_error("the background phase"):
+        phi = (c00 + c10 * u + c01 * v + c20 * u * u + c11 * u * v
+               + c02 * v * v + spec.slice_index * (d0 + d1 * u + d2 * v))
     return _wrap_phase(phi)
 
 

@@ -83,9 +83,6 @@ class ComplexRaster:
                 f"{self.real.data.shape} vs {self.imag.data.shape}"
             )
 
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.real.data, self.imag.data)
-
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
     """Round half away from zero (np.round would round half to even)."""

@@ -117,7 +117,7 @@ def _without_ms(rows):
     return [dataclasses.replace(row, ms=0.0) for row in rows]
 
 
-def test_sweep_depth_rows_match_per_case_path_and_threads():
+def test_sweep_depth_rows_match_per_case_path():
     clean = small_image()
     depths, sizes, levels = (2, 3, 5), (20, 60), (10.0, 1000.0)
     rows = sweep_depth("fix", clean, depths=depths, sizes=sizes,
@@ -134,18 +134,14 @@ def test_sweep_depth_rows_match_per_case_path_and_threads():
                 expected.append(run_case("fix", clean, spec, noise, 255.0))
     assert _without_ms(rows) == _without_ms(expected)
     assert all(row.ms > 0 for row in rows)
-    threaded = sweep_depth("fix", clean, depths=depths, sizes=sizes,
-                           levels=levels, seed=5, radius=2, threads=2)
-    assert _without_ms(threaded) == _without_ms(rows)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_bench_integral_rows_match_per_case_run_case(threads):
+def test_bench_integral_rows_match_per_case_run_case():
     images = [("a", small_image(1)), ("b", small_image(2))]
     levels = (10.0, 1000.0)
     specs = [parse_filter_spec(text) for text in (
         "bf", "mkf:depth=2", "mkf:depth=7", "mkf:depth=4,max_cluster=60")]
-    rows = bench_integral(images, levels, specs, seed=3, threads=threads)
+    rows = bench_integral(images, levels, specs, seed=3)
     expected = [run_case(image_id, clean, spec,
                          NoiseSpec(kind="integral", level=level,
                                    seed=derive_seed(3, image_id, int(level))),
@@ -214,16 +210,6 @@ def test_bench_complex_slices_layout():
     re_seed = {r.seed for r in rows if r.component == "real"}
     im_seed = {r.seed for r in rows if r.component == "imag"}
     assert re_seed.isdisjoint(im_seed)
-
-
-def test_threaded_rows_match_sequential():
-    images = [("a", small_image(1))]
-    specs = [parse_filter_spec("bf:radius=2")]
-    seq = bench_integral(images, (10.0, 20.0, 30.0), specs, seed=2, threads=1)
-    par = bench_integral(images, (10.0, 20.0, 30.0), specs, seed=2, threads=4)
-    for r1, r2 in zip(seq, par):
-        assert (r1.image, r1.noise, r1.seed) == (r2.image, r2.noise, r2.seed)
-        assert r1.mae == r2.mae and r1.ssim == r2.ssim
 
 
 def test_csv_round_trip_and_header(tmp_path):
@@ -490,6 +476,8 @@ def assert_one_error_line(capsys, category="bad-arguments"):
     ["--phase-drift", "a,b,c"],
     ["--phase-coeffs", "1,2,3,4,5,x"],
     ["--phase-coeffs", "1,2,3,4,5,nan"],
+    # finite coefficients whose phase overflows
+    ["--phase-coeffs", ",".join(["1e308"] * 6)],
 ], ids=lambda bad: "-".join(bad).lstrip("-"))
 def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     write_test_volume(tmp_path / "vol")
@@ -498,6 +486,23 @@ def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
                  "cf:iters=1", *bad, "--out-dir", str(out_dir)]) == 2
     assert_one_error_line(capsys)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-depth", "bench-bsd",
+                                     "bench-brainweb"])
+def test_cli_batch_commands_reject_the_removed_threads_flag(tmp_path, capsys,
+                                                           command):
+    # batch cells run one after another: --threads is an unknown flag
+    write_test_pgm(tmp_path / "in.pgm")
+    write_test_volume(tmp_path / "vol")
+    source = {"sweep-depth": tmp_path / "in.pgm", "bench-bsd": tmp_path,
+              "bench-brainweb": tmp_path / "vol"}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(source), "--threads", "2",
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -516,8 +521,6 @@ def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     ["cluster", "{pgm}", "--bin-width", "1e-300", "--depth", "3"],
     ["cluster", "{pgm}", "--bin-width", "1e-17", "--depth", "3"],
     ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--hx", "nan"],
-    ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--threads", "0"],
-    ["bench-bsd", "{dir}", "--levels", "10", "--threads", "-3"],
     # a spread whose square underflows; a range whose SSIM constants overflow
     ["noise", "{pgm}", "{out}", "--noise", "field:spread=1e-300"],
     ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--spread",

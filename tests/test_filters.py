@@ -289,6 +289,16 @@ def test_engine_sum_overflow_is_a_config_error(monkeypatch):
         weighted_mean_filter(Raster(values), BfParams(), 5)
 
 
+def test_offsets_whose_spatial_weight_underflows_change_nothing():
+    # at h_x 3 the spatial weight exp(-d^2 / 18) is exactly 0 beyond a
+    # distance of about 115.8 px, so radius 150 gives radius 116's output
+    values = np.random.default_rng(44).uniform(0, 255, (8, 8))
+    near, far = (weighted_mean_filter(Raster(values), BfParams(3.0, 20.0,
+                                                               radius),
+                                      radius).data for radius in (116, 150))
+    assert np.array_equal(near, far)
+
+
 def test_engine_peak_memory_stays_below_four_images():
     # whole-image temporaries per window offset would take about ten
     # image sizes at 512 px

@@ -82,6 +82,19 @@ def test_field_radially_symmetric():
     assert field[40, 52] == field[40, 28] == field[52, 40] == field[28, 40]
 
 
+@pytest.mark.parametrize("center", [
+    (2**63 - 1, 3), (10**20, 1), (1, 10**20), (4 * 10**9, 1), (2**62, 1)])
+def test_field_of_a_centre_beyond_int64_squares_is_zero(center):
+    # int64 squares of these offsets wrap: the field peaked inside the
+    # image, or was not finite
+    assert not make_noise_field(16, 16, Coordinate(*center)).data.any()
+
+
+def test_field_of_a_centre_beyond_float64_is_a_config_error():
+    with pytest.raises(ConfigError, match="beyond the float64 range"):
+        make_noise_field(16, 16, Coordinate(3, 10**400))
+
+
 def test_spatial_noise_zero_field_is_identity():
     img = flat(55.0, 32)
     zero = Raster(np.zeros((32, 32)), range_hint=(0.0, 0.0))

@@ -209,6 +209,12 @@ def test_cluster_keeps_the_exit_contract(small_pgm, args):
 @example(spec="field:spread=1e-300", suffix=".mkfr")
 @example(spec="field:spread=1e-160", suffix=".mkfr")
 @example(spec="field:spread=1e-154", suffix=".mkfr")
+# centres whose int64 squared offsets wrap; one beyond the float64 range
+@example(spec="field:cx=100000000000000000000,cy=1", suffix=".mkfr")
+@example(spec="field:cx=1,cy=100000000000000000000", suffix=".mkfr")
+@example(spec="field:cx=4000000000,cy=1", suffix=".mkfr")
+@example(spec="field:cx=4611686018427387904,cy=1", suffix=".mkfr")
+@example(spec=f"field:cx=1{'0' * 400},cy=1", suffix=".mkfr")
 def test_noise_keeps_the_exit_contract(small_pgm, spec, suffix):
     out = small_pgm.with_name("noisy" + suffix)
     assert_exit_contract(*run_main(["noise", str(small_pgm), str(out),
@@ -266,6 +272,8 @@ def bench_dir(small_pgm, other_pgm, tmp_path_factory):
 # a padded image larger than numpy can address
 @example(filters=["bf:radius=9223372036854775807"], levels="10", flags=[])
 @example(filters=["bf:radius=99999999999999999999"], levels="10", flags=[])
+# a flag that no longer exists
+@example(filters=["bf:radius=1"], levels="10", flags=["--threads=2"])
 def test_bench_bsd_keeps_the_exit_contract(bench_dir, filters, levels, flags):
     assert_exit_contract(*run_main([
         "bench-bsd", str(bench_dir / "bsd"), "--filters", *filters,
@@ -285,6 +293,9 @@ def test_bench_bsd_keeps_the_exit_contract(bench_dir, filters, levels, flags):
 @example(filters=["tv:iters=100000000000000000000"], flags=[])
 @example(filters=["bf:radius=9223372036854775807"], flags=[])
 @example(filters=["bf:radius=99999999999999999999"], flags=[])
+# finite phase coefficients whose sum overflows
+@example(filters=["bf:radius=1"], flags=["--phase-coeffs=" + ",".join(
+    ["1e308"] * 6)])
 def test_bench_brainweb_keeps_the_exit_contract(bench_dir, filters, flags):
     assert_exit_contract(*run_main([
         "bench-brainweb", str(bench_dir / "vol"), "--filters", *filters,
