@@ -20,8 +20,8 @@ from .baselines import (TvParams, CfParams, tv_denoise, tv_denoise_trace,
 from .noise import (NoiseSpec, PhaseSpec, add_integral_noise,
                     make_noise_field, add_spatial_noise,
                     synthesize_complex_slice, phase_map, parse_noise_spec,
-                    apply_noise, GENERATOR_ID)
-from .metrics import ScorePair, mae, ssim, score_pair
+                    apply_noise)
+from .metrics import mae, ssim
 from .errors import ConfigError, FormatError
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "cf_gaussian_denoise", "bf_denoise",
     "NoiseSpec", "PhaseSpec", "add_integral_noise",
     "make_noise_field", "add_spatial_noise", "synthesize_complex_slice",
-    "phase_map", "parse_noise_spec", "apply_noise", "GENERATOR_ID",
-    "ScorePair", "mae", "ssim", "score_pair",
+    "phase_map", "parse_noise_spec", "apply_noise",
+    "mae", "ssim",
     "ConfigError", "FormatError",
 ]

@@ -112,14 +112,6 @@ def _rof_energy(u: np.ndarray, observed: np.ndarray, lam: float, width: int,
     return float(tv + fidelity)
 
 
-def rof_energy(u: np.ndarray, observed: np.ndarray, lam: float) -> float:
-    """Smoothed ROF energy: sum of |grad u| plus (lam/2) * squared residual."""
-    flat = np.ravel(u)
-    return _rof_energy(flat, np.ravel(observed), lam, u.shape[1],
-                       tuple(np.empty_like(flat) for _ in range(4)),
-                       np.empty_like(flat))
-
-
 def tv_denoise_trace(image: Raster, p: TvParams = TvParams()) -> tuple[Raster, np.ndarray]:
     """ROF descent returning the result and the per-iteration energy trace.
 

@@ -25,7 +25,7 @@ from .clustering import ClusterConfig, write_tree_dump
 from .errors import ConfigError
 from .filters import BfParams, mkf_denoise, mkf_filter, write_kernel_csv
 from .metrics import mae, ssim
-from .noise import NoiseSpec, apply_noise, format_number, parse_noise_spec
+from .noise import DEFAULT_PEAK_SIGMA, NoiseSpec, apply_noise, format_number
 from .raster import Raster
 
 __all__ = [
@@ -46,6 +46,9 @@ __all__ = [
 
 CSV_HEADER = ["image", "filter", "params", "noise", "seed", "component",
               "mae", "ssim", "ms"]
+
+# SSIM's dynamic range for BrainWeb-style slices of -3000..3000
+BRAINWEB_RANGE = 6000.0
 
 
 class Filter(NamedTuple):
@@ -188,16 +191,6 @@ def run_case(image_id: str, clean: Raster, filter_spec: FilterSpec,
                            dynamic_range, component))[0]
 
 
-def replay_row(clean: Raster, row: ResultRow,
-               dynamic_range: float) -> tuple[float, float]:
-    """Re-run one CSV row from its recorded provenance."""
-    noise_spec = parse_noise_spec(f"{row.noise},seed={row.seed}")
-    filter_spec = parse_filter_spec(f"{row.filter}:{row.params}")
-    fresh = run_case(row.image, clean, filter_spec, noise_spec,
-                     dynamic_range, row.component)
-    return fresh.mae, fresh.ssim
-
-
 class _Cell(NamedTuple):
     """One noised raster and the filters scored on it: every layout's unit."""
 
@@ -257,11 +250,6 @@ def _run_cell(cell: _Cell) -> list[ResultRow]:
     return rows
 
 
-def _run_cells(cells: list[_Cell]) -> list[ResultRow]:
-    """Every cell's rows, cell after cell."""
-    return [row for cell in cells for row in _run_cell(cell)]
-
-
 # ---------------------------------------------------------------------------
 # experiment layouts
 
@@ -289,41 +277,44 @@ def sweep_depth(image_id: str, clean: Raster,
 def bench_integral(images: list[tuple[str, Raster]],
                    levels,
                    filter_specs: list[FilterSpec],
-                   seed: int = 0,
-                   dynamic_range: float = 255.0) -> list[ResultRow]:
-    """Per-level scoring of each filter across a set of grayscale images,
-    one cell per (image, level): all filters share its noise realization."""
-    return _run_cells(
-        [_Cell(image_id, clean,
-               NoiseSpec(kind="integral", level=float(level),
-                         seed=derive_seed(seed, image_id, int(level))),
-               filter_specs, dynamic_range)
-         for image_id, clean in images for level in levels])
+                   seed: int = 0) -> list[ResultRow]:
+    """Per-level scoring of each filter across a set of 8-bit grayscale
+    images (SSIM's dynamic range 255), one cell per (image, level), one
+    cell after another: all filters share its noise realization."""
+    rows = []
+    for image_id, clean in images:
+        for level in levels:
+            noise = NoiseSpec(kind="integral", level=float(level),
+                              seed=derive_seed(seed, image_id, int(level)))
+            rows += _run_cell(_Cell(image_id, clean, noise, filter_specs,
+                                    255.0))
+    return rows
 
 
 def bench_complex_slices(slices: list[tuple[str, Raster]],
                          filter_specs: list[FilterSpec],
                          phase_for_slice,
                          seed: int = 0,
-                         peak_sigma: float = 500.0,
+                         peak_sigma: float = DEFAULT_PEAK_SIGMA,
                          spread: float | None = None,
-                         dynamic_range: float = 6000.0) -> list[ResultRow]:
+                         dynamic_range: float = BRAINWEB_RANGE
+                         ) -> list[ResultRow]:
     """Complex-slice comparison: each magnitude slice is split into
     real/imaginary components under its background phase, corrupted by the
     spatially-varying field, and the components are filtered independently,
-    one cell per (slice, component)."""
+    one cell per (slice, component), one cell after another."""
     from .noise import synthesize_complex_slice
 
-    cells = []
+    rows = []
     for index, (slice_id, magnitude) in enumerate(slices):
         pair = synthesize_complex_slice(magnitude, phase_for_slice(index))
         for component, clean in (("real", pair.real), ("imag", pair.imag)):
             noise = NoiseSpec(kind="spatial-field", level=peak_sigma,
                               spread=spread,
                               seed=derive_seed(seed, slice_id, component))
-            cells.append(_Cell(slice_id, clean, noise, filter_specs,
-                               dynamic_range, component))
-    return _run_cells(cells)
+            rows += _run_cell(_Cell(slice_id, clean, noise, filter_specs,
+                                    dynamic_range, component))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,15 @@ def _span(lo: float, hi: float):
     return lo, hi
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def line_chart(series: dict[str, list[tuple[float, float]]],
-               title: str, x_label: str, y_label: str,
-               width: int = 720, height: int = 440) -> str:
+               title: str, x_label: str, y_label: str) -> str:
     """Render named (x, y) polylines with axes, ticks, and a legend."""
+    width, height = 720, 440
     left, right, top, bottom = 70, 20, 40, 50
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -21,7 +21,8 @@ from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
 from .errors import ConfigError, FormatError
 from .filters import BfParams
 from .metrics import mae, ssim, ssim_constants
-from .noise import PhaseSpec, apply_noise, format_number, parse_noise_spec
+from .noise import (DEFAULT_PEAK_SIGMA, PhaseSpec, apply_noise, format_number,
+                    parse_noise_spec)
 from .raster import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
 from .charts import line_chart
 
@@ -158,9 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-depth",
                        help="tree-depth / cluster-size study on one image")
     p.add_argument("input", type=Path)
-    p.add_argument("--depths", default="2:7:1")
-    p.add_argument("--sizes", default="10:200:10")
-    p.add_argument("--levels", default="10,1000")
+    for name in _GRID:
+        p.add_argument(_flag(name), default=argparse.SUPPRESS)
     _add_filter_flags(p, ("hx", "radius"))
     _shared_flags(p)
 
@@ -177,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("volume", type=Path)
     p.add_argument("--filters", nargs="+",
                    default=list(_BRAINWEB_DEFAULT_FILTERS))
-    p.add_argument("--peak", type=float, default=500.0)
+    p.add_argument("--peak", type=float, default=DEFAULT_PEAK_SIGMA)
     p.add_argument("--spread", default="auto")
-    p.add_argument("--range", type=float, default=6000.0, dest="dynamic_range")
+    p.add_argument("--range", type=float, default=bench.BRAINWEB_RANGE,
+                   dest="dynamic_range")
     p.add_argument("--phase-coeffs", default=None,
                    help="six comma-separated quadratic phase coefficients")
     p.add_argument("--phase-drift", default=None,
@@ -247,16 +248,19 @@ def _int_range(text: str) -> list[int]:
     return [int(v) for v in _parse_levels(text)]
 
 
+# sweep-depth's grid flags and their parsers; a flag left out takes
+# bench.sweep_depth's default
+_GRID = {"depths": _int_range, "sizes": _int_range, "levels": _parse_levels}
+
+
 def _cmd_sweep_depth(args) -> int:
     image = load_raster_any(args.input)
     spatial = bench.filter_spec(
         "mkf", _given(args, ("hx", "radius"))).build()[BfParams]
-    rows = bench.sweep_depth(
-        args.input.stem, image,
-        depths=_int_range(args.depths),
-        sizes=_int_range(args.sizes),
-        levels=_parse_levels(args.levels),
-        seed=args.seed, h_x=spatial.h_x, radius=spatial.radius)
+    grid = {name: _GRID[name](text)
+            for name, text in _given(args, _GRID).items()}
+    rows = bench.sweep_depth(args.input.stem, image, **grid, seed=args.seed,
+                             h_x=spatial.h_x, radius=spatial.radius)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     bench.write_rows_csv(rows, args.out_dir / "sweep_depth.csv")
     return 0

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_bandwidth, require_positive
+from .errors import (ConfigError, require_addressable, require_bandwidth,
+                     require_positive)
 from .raster import Raster
 
 __all__ = [
@@ -417,28 +418,21 @@ def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:
                     np.cumsum(iterations)[:-1])
 
 
-def em_similarity_cluster(
-    hist: Histogram,
-    init: np.ndarray,
-    tol: float,
-    sigma_floor: float | None = None,
-    max_iterations: int = EM_MAX_ITERATIONS,
-) -> EmResult:
+def em_similarity_cluster(hist: Histogram, init: np.ndarray, tol: float, *,
+                          max_iterations: int = EM_MAX_ITERATIONS) -> EmResult:
     """Fit a two-component mixture to the histogram and hard-label each bin.
 
     This is the segmented EM that :func:`build_cluster_tree` runs over a
     whole level; ``init`` is the (3, 2) start of a one-segment histogram
     (see :func:`initial_gauss_pair`), or has a segment axis. The M-step clamps
-    each deviation at ``sigma_floor`` (default: the bin width); because the
-    clamp is the constrained maximizer of the expected complete-data
+    each deviation at the bin width, as the tree does; because the clamp
+    is the constrained maximizer of the expected complete-data
     log-likelihood, the recorded log-likelihood sequence is
     non-decreasing. Ties in the posterior go to the first component. A
     single-bin histogram cannot be split and yields a degenerate result
     with all mass on the first component.
     """
-    if sigma_floor is None:
-        sigma_floor = hist.bin_width
-    return _segmented_em(hist, init, tol, sigma_floor, max_iterations,
+    return _segmented_em(hist, init, tol, hist.bin_width, max_iterations,
                          trace=True)
 
 
@@ -581,7 +575,10 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     flat = image.data.ravel()
 
     tables: list[np.ndarray] = []
-    levels = []
+    # every level's map in one block, allocated before the first level, so
+    # that a depth whose maps the machine cannot hold fails at once
+    require_addressable("the level maps", cfg.max_depth + 1, height, width)
+    maps = np.empty((cfg.max_depth + 1, flat.size), dtype=np.int64)
 
     def add_level(level, label, parents):
         """Append the level's node rows, from its level-local pixel labels."""
@@ -594,9 +591,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         table["eligible"] = table["size"] > cfg.min_cluster
         table["em_iterations"] = -1
         tables.append(table)
-        label_map = (label + first_id).reshape(height, width)
-        label_map.flags.writeable = False
-        levels.append(label_map)
+        np.add(label, first_id, out=maps[level])
         return table["size"]
 
     label = np.zeros(flat.size, dtype=np.int64)
@@ -615,11 +610,14 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         # a splittable cluster with one child was left whole by its fit
         carried = (splittable
                    & (np.bincount(parent, minlength=size.size) == 1))[parent]
-        size = add_level(level, label, levels[-1].ravel()[first_pixel])
+        size = add_level(level, label, maps[level - 1][first_pixel])
 
     nodes = np.concatenate(tables)
     nodes.flags.writeable = False
-    return ClusterTree(nodes=nodes, levels=levels, sigma_floor=cfg.bin_width)
+    maps.flags.writeable = False
+    return ClusterTree(nodes=nodes,
+                       levels=list(maps.reshape(-1, height, width)),
+                       sigma_floor=cfg.bin_width)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ def require_bandwidth(**values) -> None:
 
 
 def require_addressable(what: str, *shape: int) -> None:
-    """Raise MemoryError when a float64 array of `shape` would be larger
-    than numpy can address. numpy raises ValueError or TypeError there, not
+    """Raise MemoryError when a float64 or int64 array of `shape` would be
+    larger than numpy can address. numpy raises ValueError or TypeError there, not
     the MemoryError of an allocation that merely fails."""
     if 8 * math.prod(shape) > np.iinfo(np.intp).max:
         raise MemoryError(f"{what} of shape {shape} is larger than numpy "

@@ -11,23 +11,16 @@ bit-identical to scipy.ndimage.correlate1d in its 'reflect' mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, overflow_is_config_error, require_positive
 from .raster import Raster
 
-__all__ = ["ScorePair", "mae", "ssim", "ssim_constants", "score_pair"]
+__all__ = ["mae", "ssim", "ssim_constants"]
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
-
-
-@dataclass(frozen=True)
-class ScorePair:
-    mae: float
-    ssim: float
 
 
 def _check_dims(a: Raster, b: Raster) -> None:
@@ -110,9 +103,3 @@ def ssim(a: Raster, b: Raster, dynamic_range: float) -> float:
         score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
             (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))
     return float(score.mean())
-
-
-def score_pair(reference: Raster, candidate: Raster,
-               dynamic_range: float) -> ScorePair:
-    return ScorePair(mae=mae(reference, candidate),
-                     ssim=ssim(reference, candidate, dynamic_range))

@@ -9,7 +9,7 @@ slice.
 
 Noise is added in real-valued space, never clamped; 8-bit clamping only
 happens at PGM export. All generators are seeded instances of numpy's
-PCG64 (see GENERATOR_ID), deterministic per seed within one build.
+PCG64, deterministic per seed within one build.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (ConfigError, overflow_is_config_error, require_bandwidth,
 from .raster import ComplexRaster, Coordinate, Raster
 
 __all__ = [
-    "GENERATOR_ID",
     "NoiseSpec",
     "PhaseSpec",
     "add_integral_noise",
@@ -37,8 +36,8 @@ __all__ = [
     "format_number",
 ]
 
-GENERATOR_ID = "numpy-pcg64"
-
+# the peak sigma of the spatially-varying field
+DEFAULT_PEAK_SIGMA = 500.0
 # background phase: quadratic polynomial over normalized [-1, 1] coords
 DEFAULT_PHASE_COEFFS = (0.3, 0.5, -0.4, 0.25, 0.15, -0.2)
 # per-slice linear drift, small enough that adjacent slices stay close
@@ -113,7 +112,7 @@ def add_integral_noise(image: Raster, level: float, seed: int) -> Raster:
 def make_noise_field(width: int, height: int,
                      center: Coordinate | None = None,
                      spread: float | None = None,
-                     peak_sigma: float = 500.0) -> Raster:
+                     peak_sigma: float = DEFAULT_PEAK_SIGMA) -> Raster:
     """Per-pixel sigma field: a 2D Gaussian bump peaking at `center`.
 
     Defaults put the peak on the center pixel (w//2, h//2) with spread
@@ -222,7 +221,7 @@ def parse_noise_spec(text: str) -> NoiseSpec:
             raise ConfigError(f"integral noise needs level= in {text!r}")
         spec = NoiseSpec(kind="integral", level=level, seed=seed)
     elif kind == "field":
-        peak = take_float("peak", 500.0)
+        peak = take_float("peak", DEFAULT_PEAK_SIGMA)
         if options.get("spread") == "auto":
             del options["spread"]
         spread = take_float("spread")  # None: the default spread

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from test_bench_cli import replay_row
 from test_clustering import _check_tree_invariants
 from test_filters import brute_force_filter, records_field, uniform_field
 
@@ -22,8 +23,7 @@ from mkfilter import (BfParams, CfParams, ClusterConfig, MkfRule,
                       ssim, synthesize_complex_slice,
                       tv_denoise, weighted_mean_filter)
 from mkfilter.bench import (bench_complex_slices, bench_integral, derive_seed,
-                            parse_filter_spec, read_rows_csv, replay_row,
-                            write_rows_csv)
+                            parse_filter_spec, read_rows_csv, write_rows_csv)
 from mkfilter.noise import PhaseSpec
 from mkfilter.phantoms import brain_slice, bsd_style, piecewise_mosaic
 

@@ -13,11 +13,11 @@ from mkfilter import (Raster, bench, filters, load_f64_raster, load_pgm,
                       save_f64_raster, save_pgm)
 from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
                             derive_seed,
-                            parse_filter_spec, read_rows_csv, replay_row,
+                            parse_filter_spec, read_rows_csv,
                             run_case, sweep_depth, write_rows_csv)
 from mkfilter.charts import line_chart
 from mkfilter.cli import main
-from mkfilter.noise import NoiseSpec, PhaseSpec
+from mkfilter.noise import NoiseSpec, PhaseSpec, parse_noise_spec
 from mkfilter.phantoms import brain_slice, piecewise_mosaic
 
 
@@ -66,6 +66,15 @@ def test_run_case_row_fields():
     assert row.noise == "integral:level=100" and row.seed == 7
     assert row.component == "gray"
     assert row.mae > 0 and -1 <= row.ssim <= 1 and row.ms > 0
+
+
+def replay_row(clean, row, dynamic_range):
+    """Re-run one CSV row from its recorded provenance: (mae, ssim)."""
+    noise_spec = parse_noise_spec(f"{row.noise},seed={row.seed}")
+    filter_spec = parse_filter_spec(f"{row.filter}:{row.params}")
+    fresh = run_case(row.image, clean, filter_spec, noise_spec,
+                     dynamic_range, row.component)
+    return fresh.mae, fresh.ssim
 
 
 def test_replay_row_reproduces_metrics():
@@ -573,6 +582,30 @@ def test_cli_window_beyond_memory_is_one_error_line(tmp_path, capsys,
     assert main([str(paths.get(a, a)) for a in command]) == 1
     assert_one_error_line(capsys, "memory")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--depth", "{depth}"],
+    ["cluster", "{pgm}", "--depth", "{depth}"],
+    ["sweep-depth", "{pgm}", "--depths", "{depth}", "--sizes", "20",
+     "--levels", "10", "--out-dir", "{dir}"],
+    ["bench-bsd", "{dir}", "--filters", "mkf:depth={depth}", "--levels", "10",
+     "--out-dir", "{dir}"],
+], ids=lambda command: command[0])
+def test_cli_depth_beyond_memory_fails_at_once(tmp_path, src_env, command):
+    # the level maps of a 24 px image at this depth are larger than numpy
+    # can address; building them level by level would run for ever
+    write_test_pgm(tmp_path / "in.pgm")
+    paths = {"{pgm}": str(tmp_path / "in.pgm"),
+             "{out}": str(tmp_path / "out.pgm"), "{dir}": str(tmp_path)}
+    argv = [paths.get(a, a).replace("{depth}", "99999999999999999999")
+            for a in command]
+    proc = subprocess.run([sys.executable, "-m", "mkfilter.cli", *argv],
+                          capture_output=True, text=True, env=src_env,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: memory: the level maps")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["bench-bsd", "bench-brainweb"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from mkfilter import ConfigError, Raster, mae, score_pair, ssim
+from mkfilter import ConfigError, Raster, mae, ssim
 from mkfilter.metrics import SSIM_SIGMA, SSIM_WINDOW, _gaussian_taps, _window_mean
 
 
@@ -111,11 +111,3 @@ def test_ssim_validation():
         ssim(Raster(np.zeros((2, 2))), Raster(np.zeros((3, 2))), 255.0)
     with pytest.raises(ConfigError):
         ssim(Raster(np.zeros((2, 2))), Raster(np.zeros((2, 2))), 0.0)
-
-
-def test_score_pair_bundles_both():
-    rng = np.random.default_rng(26)
-    a, b = rand_raster(rng), rand_raster(rng)
-    pair = score_pair(a, b, 255.0)
-    assert pair.mae == mae(a, b)
-    assert pair.ssim == ssim(a, b, 255.0)
