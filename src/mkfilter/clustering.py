@@ -21,11 +21,14 @@ one segmented EM over the histograms of all splittable clusters, one
 connectivity pass, a union-find over the image's horizontal runs of equal
 labels, and one ``np.bincount`` pass for the node statistics. A
 splittable cluster that its fit left whole reaches the next level with the
-same pixels and keeps that fit there instead of being fitted again. In
-the EM, a lone active segment's parameters broadcast over its bins
-instead of being gathered, and one reduction per iteration tells that no
-segment finishes; the active layout is rebuilt only when that test fails
-and a segment does leave.
+same pixels and keeps that fit there instead of being fitted again; once
+a level has no cluster left to fit, the levels below it are copies of it.
+The EM keeps the bins' centres and counts as one row per component, so
+that most of its calls take same-shape operands, and reuses the M step's
+``x - mu`` in the next E step. A lone active segment's parameters
+broadcast over its bins instead of being gathered, and one reduction per
+iteration tells that no segment finishes; the active layout is rebuilt
+only when that test fails and a segment does leave.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
 are the one-cluster cases of the same code.
 """
@@ -271,15 +274,21 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     parameters move less than ``tol``, when a component loses all support
     (its parameters then stay as they were), or at the iteration cap.
     Each iteration first takes one reduction, the smallest of the active
-    segments' largest parameter moves; only when it falls below ``tol``
-    (or is nan), or at the cap, does the full test run, and the active
-    layout is rebuilt only when a segment leaves. Per layout the work
-    arrays are allocated once and every step writes into them. Several
-    active segments gather their parameters for each bin; a lone one
-    broadcasts its parameter columns over its bins instead. Each segment
-    runs exactly the float operations of a fit on its own histogram, in
-    the same order. Each segment's iteration count is recorded as it
-    leaves; its log-likelihood per iteration only with ``trace``.
+    segments' largest parameter moves (a lone segment's largest move);
+    only when it falls below ``tol`` (or is nan), or at the cap, does the
+    full test run, and the active layout is rebuilt only when a segment
+    leaves. Per layout the work arrays, two parameter buffers (current
+    and next) and their views are made once, and every step writes into
+    them. The bins' centres and counts are stored once per component,
+    (2, bins), so the per-bin products take same-shape operands, and the
+    constants are 0-d arrays. The M step writes ``x - mu`` of the new
+    means into a kept buffer, which the next E step divides by sigma; only
+    a layout's first iteration subtracts afresh. Several active segments
+    gather their parameters for each bin; a lone one broadcasts its
+    parameter columns over its bins instead. Each segment runs exactly the
+    float operations of a fit on its own histogram, in the same order.
+    Each segment's iteration count is recorded as it leaves; its
+    log-likelihood per iteration only with ``trace``.
     """
     x, n = hist.centers, hist.counts
     n_bins = np.diff(np.append(hist.starts, x.size))
@@ -296,6 +305,9 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     trace_seg: list[np.ndarray] = []
     trace_ll: list[np.ndarray] = []
 
+    # 0-d operands: a Python float is converted again on every call
+    half, half_log_2pi, floor = map(np.array, (0.5, _HALF_LOG_2PI,
+                                               sigma_floor))
     is_active = ~degenerate
     active = np.flatnonzero(is_active)
     iteration = 0
@@ -307,37 +319,45 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
             bins = np.flatnonzero(is_active[bin_seg])
             local = np.repeat(np.arange(active.size), n_bins[active])
             local_starts = np.append(0, np.cumsum(n_bins[active])[:-1])
-            xa, na = x[bins], n[bins]
-            total = np.add.reduceat(na, local_starts)
-            th = theta[:, :, active]
+            # centres, counts and totals once per component, so that the
+            # per-bin and per-segment operands share their shapes
+            xa, na = np.tile(x[bins], (2, 1)), np.tile(n[bins], (2, 1))
+            total = np.tile(np.add.reduceat(na[0], local_starts), (2, 1))
             # a lone segment's parameter columns broadcast over its bins
             gather = local if active.size > 1 else None
+            # two parameter buffers, current and next, (mu, sigma, weight)
+            # x component x segment, with the views each step takes
+            pair = np.empty((2, 3, 2, active.size))
+            pair[0] = theta[:, :, active]
+            views = [(p, p[0], p[1], p[2], p[1:]) for p in pair]
+            current = 0
             # work arrays of the layout; log_p turns into resp in place
-            new, step = np.empty((2,) + th.shape)
-            step_rows = step.reshape(6, -1)
-            log_th = np.empty_like(th[1:])
+            step = np.empty_like(pair[0])
+            step_rows, step_all = step.reshape(6, -1), step.reshape(-1)
+            log_th = np.empty_like(pair[0, 1:])
             log_sigma, log_weight = log_th
-            const = np.empty_like(th[0])
-            log_p, work = np.empty((2, 2, xa.size))
+            const = np.empty_like(pair[0, 0])
+            log_p, work, diff = np.empty((3, 2, bins.size))
             log_p0, log_p1 = log_p
             work0, work1 = work
-            top, log_norm = np.empty((2, xa.size))
+            top, log_norm = np.empty((2, bins.size))
             # n_resp and n_resp * x per component, summed in one reduceat
-            weighted = np.empty((4, xa.size))
+            weighted = np.empty((4, bins.size))
             n_resp, n_resp_x = weighted[:2], weighted[2:]
             sums = np.empty((4, active.size))
             mass, mass_x = sums[:2], sums[2:]
+            # x - mu; from then on the M step leaves it for the next E step
+            np.subtract(xa, _per_bin(pair[0, 0], gather), out=diff)
             while True:
                 iteration += 1
+                th, _, sigma, _, sigma_weight = views[current]
                 # E step in log space, per bin with its segment's parameters
-                np.log(th[1:], out=log_th)
+                np.log(sigma_weight, out=log_th)
                 np.subtract(log_weight, log_sigma, out=const)
-                np.subtract(const, _HALF_LOG_2PI, out=const)
-                mu_sigma = _per_bin(th[:2], gather)
-                np.subtract(xa, mu_sigma[0], out=work)
-                np.divide(work, mu_sigma[1], out=work)
+                np.subtract(const, half_log_2pi, out=const)
+                np.divide(diff, _per_bin(sigma, gather), out=work)
                 np.square(work, out=work)
-                np.multiply(work, 0.5, out=work)
+                np.multiply(work, half, out=work)
                 np.subtract(_per_bin(const, gather), work, out=log_p)
                 np.maximum(log_p0, log_p1, out=top)
                 np.subtract(log_p, top, out=work)
@@ -349,32 +369,38 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
                 resp = np.exp(log_p, out=log_p)
                 if trace:
                     trace_seg.append(active)
-                    trace_ll.append(np.add.reduceat(na * log_norm,
+                    trace_ll.append(np.add.reduceat(na[0] * log_norm,
                                                     local_starts))
 
                 # M step, the deviation clamped at the floor
+                new, mu, sigma, weight, _ = views[1 - current]
                 np.multiply(na, resp, out=n_resp)
                 np.multiply(n_resp, xa, out=n_resp_x)
                 np.add.reduceat(weighted, local_starts, axis=1, out=sums)
-                mu, sigma = new[0], new[1]
                 np.divide(mass_x, mass, out=mu)
-                np.subtract(xa, _per_bin(mu, gather), out=work)
-                np.square(work, out=work)
+                np.subtract(xa, _per_bin(mu, gather), out=diff)
+                np.square(diff, out=work)
                 np.multiply(n_resp, work, out=work)
                 np.add.reduceat(work, local_starts, axis=1, out=sigma)
                 np.divide(sigma, mass, out=sigma)
                 np.sqrt(sigma, out=sigma)
-                np.maximum(sigma, sigma_floor, out=sigma)
-                np.divide(mass, total, out=new[2])
+                np.maximum(sigma, floor, out=sigma)
+                np.divide(mass, total, out=weight)
                 np.subtract(new, th, out=step)
                 np.abs(step, out=step)
-                shift = np.maximum.reduce(step_rows, axis=0)
-                # One reduction tells that no segment finishes. It also
-                # sees ``lost``: a component without mass has only zero
-                # terms n_resp * x, so its new mean is 0 / 0 = nan, the
-                # segment's shift is nan, and nan >= tol is false.
-                if (iteration == max_iterations
-                        or not np.minimum.reduce(shift) >= tol):
+                # One reduction tells that no segment finishes: the largest
+                # move of a lone segment, else the smallest of the segments'
+                # largest moves. It also sees ``lost``: a component without
+                # mass has only zero terms n_resp * x, so its new mean is
+                # 0 / 0 = nan, its segment's move is nan, and nan >= tol
+                # is false.
+                if gather is None:
+                    going = np.maximum.reduce(step_all) >= tol
+                else:
+                    going = np.minimum.reduce(
+                        np.maximum.reduce(step_rows, axis=0)) >= tol
+                if iteration == max_iterations or not going:
+                    shift = np.maximum.reduce(step_rows, axis=0)
                     lost = np.minimum(mass[0], mass[1]) <= 0.0
                     done = lost | (shift < tol)
                     if iteration == max_iterations:
@@ -383,7 +409,7 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
                         new[:, :, lost] = th[:, :, lost]
                         th = new
                         break
-                th, new = new, th
+                current = 1 - current
             theta[:, :, active] = th
             finished = done[local]
             labels[bins[finished]] = np.where(
@@ -567,6 +593,8 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     Each level is processed as a whole: one histogram pass and one
     segmented EM over the splittable clusters that no earlier fit left
     whole, one connectivity pass over the image, one statistics pass.
+    From the first level with no such cluster on, every level is a copy
+    of the one before (see :func:`_repeat_last_level`).
     Each fit's iteration count goes into its cluster's ``em_iterations``.
     Node ids are issued level by level, in row-major order of each
     cluster's first pixel.
@@ -598,9 +626,12 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     size = add_level(0, label, np.full(1, -1))
     # per cluster: left whole by an earlier fit, which it carries
     carried = np.zeros(1, dtype=bool)
-    for level in range(1, cfg.max_depth + 1):
+    level = 1
+    while level <= cfg.max_depth:
         splittable = size > cfg.max_cluster
         fit = splittable & ~carried
+        if not fit.any():
+            break
         side, fitted = _split_sides(flat, label, fit, cfg)
         tables[-1]["em_iterations"][fit] = fitted
         keys = (label * 2 + side).reshape(height, width)
@@ -611,13 +642,38 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         carried = (splittable
                    & (np.bincount(parent, minlength=size.size) == 1))[parent]
         size = add_level(level, label, maps[level - 1][first_pixel])
+        level += 1
 
-    nodes = np.concatenate(tables)
+    nodes = _repeat_last_level(np.concatenate(tables), maps, level, size.size)
     nodes.flags.writeable = False
     maps.flags.writeable = False
     return ClusterTree(nodes=nodes,
                        levels=list(maps.reshape(-1, height, width)),
                        sigma_floor=cfg.bin_width)
+
+
+def _repeat_last_level(nodes: np.ndarray, maps: np.ndarray, first: int,
+                       count: int) -> np.ndarray:
+    """Fill ``maps`` from level ``first`` on, and append those levels' node
+    rows to ``nodes``, as copies of level ``first - 1``, whose ``count``
+    clusters are the last rows of ``nodes``.
+
+    A level with no cluster to fit splits none, so each later level has the
+    same clusters, pixel order and statistics, and nothing to fit either:
+    a copy takes the next ``count`` ids and names its original as parent.
+    """
+    repeats = maps.shape[0] - first
+    if repeats == 0:
+        return nodes
+    out = np.empty(nodes.size + repeats * count, dtype=NODE_DTYPE)
+    out[:nodes.size] = nodes
+    copies = out[nodes.size:]
+    copies.reshape(repeats, count)[:] = nodes[nodes.size - count:]
+    copies["level"] = np.repeat(np.arange(first, maps.shape[0]), count)
+    copies["parent"] = np.arange(nodes.size - count, out.size - count)
+    np.add(maps[first - 1], count * np.arange(1, repeats + 1)[:, None],
+           out=maps[first:])
+    return out
 
 
 # ---------------------------------------------------------------------------

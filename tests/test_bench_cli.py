@@ -258,7 +258,7 @@ def test_line_chart_single_point_beyond_two_to_the_53(point):
 # CLI
 
 
-def write_test_pgm(path, seed=0, size=24):
+def write_test_pgm(path, seed=0):
     save_pgm(small_image(seed), path)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from em_oracle import segmented_em as frozen_em
 from tree_oracle import reference_em, reference_flood
 
 import mkfilter
@@ -457,6 +458,69 @@ def test_segmented_em_lost_converged_and_capped_in_one_iteration(
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(fits.log_likelihood[k], ref.log_likelihood,
                                    rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def em_layouts(draw):
+    """A segmented EM call on a random layout: up to 6 segments of up to 9
+    bins each (single bins are common), counts from 1 to 40, starts at the
+    initial rule, at random, or with a component that gets no mass (far
+    away or of weight 0), a tolerance from tight to loose, so that segments
+    leave on different iterations, and a cap from 1 iteration up."""
+    n_seg = draw(st.integers(1, 6))
+    floor = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    centers, counts, starts, inits = [], [], [], []
+    for _ in range(n_seg):
+        starts.append(len(centers))
+        base = draw(st.integers(-50, 250)) * floor
+        offsets = draw(st.lists(st.integers(0, 60), min_size=1, max_size=9,
+                                unique=True))
+        seg = base + (np.sort(offsets) + 0.5) * floor
+        centers.extend(seg.tolist())
+        counts.extend(draw(st.lists(st.integers(1, 40), min_size=seg.size,
+                                    max_size=seg.size)))
+        kind = draw(st.sampled_from(["rule", "random", "far", "weightless"]))
+        if kind == "rule":
+            init = initial_gauss_pair(float(seg.max()), floor)
+        else:
+            mu = draw(st.lists(st.floats(-100, 400), min_size=2, max_size=2))
+            sigma = draw(st.lists(st.floats(0.1, 200), min_size=2, max_size=2))
+            weight = draw(st.floats(0.05, 0.95))
+            init = np.array([mu, sigma, [weight, 1.0 - weight]])
+            if kind == "far":
+                init[:, 1] = [1e6, 1.0, 0.5]
+            elif kind == "weightless":
+                init[2] = [1.0, 0.0]
+        inits.append(init)
+    hist = Histogram(np.array(centers), np.array(counts, dtype=np.float64),
+                     np.array(starts), floor)
+    theta = inits[0] if n_seg == 1 and draw(st.booleans()) else np.stack(
+        inits, axis=-1)
+    tol = draw(st.sampled_from([1e-12, 1e-6, 1e-4, 1e-2, 1.0, 10.0]))
+    cap = draw(st.one_of(st.integers(1, 40), st.just(EM_MAX_ITERATIONS)))
+    return hist, theta, tol, floor, cap, draw(st.booleans())
+
+
+def _fit_bytes(fit):
+    """Every field of an EM result as bytes, traces one by one."""
+    traces = fit.log_likelihood
+    if isinstance(traces, np.ndarray):
+        traces = [traces]
+    return [np.asarray(fit.theta).tobytes(), fit.labels.tobytes(),
+            np.asarray(fit.degenerate).tobytes(),
+            np.asarray(fit.iterations).tobytes(),
+            None if traces is None else [t.tobytes() for t in traces]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=em_layouts())
+def test_segmented_em_matches_frozen_oracle(layout):
+    """The EM loop runs the float operations of the loop it replaced, in
+    the same order, so every result is the same to the byte."""
+    hist, theta, tol, floor, cap, trace = layout
+    got = _segmented_em(hist, theta, tol, floor, cap, trace=trace)
+    want = frozen_em(hist, theta, tol, floor, cap, trace=trace)
+    assert _fit_bytes(got) == _fit_bytes(want)
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,27 @@ def test_em_work_run_on_deep_inputs_is_pinned(monkeypatch, name, fits,
     counts = counts[counts >= 0]
     assert (counts.size, counts.sum()) == (fits, iterations)
     assert counts.tolist() == run
+
+
+def test_levels_after_the_last_fit_are_copied(monkeypatch):
+    """Once a level has no cluster to fit, no later level splits: the tree
+    copies that level down instead of running connectivity and statistics
+    again. This phantom fits its last clusters at level 3."""
+    image = bsd_style(16, 16, seed=0)
+    calls = []
+    connected_regions = clustering._connected_regions
+
+    def spy(*args):
+        calls.append(args)
+        return connected_regions(*args)
+
+    monkeypatch.setattr(clustering, "_connected_regions", spy)
+    tree = build_cluster_tree(image, ClusterConfig(max_depth=2000))
+    assert len(calls) == 4
+    assert tree.depth == 2000
+    monkeypatch.undo()
+    cfg = ClusterConfig(max_depth=200)
+    assert_same_tree(build_cluster_tree(image, cfg),
+                     reference_tree(image.data, cfg))
+    assert_same_truncation(tree.truncated(200), build_cluster_tree(image, cfg),
+                           200)
