@@ -6,7 +6,7 @@ variation / curvature-filter baselines, nonstationary-noise synthesis,
 and an MAE/SSIM benchmark harness.
 """
 
-from .raster import (Raster, ComplexRaster, Coordinate, load_pgm, save_pgm,
+from .raster import (Raster, ComplexRaster, load_pgm, save_pgm,
                      load_f64_raster, save_f64_raster, to_grayscale)
 from .clustering import (ClusterConfig, ClusterTree, NODE_DTYPE, Histogram,
                          build_histogram, initial_gauss_pair,
@@ -27,7 +27,7 @@ from .errors import ConfigError, FormatError
 __version__ = "0.1.0"
 
 __all__ = [
-    "Raster", "ComplexRaster", "Coordinate", "load_pgm", "save_pgm",
+    "Raster", "ComplexRaster", "load_pgm", "save_pgm",
     "load_f64_raster", "save_f64_raster", "to_grayscale",
     "ClusterConfig", "ClusterTree", "NODE_DTYPE", "Histogram",
     "build_histogram", "initial_gauss_pair",

@@ -159,6 +159,8 @@ def parse_filter_spec(text: str) -> FilterSpec:
         key = key.strip()
         if not sep or key not in defaults:
             raise ConfigError(f"bad filter option {item!r} in {text!r}")
+        if key in given:
+            raise ConfigError(f"repeated filter option {key!r} in {text!r}")
         try:
             given[key] = type(defaults[key])(value)
         except ValueError:
@@ -293,7 +295,6 @@ def bench_integral(images: list[tuple[str, Raster]],
 
 def bench_complex_slices(slices: list[tuple[str, Raster]],
                          filter_specs: list[FilterSpec],
-                         phase_for_slice,
                          seed: int = 0,
                          peak_sigma: float = DEFAULT_PEAK_SIGMA,
                          spread: float | None = None,
@@ -303,11 +304,11 @@ def bench_complex_slices(slices: list[tuple[str, Raster]],
     real/imaginary components under its background phase, corrupted by the
     spatially-varying field, and the components are filtered independently,
     one cell per (slice, component), one cell after another."""
-    from .noise import synthesize_complex_slice
+    from .noise import PhaseSpec, synthesize_complex_slice
 
     rows = []
     for index, (slice_id, magnitude) in enumerate(slices):
-        pair = synthesize_complex_slice(magnitude, phase_for_slice(index))
+        pair = synthesize_complex_slice(magnitude, PhaseSpec(index))
         for component, clean in (("real", pair.real), ("imag", pair.imag)):
             noise = NoiseSpec(kind="spatial-field", level=peak_sigma,
                               spread=spread,

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import bench
 from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, require_bandwidth
 from .filters import BfParams
 from .metrics import mae, ssim, ssim_constants
-from .noise import (DEFAULT_PEAK_SIGMA, PhaseSpec, apply_noise, format_number,
+from .noise import (DEFAULT_PEAK_SIGMA, apply_noise, format_number,
                     parse_noise_spec)
 from .raster import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
 from .charts import line_chart
@@ -181,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spread", default="auto")
     p.add_argument("--range", type=float, default=bench.BRAINWEB_RANGE,
                    dest="dynamic_range")
-    p.add_argument("--phase-coeffs", default=None,
-                   help="six comma-separated quadratic phase coefficients")
-    p.add_argument("--phase-drift", default=None,
-                   help="three comma-separated per-slice drift coefficients")
     _shared_flags(p)
 
     return parser
@@ -302,37 +298,28 @@ def _cmd_bench_bsd(args) -> int:
     return 0
 
 
-def _parse_coeffs(text: str, count: int, what: str) -> tuple:
+def _parse_spread(text: str) -> float | None:
+    """`--spread`: `auto` (None) or a width, checked before any read."""
+    if text == "auto":
+        return None
     try:
-        values = tuple(float(v) for v in text.split(","))
+        spread = float(text)
     except ValueError:
-        values = ()
-    if len(values) != count or not all(map(math.isfinite, values)):
-        raise ConfigError(f"{what} expects {count} comma-separated finite "
-                          f"number(s), got {text!r}")
-    return values
+        raise ConfigError(f"bad --spread {text!r}") from None
+    require_bandwidth(spread=spread)
+    return spread
 
 
 def _cmd_bench_brainweb(args) -> int:
     specs = [bench.parse_filter_spec(s) for s in args.filters]
     ssim_constants(args.dynamic_range)  # a bad --range fails before any read
-    spread = (None if args.spread == "auto"
-              else _parse_coeffs(args.spread, 1, "--spread")[0])
-    phase_extra = {}
-    if args.phase_coeffs is not None:
-        phase_extra["coefficients"] = _parse_coeffs(args.phase_coeffs, 6,
-                                                    "--phase-coeffs")
-    if args.phase_drift is not None:
-        phase_extra["drift"] = _parse_coeffs(args.phase_drift, 3,
-                                             "--phase-drift")
+    spread = _parse_spread(args.spread)
     paths = sorted(args.volume.glob("*.mkfr"))
     if not paths:
         raise ConfigError(f"no .mkfr slices found in {args.volume}")
     slices = [(p.stem, load_f64_raster(p)) for p in paths]
     rows = bench.bench_complex_slices(
-        slices, specs,
-        phase_for_slice=lambda i: PhaseSpec(slice_index=i, **phase_extra),
-        seed=args.seed, peak_sigma=args.peak, spread=spread,
+        slices, specs, seed=args.seed, peak_sigma=args.peak, spread=spread,
         dynamic_range=args.dynamic_range)
     index_of = {name: i for i, (name, _) in enumerate(slices)}
     _write_bench(rows, args.out_dir, "brainweb", "{} per slice", "slice",

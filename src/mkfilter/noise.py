@@ -3,9 +3,9 @@
 Integrally-varying noise: one Gaussian level per image, expressed as a
 variance in squared intensity units (the usual normalization divides by
 255^2 = 65025 for 8-bit data). Spatially-varying noise: a per-pixel sigma
-field shaped like a 2D Gaussian bump. Complex slices are synthesized from
-a magnitude raster and a smooth background phase that drifts slice by
-slice.
+field shaped like a 2D Gaussian bump on the centre pixel. Complex slices
+are synthesized from a magnitude raster and one smooth background phase
+schedule that drifts linearly with the slice index.
 
 Noise is added in real-valued space, never clamped; 8-bit clamping only
 happens at PGM export. All generators are seeded instances of numpy's
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, overflow_is_config_error, require_bandwidth,
                      require_positive)
-from .raster import ComplexRaster, Coordinate, Raster
+from .raster import ComplexRaster, Raster
 
 __all__ = [
     "NoiseSpec",
@@ -59,14 +59,13 @@ class NoiseSpec:
     """Parsed noise request.
 
     kind 'integral': `level` is the per-image variance. kind
-    'spatial-field': `level` is the peak sigma of the 2D Gaussian field;
-    `center`/`spread` default to the image center pixel and min(w,h)/4.
+    'spatial-field': `level` is the peak sigma of the 2D Gaussian field on
+    the centre pixel (w//2, h//2); `spread` defaults to min(w, h) / 4.
     """
 
     kind: str
     level: float
     seed: int
-    center: Coordinate | None = None
     spread: float | None = None
 
     def __post_init__(self) -> None:
@@ -84,20 +83,15 @@ class NoiseSpec:
         if self.kind == "integral":
             return f"integral:level={format_number(self.level)}"
         spread = "auto" if self.spread is None else format_number(self.spread)
-        out = f"field:peak={format_number(self.level)},spread={spread}"
-        if self.center is not None:
-            out += f",cx={self.center.x},cy={self.center.y}"
-        return out
+        return f"field:peak={format_number(self.level)},spread={spread}"
 
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """Background phase for one slice: quadratic coefficients plus a
-    slice-indexed linear drift, all in radians."""
+    """Background phase of one slice, in radians: DEFAULT_PHASE_COEFFS
+    plus `slice_index` times DEFAULT_PHASE_DRIFT."""
 
     slice_index: int = 0
-    coefficients: tuple = DEFAULT_PHASE_COEFFS
-    drift: tuple = DEFAULT_PHASE_DRIFT
 
 
 def add_integral_noise(image: Raster, level: float, seed: int) -> Raster:
@@ -110,30 +104,18 @@ def add_integral_noise(image: Raster, level: float, seed: int) -> Raster:
 
 
 def make_noise_field(width: int, height: int,
-                     center: Coordinate | None = None,
                      spread: float | None = None,
                      peak_sigma: float = DEFAULT_PEAK_SIGMA) -> Raster:
-    """Per-pixel sigma field: a 2D Gaussian bump peaking at `center`.
-
-    Defaults put the peak on the center pixel (w//2, h//2) with spread
-    min(width, height) / 4, so the field's maximum equals peak_sigma
-    exactly.
-    """
+    """Per-pixel sigma field: a 2D Gaussian bump of width `spread` (None:
+    min(width, height) / 4) whose maximum, on the centre pixel
+    (w//2, h//2), equals peak_sigma exactly."""
     require_positive(peak_sigma=peak_sigma)
-    if center is None:
-        center = Coordinate(width // 2, height // 2)
     if spread is None:
         spread = min(width, height) / 4.0
     require_bandwidth(spread=spread)
-    # offsets in float64: int64 squares of a far centre's offsets would
-    # wrap; below 2**26 px the float squares and sums are exact
-    try:
-        x = np.arange(width, dtype=np.float64) - float(center.x)
-        y = np.arange(height, dtype=np.float64) - float(center.y)
-    except OverflowError:
-        raise ConfigError("the noise centre lies beyond the float64 "
-                          "range") from None
-    # far from the peak: r^2 or r^2 / (2 spread^2) is inf, and exp(-inf) = 0
+    x = np.arange(width, dtype=np.float64) - float(width // 2)
+    y = np.arange(height, dtype=np.float64) - float(height // 2)
+    # a tiny spread: r^2 / (2 spread^2) is inf, and exp(-inf) = 0
     with np.errstate(over="ignore"):
         rsq = x[None, :] ** 2 + y[:, None] ** 2
         field = peak_sigma * np.exp(-rsq / (2.0 * spread * spread))
@@ -165,11 +147,10 @@ def phase_map(width: int, height: int, spec: PhaseSpec) -> np.ndarray:
     """Evaluate the background phase polynomial on the pixel grid."""
     u = np.linspace(-1.0, 1.0, width)[None, :]
     v = np.linspace(-1.0, 1.0, height)[:, None]
-    c00, c10, c01, c20, c11, c02 = spec.coefficients
-    d0, d1, d2 = spec.drift
-    with overflow_is_config_error("the background phase"):
-        phi = (c00 + c10 * u + c01 * v + c20 * u * u + c11 * u * v
-               + c02 * v * v + spec.slice_index * (d0 + d1 * u + d2 * v))
+    c00, c10, c01, c20, c11, c02 = DEFAULT_PHASE_COEFFS
+    d0, d1, d2 = DEFAULT_PHASE_DRIFT
+    phi = (c00 + c10 * u + c01 * v + c20 * u * u + c11 * u * v
+           + c02 * v * v + spec.slice_index * (d0 + d1 * u + d2 * v))
     return _wrap_phase(phi)
 
 
@@ -196,9 +177,12 @@ def parse_noise_spec(text: str) -> NoiseSpec:
     if body:
         for item in body.split(","):
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep or not key:
                 raise ConfigError(f"malformed noise option {item!r} in {text!r}")
-            options[key.strip()] = value.strip()
+            if key in options:
+                raise ConfigError(f"repeated noise option {key!r} in {text!r}")
+            options[key] = value.strip()
 
     def take_float(key: str, default=None) -> float | None:
         raw = options.pop(key, None)
@@ -225,17 +209,8 @@ def parse_noise_spec(text: str) -> NoiseSpec:
         if options.get("spread") == "auto":
             del options["spread"]
         spread = take_float("spread")  # None: the default spread
-        center = None
-        if "cx" in options or "cy" in options:
-            try:
-                center = Coordinate(int(options.pop("cx")),
-                                    int(options.pop("cy")))
-            except KeyError:
-                raise ConfigError(f"cx and cy go together in {text!r}") from None
-            except ValueError:
-                raise ConfigError(f"bad center in {text!r}") from None
         spec = NoiseSpec(kind="spatial-field", level=peak, seed=seed,
-                         center=center, spread=spread)
+                         spread=spread)
     else:
         raise ConfigError(f"unknown noise kind {kind!r} in {text!r}")
     if options:
@@ -246,6 +221,6 @@ def parse_noise_spec(text: str) -> NoiseSpec:
 def apply_noise(image: Raster, spec: NoiseSpec) -> Raster:
     if spec.kind == "integral":
         return add_integral_noise(image, spec.level, spec.seed)
-    field = make_noise_field(image.width, image.height, center=spec.center,
-                             spread=spec.spread, peak_sigma=spec.level)
+    field = make_noise_field(image.width, image.height, spread=spec.spread,
+                             peak_sigma=spec.level)
     return add_spatial_noise(image, field, spec.seed)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,20 +21,12 @@ from .errors import FormatError
 __all__ = [
     "Raster",
     "ComplexRaster",
-    "Coordinate",
     "load_pgm",
     "save_pgm",
     "load_f64_raster",
     "save_f64_raster",
     "to_grayscale",
 ]
-
-
-class Coordinate(NamedTuple):
-    """Pixel position: x is the column index, y the row index."""
-
-    x: int
-    y: int
 
 
 @dataclass(frozen=True, eq=False)

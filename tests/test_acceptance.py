@@ -257,7 +257,7 @@ def test_criterion_10_row_determinism(tmp_path):
     slices = [(f"s{i}", brain_slice(32, 32, slice_index=i)) for i in range(2)]
     rows += bench_complex_slices(
         slices, [parse_filter_spec("cf:iters=3")],
-        phase_for_slice=lambda i: PhaseSpec(i), seed=110, peak_sigma=300.0)
+        seed=110, peak_sigma=300.0)
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, path)
     back = read_rows_csv(path)

@@ -17,7 +17,7 @@ from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
                             run_case, sweep_depth, write_rows_csv)
 from mkfilter.charts import line_chart
 from mkfilter.cli import main
-from mkfilter.noise import NoiseSpec, PhaseSpec, parse_noise_spec
+from mkfilter.noise import NoiseSpec, parse_noise_spec
 from mkfilter.phantoms import brain_slice, piecewise_mosaic
 
 
@@ -37,7 +37,9 @@ def test_parse_filter_spec_defaults_and_overrides():
 def test_parse_filter_spec_rejects_unknown():
     from mkfilter import ConfigError
     for bad in ("median", "bf:sigma=3", "mkf:depth=abc", "bf:hx=nan",
-                "mkf:depth=1", "tv:iters=0", "bf:hi=1e-200"):
+                "mkf:depth=1", "tv:iters=0", "bf:hi=1e-200",
+                # a repeated key, which would silently take its last value
+                "bf:hi=5,hi=7", "mkf:depth=2,radius=2,depth=2"):
         with pytest.raises(ConfigError):
             parse_filter_spec(bad)
 
@@ -186,7 +188,7 @@ def test_each_cell_is_noised_once_with_one_tree_per_family(monkeypatch,
     elif layout == "slices":
         rows = bench_complex_slices(
             [(f"s{i}", brain_slice(24, 24, slice_index=i)) for i in range(2)],
-            specs, phase_for_slice=PhaseSpec, seed=1, peak_sigma=200.0)
+            specs, seed=1, peak_sigma=200.0)
     else:  # one cell per level; each size is a family of two depths
         rows = sweep_depth("fix", small_image(), depths=(2, 3),
                            sizes=(20, 60), levels=(10.0, 1000.0, 5000.0),
@@ -210,9 +212,7 @@ def test_bench_integral_row_count():
 def test_bench_complex_slices_layout():
     slices = [(f"s{i}", brain_slice(32, 32, slice_index=i)) for i in range(2)]
     specs = [parse_filter_spec("bf:radius=2"), parse_filter_spec("tv:iters=3")]
-    rows = bench_complex_slices(slices, specs,
-                                phase_for_slice=lambda i: PhaseSpec(i),
-                                seed=9, peak_sigma=200.0)
+    rows = bench_complex_slices(slices, specs, seed=9, peak_sigma=200.0)
     assert len(rows) == 2 * 2 * 2  # slices x components x filters
     assert {r.component for r in rows} == {"real", "imag"}
     # real and imaginary parts use distinct noise realizations
@@ -380,27 +380,6 @@ def test_cli_bench_brainweb(tmp_path):
     assert svg.count("<polyline") == 4  # 2 filters x 2 components
 
 
-def test_cli_bench_brainweb_custom_phase_schedule(tmp_path):
-    volume = tmp_path / "vol"
-    volume.mkdir()
-    save_f64_raster(brain_slice(24, 24, slice_index=0),
-                    volume / "slice_000.mkfr")
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    base = ["bench-brainweb", str(volume), "--filters", "cf:iters=1",
-            "--peak", "100"]
-    assert main(base + ["--out-dir", str(out_a)]) == 0
-    assert main(base + ["--phase-coeffs", "0,0,0,0,0,0", "--phase-drift",
-                        "0,0,0", "--out-dir", str(out_b)]) == 0
-    rows_a = read_rows_csv(out_a / "brainweb.csv")
-    rows_b = read_rows_csv(out_b / "brainweb.csv")
-    # flat phase puts everything in the real part, so the scores move
-    assert rows_a[0].mae != rows_b[0].mae
-    # malformed schedule -> bad arguments
-    assert main(base + ["--phase-coeffs", "1,2", "--out-dir",
-                        str(tmp_path / "c")]) == 2
-
-
 def test_cli_empty_dataset_dir_exits_two(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -482,11 +461,9 @@ def assert_one_error_line(capsys, category="bad-arguments"):
 
 @pytest.mark.parametrize("bad", [
     ["--spread", "abc"],
-    ["--phase-drift", "a,b,c"],
-    ["--phase-coeffs", "1,2,3,4,5,x"],
-    ["--phase-coeffs", "1,2,3,4,5,nan"],
-    # finite coefficients whose phase overflows
-    ["--phase-coeffs", ",".join(["1e308"] * 6)],
+    ["--spread", "1,2"],
+    ["--spread", "nan"],
+    ["--spread", "0"],
 ], ids=lambda bad: "-".join(bad).lstrip("-"))
 def test_cli_bench_brainweb_bad_numbers_exit_two(tmp_path, capsys, bad):
     write_test_volume(tmp_path / "vol")
@@ -512,6 +489,35 @@ def test_cli_batch_commands_reject_the_removed_threads_flag(tmp_path, capsys,
     assert exc.value.code == 2
     assert_one_error_line(capsys)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    # the noise field always peaks on the centre pixel
+    ["noise", "{pgm}", "{out}", "--noise", "field:cx=1,cy=1"],
+    ["noise", "{pgm}", "{out}", "--noise", "field:peak=300,cx=5"],
+    # the background phase always follows the one built-in schedule
+    ["bench-brainweb", "{vol}", "--phase-coeffs", "0,0,0,0,0,0"],
+    ["bench-brainweb", "{vol}", "--phase-drift", "0,0,0"],
+    ["bench-brainweb", "{vol}", "--phase-drift", "a,b,c"],
+    ["bench-brainweb", "{vol}", "--phase-coeffs", "1,2,3,4,5,nan"],
+    ["bench-brainweb", "{vol}", "--phase-coeffs", ",".join(["1e308"] * 6)],
+], ids=lambda command: "-".join(a.lstrip("-") for a in command
+                                if not a.startswith("{")))
+def test_cli_rejects_the_removed_centre_and_phase_inputs(tmp_path, capsys,
+                                                         command):
+    write_test_pgm(tmp_path / "in.pgm")
+    write_test_volume(tmp_path / "vol")
+    paths = {"{pgm}": tmp_path / "in.pgm", "{vol}": tmp_path / "vol",
+             "{out}": tmp_path / "out.mkfr"}
+    argv = [str(paths.get(a, a)) for a in command]
+    try:  # argparse exits on an unknown flag itself
+        code = main([*argv, "--out-dir", str(tmp_path / "out")]
+                    if command[0] == "bench-brainweb" else argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert_one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm", "vol"]
 
 
 @pytest.mark.parametrize("command", [
@@ -550,6 +556,12 @@ def test_cli_batch_commands_reject_the_removed_threads_flag(tmp_path, capsys,
      "--peak", "1e200"],
     ["bench-brainweb", "{vol}", "--filters", "cf:iters=1", "--peak", "6e307"],
     ["bench-brainweb", "{vol}", "--filters", "tv:iters=2", "--peak", "7e307"],
+    # a repeated spec key, which would silently take its last value
+    ["noise", "{pgm}", "{out}", "--noise",
+     "integral:level=4,level=9,seed=1,seed=2"],
+    ["noise", "{pgm}", "{out}", "--noise", "field:peak=300,peak=300"],
+    ["bench-bsd", "{dir}", "--levels", "10", "--filters", "bf:hi=5,hi=7"],
+    ["bench-brainweb", "{vol}", "--filters", "tv:iters=2,iters=3"],
 ], ids=lambda command: "-".join(a.lstrip("-") for a in command
                                 if not a.startswith("{")))
 # a RuntimeWarning would print a second line on stderr

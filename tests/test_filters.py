@@ -4,19 +4,27 @@ import csv
 import io
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mkfilter import (BfParams, ClusterConfig, ConfigError, Coordinate,
-                      KernelField, MkfRule, Raster, contextual_gain, filters,
-                      mkf_denoise, weighted_mean_filter)
+from mkfilter import (BfParams, ClusterConfig, ConfigError, KernelField,
+                      MkfRule, Raster, contextual_gain, filters, mkf_denoise,
+                      weighted_mean_filter)
 from mkfilter.filters import write_kernel_csv
 
 # ---------------------------------------------------------------------------
 # oracle: per-pixel direct sums built on the scalar weight functions
+
+
+class Coordinate(NamedTuple):
+    """Pixel position: x is the column index, y the row index."""
+
+    x: int
+    y: int
 
 
 def bf_weight(center: Coordinate, neighbor: Coordinate,

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mkfilter import (ConfigError, Coordinate, PhaseSpec, Raster,
+from mkfilter import (ConfigError, NoiseSpec, PhaseSpec, Raster,
                       add_integral_noise, add_spatial_noise, apply_noise,
                       make_noise_field, parse_noise_spec, phase_map,
                       synthesize_complex_slice)
+
+from synthesis_oracle import (PHASE_COEFFS, PHASE_DRIFT, oracle_complex_slice,
+                              oracle_noise_field, oracle_phase)
 
 
 def normalized_level(level: float) -> float:
@@ -70,29 +73,14 @@ def test_field_peak_at_center_is_exact():
 
 def test_field_one_spread_point():
     spread = 20.0
-    field = make_noise_field(101, 101, center=Coordinate(50, 50),
-                             spread=spread, peak_sigma=500.0).data
+    field = make_noise_field(101, 101, spread=spread, peak_sigma=500.0).data
     assert field[50, 50 + 20] == pytest.approx(500.0 * math.exp(-0.5))
     assert field[50, 50 + 20] == pytest.approx(303.265, abs=1e-3)
 
 
 def test_field_radially_symmetric():
-    field = make_noise_field(81, 81, center=Coordinate(40, 40),
-                             spread=15.0).data
+    field = make_noise_field(81, 81, spread=15.0).data
     assert field[40, 52] == field[40, 28] == field[52, 40] == field[28, 40]
-
-
-@pytest.mark.parametrize("center", [
-    (2**63 - 1, 3), (10**20, 1), (1, 10**20), (4 * 10**9, 1), (2**62, 1)])
-def test_field_of_a_centre_beyond_int64_squares_is_zero(center):
-    # int64 squares of these offsets wrap: the field peaked inside the
-    # image, or was not finite
-    assert not make_noise_field(16, 16, Coordinate(*center)).data.any()
-
-
-def test_field_of_a_centre_beyond_float64_is_a_config_error():
-    with pytest.raises(ConfigError, match="beyond the float64 range"):
-        make_noise_field(16, 16, Coordinate(3, 10**400))
 
 
 def test_spatial_noise_zero_field_is_identity():
@@ -131,14 +119,6 @@ def test_spatial_noise_dimension_mismatch():
 # complex slices
 
 
-def test_zero_phase_splits_trivially():
-    mag = Raster(np.arange(12.0).reshape(3, 4))
-    spec = PhaseSpec(slice_index=0, coefficients=(0,) * 6, drift=(0,) * 3)
-    pair = synthesize_complex_slice(mag, spec)
-    assert np.array_equal(pair.real.data, mag.data)
-    assert np.array_equal(pair.imag.data, np.zeros((3, 4)))
-
-
 def test_magnitude_reconstruction_identity():
     rng = np.random.default_rng(17)
     mag = Raster(rng.uniform(0, 3000, (40, 40)))
@@ -168,6 +148,45 @@ def test_default_phase_schedule_drifts_smoothly():
 
 
 # ---------------------------------------------------------------------------
+# the centred field and the one phase schedule against the frozen oracle
+
+# one pixel, odd and even sides, square and not
+ORACLE_SIZES = [(1, 1), (1, 6), (7, 5), (8, 6), (33, 32), (64, 64)]
+
+
+@pytest.mark.parametrize("width,height", ORACLE_SIZES)
+@pytest.mark.parametrize("spread", [None, 3.0, 1e-154],
+                         ids=["auto", "3", "tiny"])
+def test_noise_field_matches_the_frozen_oracle(width, height, spread):
+    got = make_noise_field(width, height, spread=spread, peak_sigma=300.0)
+    want = oracle_noise_field(width, height, (width // 2, height // 2),
+                              spread, peak_sigma=300.0)
+    assert got.data.tobytes() == want.tobytes()
+    assert got.range_hint == (0.0, 300.0)
+    # and through a `field:` spec
+    clean = Raster(np.zeros((height, width)))
+    noisy = apply_noise(clean, NoiseSpec("spatial-field", 300.0, 4,
+                                         spread=spread))
+    draws = np.random.default_rng(4).standard_normal((height, width))
+    assert noisy.data.tobytes() == (clean.data + want * draws).tobytes()
+
+
+@pytest.mark.parametrize("width,height", ORACLE_SIZES)
+def test_complex_slice_matches_the_frozen_oracle(width, height):
+    magnitude = np.random.default_rng(width * 100 + height).uniform(
+        0.0, 3000.0, (height, width))
+    for index in range(41):
+        pair = synthesize_complex_slice(Raster(magnitude), PhaseSpec(index))
+        real, imag = oracle_complex_slice(magnitude, index, PHASE_COEFFS,
+                                          PHASE_DRIFT)
+        assert pair.real.data.tobytes() == real.tobytes()
+        assert pair.imag.data.tobytes() == imag.tobytes()
+        assert phase_map(width, height, PhaseSpec(index)).tobytes() == \
+            oracle_phase(width, height, index, PHASE_COEFFS,
+                         PHASE_DRIFT).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # spec strings
 
 
@@ -184,11 +203,11 @@ def test_parse_field_spec():
     assert spec.describe() == "field:peak=500,spread=auto"
 
 
-def test_field_spec_with_center_round_trips():
-    spec = parse_noise_spec("field:peak=300,spread=12,cx=5,cy=9,seed=3")
-    assert spec.center == Coordinate(5, 9) and spec.spread == 12.0
-    again = parse_noise_spec(spec.describe() + ",seed=3")
-    assert again == spec
+def test_field_spec_with_a_spread_round_trips():
+    spec = parse_noise_spec("field:peak=300,spread=12,seed=3")
+    assert spec.spread == 12.0
+    assert spec.describe() == "field:peak=300,spread=12"
+    assert parse_noise_spec(spec.describe() + ",seed=3") == spec
 
 
 def test_parse_rejects_garbage():
@@ -200,9 +219,15 @@ def test_parse_rejects_garbage():
 
 @pytest.mark.parametrize("bad", [
     "field:spread=abc",       # was a ValueError from float()
-    "field:cx=3",             # was a KeyError: cy missing
+    "field:cx=3",             # the field always peaks on the centre pixel
     "field:cy=3",
     "field:cx=a,cy=2",
+    "field:cx=1,cy=1",
+    # a repeated key, which would silently take its last value
+    "integral:level=4,level=9,seed=1,seed=2",
+    "integral:level=4,level=9",
+    "field:spread=auto,spread=3",
+    "field:peak=5,seed=1,seed=1",
     "integral:level=nan",
     "integral:level=inf",
     "field:peak=nan",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mkfilter import ClusterConfig, ConfigError, Raster, save_f64_raster, save_pgm
 from mkfilter.bench import FILTERS, parse_filter_spec
-from mkfilter.cli import _parse_coeffs, _parse_levels, main
+from mkfilter.cli import _parse_levels, _parse_spread, main
 from mkfilter.noise import parse_noise_spec
 from mkfilter.phantoms import brain_slice
 
@@ -24,7 +24,7 @@ PARSERS = {
     "noise": parse_noise_spec,
     "filter": parse_filter_spec,
     "levels": _parse_levels,
-    "coeffs": lambda text: _parse_coeffs(text, 3, "--phase-drift"),
+    "spread": _parse_spread,
 }
 
 # arbitrary text, and text built from the characters specs are made of
@@ -209,7 +209,7 @@ def test_cluster_keeps_the_exit_contract(small_pgm, args):
 @example(spec="field:spread=1e-300", suffix=".mkfr")
 @example(spec="field:spread=1e-160", suffix=".mkfr")
 @example(spec="field:spread=1e-154", suffix=".mkfr")
-# centres whose int64 squared offsets wrap; one beyond the float64 range
+# centre keys, unknown: the field peaks on the centre pixel
 @example(spec="field:cx=100000000000000000000,cy=1", suffix=".mkfr")
 @example(spec="field:cx=1,cy=100000000000000000000", suffix=".mkfr")
 @example(spec="field:cx=4000000000,cy=1", suffix=".mkfr")
@@ -293,7 +293,7 @@ def test_bench_bsd_keeps_the_exit_contract(bench_dir, filters, levels, flags):
 @example(filters=["tv:iters=100000000000000000000"], flags=[])
 @example(filters=["bf:radius=9223372036854775807"], flags=[])
 @example(filters=["bf:radius=99999999999999999999"], flags=[])
-# finite phase coefficients whose sum overflows
+# an unknown flag: the background phase schedule is fixed
 @example(filters=["bf:radius=1"], flags=["--phase-coeffs=" + ",".join(
     ["1e308"] * 6)])
 def test_bench_brainweb_keeps_the_exit_contract(bench_dir, filters, flags):
