@@ -25,7 +25,8 @@ from .clustering import ClusterConfig, write_tree_dump
 from .errors import ConfigError
 from .filters import BfParams, mkf_denoise, mkf_filter, write_kernel_csv
 from .metrics import mae, ssim
-from .noise import DEFAULT_PEAK_SIGMA, NoiseSpec, apply_noise, format_number
+from .noise import (DEFAULT_PEAK_SIGMA, NoiseSpec, apply_noise, format_number,
+                    parse_spec)
 from .raster import Raster
 
 __all__ = [
@@ -146,25 +147,13 @@ def filter_spec(name: str, given: dict) -> FilterSpec:
 
 
 def parse_filter_spec(text: str) -> FilterSpec:
-    """Parse `bf:hi=57,hx=3` style strings; unset parameters take their
-    defaults. The params dataclasses check the values here, so a bad
-    value fails before any input is read."""
-    name, _, body = text.partition(":")
-    if name not in FILTERS:
-        raise ConfigError(f"unknown filter {name!r} in {text!r}")
-    defaults = FILTERS[name].defaults()
-    given = {}
-    for item in body.split(",") if body else ():
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in defaults:
-            raise ConfigError(f"bad filter option {item!r} in {text!r}")
-        if key in given:
-            raise ConfigError(f"repeated filter option {key!r} in {text!r}")
-        try:
-            given[key] = type(defaults[key])(value)
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r} in {text!r}") from None
+    """Parse `bf:hi=57,hx=3` style strings with `noise.parse_spec`: a value
+    takes the type of its key's default, and an unset key the default.
+    The params dataclasses check the values here, so a bad value fails
+    before any input is read."""
+    name, given = parse_spec(text, "filter", {
+        known: {key: type(value) for key, value in entry.defaults().items()}
+        for known, entry in FILTERS.items()})
     spec = filter_spec(name, given)
     spec.build()
     return spec
@@ -189,24 +178,16 @@ def run_case(image_id: str, clean: Raster, filter_spec: FilterSpec,
              noise_spec: NoiseSpec, dynamic_range: float,
              component: str = "gray") -> ResultRow:
     """Noise the clean raster, filter it, and score against the clean one."""
-    return _run_cell(_Cell(image_id, clean, noise_spec, [filter_spec],
-                           dynamic_range, component))[0]
+    return _run_cell(image_id, clean, noise_spec, [filter_spec],
+                     dynamic_range, component)[0]
 
 
-class _Cell(NamedTuple):
-    """One noised raster and the filters scored on it: every layout's unit."""
-
-    image_id: str
-    clean: Raster
-    noise: NoiseSpec
-    specs: list
-    dynamic_range: float
-    component: str = "gray"
-
-
-def _run_cell(cell: _Cell) -> list[ResultRow]:
+def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
+              dynamic_range: float, component: str = "gray"
+              ) -> list[ResultRow]:
     """Noise the clean raster once, filter the noisy one with every spec
-    and score each result against the clean one, in spec order.
+    and score each result against the clean one, in spec order: one cell,
+    every layout's unit, its rows tagged `image_id` and `component`.
 
     mkf specs whose tree configs differ only in depth form a family: its
     tree is built once, at the deepest depth, and each member filters with
@@ -215,8 +196,8 @@ def _run_cell(cell: _Cell) -> list[ResultRow]:
     family's deepest row also carries the tree build, so a cell's ``ms``
     add up to the time its filters took.
     """
-    noisy = apply_noise(cell.clean, cell.noise)
-    built = [spec.build() for spec in cell.specs]
+    noisy = apply_noise(clean, noise)
+    built = [spec.build() for spec in specs]
     groups: dict = {}  # key: a family's config at depth 2, or a lone index
     for index, params in enumerate(built):
         cfg = params.get(ClusterConfig)
@@ -225,7 +206,7 @@ def _run_cell(cell: _Cell) -> list[ResultRow]:
     rows: list = [None] * len(built)
     for members in groups.values():
         deepest = max(members,
-                      key=lambda i: cell.specs[i].params.get("depth", 0))
+                      key=lambda i: specs[i].params.get("depth", 0))
         cfg, tree, tree_ms = built[deepest].get(ClusterConfig), None, 0.0
         if cfg is not None:
             started = time.perf_counter()
@@ -234,7 +215,7 @@ def _run_cell(cell: _Cell) -> list[ResultRow]:
             tree = filters.build_cluster_tree(noisy, cfg)
             tree_ms = (time.perf_counter() - started) * 1e3
         for index in members:
-            spec = cell.specs[index]
+            spec = specs[index]
             p = spec.params
             started = time.perf_counter()
             if tree is None:
@@ -244,10 +225,9 @@ def _run_cell(cell: _Cell) -> list[ResultRow]:
                                       p["hx"], p["radius"]).raster
             elapsed_ms = (time.perf_counter() - started) * 1e3
             rows[index] = ResultRow(
-                cell.image_id, spec.name, spec.canonical(),
-                cell.noise.describe(), cell.noise.seed, cell.component,
-                mae(cell.clean, restored),
-                ssim(cell.clean, restored, cell.dynamic_range),
+                image_id, spec.name, spec.canonical(), noise.describe(),
+                noise.seed, component, mae(clean, restored),
+                ssim(clean, restored, dynamic_range),
                 elapsed_ms + (tree_ms if index == deepest else 0.0))
     return rows
 
@@ -288,8 +268,7 @@ def bench_integral(images: list[tuple[str, Raster]],
         for level in levels:
             noise = NoiseSpec(kind="integral", level=float(level),
                               seed=derive_seed(seed, image_id, int(level)))
-            rows += _run_cell(_Cell(image_id, clean, noise, filter_specs,
-                                    255.0))
+            rows += _run_cell(image_id, clean, noise, filter_specs, 255.0)
     return rows
 
 
@@ -313,8 +292,8 @@ def bench_complex_slices(slices: list[tuple[str, Raster]],
             noise = NoiseSpec(kind="spatial-field", level=peak_sigma,
                               spread=spread,
                               seed=derive_seed(seed, slice_id, component))
-            rows += _run_cell(_Cell(slice_id, clean, noise, filter_specs,
-                                    dynamic_range, component))
+            rows += _run_cell(slice_id, clean, noise, filter_specs,
+                              dynamic_range, component)
     return rows
 
 

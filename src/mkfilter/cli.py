@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bench
 from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
-from .errors import ConfigError, FormatError, require_bandwidth
+from .errors import ConfigError, FormatError
 from .filters import BfParams
 from .metrics import mae, ssim, ssim_constants
 from .noise import (DEFAULT_PEAK_SIGMA, apply_noise, format_number,
@@ -226,13 +226,14 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    image = load_raster_any(args.input)
     spec = parse_noise_spec(args.noise)
+    image = load_raster_any(args.input)
     save_raster_any(apply_noise(image, spec), args.output)
     return 0
 
 
 def _cmd_metrics(args) -> int:
+    ssim_constants(args.dynamic_range)  # a bad --range fails before any read
     ref = load_raster_any(args.reference)
     cand = load_raster_any(args.candidate)
     print(f"mae={mae(ref, cand)!r} "
@@ -240,21 +241,22 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _int_range(text: str) -> list[int]:
-    return [int(v) for v in _parse_levels(text)]
-
-
-# sweep-depth's grid flags and their parsers; a flag left out takes
+# sweep-depth's grid flags and their parsers, which check each depth and
+# size as a tree config takes it, before any read; a flag left out takes
 # bench.sweep_depth's default
-_GRID = {"depths": _int_range, "sizes": _int_range, "levels": _parse_levels}
+_GRID = {"depths": lambda text: [ClusterConfig(max_depth=int(v)).max_depth
+                                 for v in _parse_levels(text)],
+         "sizes": lambda text: [ClusterConfig(max_cluster=int(v)).max_cluster
+                                for v in _parse_levels(text)],
+         "levels": _parse_levels}
 
 
 def _cmd_sweep_depth(args) -> int:
-    image = load_raster_any(args.input)
     spatial = bench.filter_spec(
         "mkf", _given(args, ("hx", "radius"))).build()[BfParams]
     grid = {name: _GRID[name](text)
             for name, text in _given(args, _GRID).items()}
+    image = load_raster_any(args.input)
     rows = bench.sweep_depth(args.input.stem, image, **grid, seed=args.seed,
                              h_x=spatial.h_x, radius=spatial.radius)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,15 +301,12 @@ def _cmd_bench_bsd(args) -> int:
 
 
 def _parse_spread(text: str) -> float | None:
-    """`--spread`: `auto` (None) or a width, checked before any read."""
-    if text == "auto":
-        return None
-    try:
-        spread = float(text)
-    except ValueError:
-        raise ConfigError(f"bad --spread {text!r}") from None
-    require_bandwidth(spread=spread)
-    return spread
+    """`--spread`: the `field:` noise spec's `spread=` value, `auto` (None)
+    or a width, checked before any read. A comma, which would start a
+    second spec item, is a bad argument."""
+    if "," in text:
+        raise ConfigError(f"bad --spread {text!r}")
+    return parse_noise_spec(f"field:spread={text}").spread
 
 
 def _cmd_bench_brainweb(args) -> int:

@@ -34,6 +34,7 @@ __all__ = [
     "parse_noise_spec",
     "apply_noise",
     "format_number",
+    "parse_spec",
 ]
 
 # the peak sigma of the spatially-varying field
@@ -52,6 +53,31 @@ def format_number(value) -> str:
         return text if type(value)(text) == value else repr(value)
     except ValueError:  # an int that `:g` wrote with an exponent
         return repr(value)
+
+
+def parse_spec(text: str, what: str, keys: dict) -> tuple[str, dict]:
+    """Read a `name:key=value,...` spec string, the one grammar of filter
+    and noise specs. `keys` maps each name to its keys, and each key to
+    the type that converts its stripped value; `what` names the kind of
+    spec in messages. Returns the name and the converted values given.
+    An unknown name or key, an item without `=`, a repeated key and a
+    value its type rejects are ConfigErrors that name the item or key."""
+    name, _, body = text.partition(":")
+    if name not in keys:
+        raise ConfigError(f"unknown {what} {name!r} in {text!r}")
+    given: dict = {}
+    for item in body.split(",") if body else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or key not in keys[name]:
+            raise ConfigError(f"bad {what} option {item!r} in {text!r}")
+        if key in given:
+            raise ConfigError(f"repeated {what} option {key!r} in {text!r}")
+        try:
+            given[key] = keys[name][key](value.strip())
+        except ValueError:
+            raise ConfigError(f"bad value for {key!r} in {text!r}") from None
+    return name, given
 
 
 @dataclass(frozen=True)
@@ -169,53 +195,24 @@ def synthesize_complex_slice(magnitude: Raster, phase: PhaseSpec) -> ComplexRast
 # CLI-facing spec strings
 
 
+# each noise kind's keys and their types; a spread of `auto` is None
+_NOISE_KEYS = {"integral": {"level": float, "seed": int},
+               "field": {"peak": float, "seed": int, "spread": lambda text:
+                         None if text == "auto" else float(text)}}
+
+
 def parse_noise_spec(text: str) -> NoiseSpec:
     """Parse strings like `integral:level=1000,seed=42` or
-    `field:peak=500,spread=auto,seed=42`."""
-    kind, _, body = text.partition(":")
-    options: dict[str, str] = {}
-    if body:
-        for item in body.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise ConfigError(f"malformed noise option {item!r} in {text!r}")
-            if key in options:
-                raise ConfigError(f"repeated noise option {key!r} in {text!r}")
-            options[key] = value.strip()
-
-    def take_float(key: str, default=None) -> float | None:
-        raw = options.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r} in {text!r}") from None
-
-    seed = options.pop("seed", "0")
-    try:
-        seed = int(seed)
-    except ValueError:
-        raise ConfigError(f"bad seed in {text!r}") from None
-
+    `field:peak=500,spread=auto,seed=42` (the grammar of `parse_spec`).
+    `level` is required; `peak` defaults to DEFAULT_PEAK_SIGMA, `spread`
+    to `auto` (None: min(w, h) / 4) and `seed` to 0."""
+    kind, given = parse_spec(text, "noise", _NOISE_KEYS)
     if kind == "integral":
-        level = take_float("level")
-        if level is None:
+        if "level" not in given:
             raise ConfigError(f"integral noise needs level= in {text!r}")
-        spec = NoiseSpec(kind="integral", level=level, seed=seed)
-    elif kind == "field":
-        peak = take_float("peak", DEFAULT_PEAK_SIGMA)
-        if options.get("spread") == "auto":
-            del options["spread"]
-        spread = take_float("spread")  # None: the default spread
-        spec = NoiseSpec(kind="spatial-field", level=peak, seed=seed,
-                         spread=spread)
-    else:
-        raise ConfigError(f"unknown noise kind {kind!r} in {text!r}")
-    if options:
-        raise ConfigError(f"unknown noise options {sorted(options)} in {text!r}")
-    return spec
+        return NoiseSpec("integral", given["level"], given.get("seed", 0))
+    return NoiseSpec("spatial-field", given.get("peak", DEFAULT_PEAK_SIGMA),
+                     given.get("seed", 0), given.get("spread"))
 
 
 def apply_noise(image: Raster, spec: NoiseSpec) -> Raster:

@@ -644,6 +644,25 @@ def test_cli_bench_brainweb_rejects_range_before_reading_inputs(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["noise", "missing.pgm", "o.mkfr", "--noise", "bogus:level=1"],
+    ["metrics", "missing.pgm", "missing2.pgm", "--range", "nan"],
+    ["sweep-depth", "missing.pgm", "--hx", "nan"],
+    ["sweep-depth", "missing.pgm", "--depths", "1"],
+    ["sweep-depth", "missing.pgm", "--sizes", "5"],
+], ids=lambda command: "-".join(a.lstrip("-") for a in command
+                                if "." not in a))
+def test_cli_checks_arguments_before_reading_inputs(tmp_path, capsys,
+                                                    command):
+    # the inputs do not exist: reading one first would be an io error
+    argv = [str(tmp_path / a) if "." in a else a for a in command]
+    if command[0] == "sweep-depth":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_metrics_non_finite_mkfr_is_a_format_error(tmp_path, capsys):
     path = tmp_path / "nan.mkfr"
     path.write_bytes(b"MKFR" + (1).to_bytes(4, "little") * 2

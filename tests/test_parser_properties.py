@@ -11,14 +11,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mkfilter import ClusterConfig, ConfigError, Raster, save_f64_raster, save_pgm
-from mkfilter.bench import FILTERS, parse_filter_spec
+from mkfilter.bench import FILTERS, filter_spec, parse_filter_spec
 from mkfilter.cli import _parse_levels, _parse_spread, main
-from mkfilter.noise import parse_noise_spec
+from mkfilter.noise import NoiseSpec, parse_noise_spec
 from mkfilter.phantoms import brain_slice
+from spec_oracle import (parse_filter_spec as oracle_filter_spec,
+                         parse_noise_spec as oracle_noise_spec,
+                         parse_spread as oracle_spread)
 
 PARSERS = {
     "noise": parse_noise_spec,
@@ -47,6 +50,100 @@ def test_parser_returns_or_raises_config_error(name, text):
         PARSERS[name](text)
     except ConfigError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the spec readers against the frozen readers of tests/spec_oracle.py
+
+ORACLES = {
+    "noise": (parse_noise_spec, oracle_noise_spec),
+    "filter": (parse_filter_spec, oracle_filter_spec),
+    "spread": (_parse_spread, oracle_spread),
+}
+# spec-shaped text: a noise or filter name, as often one as the other, then
+# items over its keys and stray ones (a noise kind's strays include the
+# other kind's keys), some repeated, some with values their key rejects
+ITEM_KEYS = {"integral": ["level", "peak", "spread", "seed", "cx"],
+             "field": ["level", "peak", "spread", "seed", "cx"],
+             **{name: list(entry.keys) * 2 + ["hi", "depth", "seed", ""]
+                for name, entry in FILTERS.items()}}
+SPEC_VALUES = ("1", "2", "8", "30", "2.5", "1e-3", "auto", " 3 ", "x", "")
+SPEC_TEXT = (st.sampled_from(["integral", "field"])
+             | st.sampled_from(sorted(FILTERS))).flatmap(
+    lambda name: st.lists(st.tuples(st.sampled_from(ITEM_KEYS[name]),
+                                    st.sampled_from(SPEC_VALUES)),
+                          max_size=4).map(
+        lambda items: name + ":" + ",".join(f"{key}={value}"
+                                            for key, value in items)))
+
+
+def outcome(parse, text):
+    """`repr` of what `parse` makes of `text`, or ConfigError."""
+    try:
+        return repr(parse(text))
+    except ConfigError:
+        return ConfigError
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(TEXT, SPEC_TEXT))
+# the one declared difference: `--spread` strips its value, as `spread=`
+# in a spec always did, so whitespace around `auto` is accepted
+@example(text=" auto")
+@example(text="5,seed=1")  # a comma in `--spread` starts no spec item
+# a key given twice, or one the other noise kind takes
+@example(text="integral:level=1,level=2")
+@example(text="integral:level=1,spread=3")
+@example(text="field:peak=1,level=3")
+def test_parser_matches_the_frozen_oracle(name, text):
+    parse, oracle = ORACLES[name]
+    expected = outcome(oracle, text)
+    if name == "spread" and text != "auto" and text.strip() == "auto":
+        assert expected is ConfigError
+        expected = repr(None)
+    assert outcome(parse, text) == expected
+
+
+def filter_values(key, default):
+    """Values a filter key accepts on its own; `max_cluster` must still
+    exceed `min_cluster`."""
+    if key == "neigh":
+        return st.sampled_from([4, 8])
+    if isinstance(default, int):
+        return st.integers(2, 2**70)
+    return st.floats(1e-150, 1e300)  # 1/(2 h^2) stays finite
+
+
+VALID_FILTER_PARAMS = st.sampled_from(sorted(FILTERS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.fixed_dictionaries({}, optional={
+        key: filter_values(key, default)
+        for key, default in FILTERS[name].defaults().items()})))
+SEEDS = st.integers(0, 2**64)
+PEAKS = st.floats(1e-300, 1e300)
+VALID_NOISE_SPECS = st.one_of(
+    st.builds(NoiseSpec, st.just("integral"), PEAKS, SEEDS),
+    st.builds(NoiseSpec, st.just("spatial-field"), PEAKS, SEEDS,
+              st.none() | st.floats(1e-150, 1e300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(choice=VALID_FILTER_PARAMS)
+def test_filter_spec_round_trips_through_its_canonical_text(choice):
+    name, params = choice
+    spec = filter_spec(name, params)
+    try:
+        spec.build()
+    except ConfigError:  # max_cluster at or below min_cluster
+        assume(False)
+    assert repr(parse_filter_spec(f"{name}:{spec.canonical()}")) == repr(spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=VALID_NOISE_SPECS)
+def test_noise_spec_round_trips_through_its_descriptor(spec):
+    parsed = parse_noise_spec(spec.describe() + f",seed={spec.seed}")
+    assert repr(parsed) == repr(spec)
 
 
 # ---------------------------------------------------------------------------
