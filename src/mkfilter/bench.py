@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,8 +80,7 @@ FILTERS = {
                  lambda image, p: (bf_denoise(image, p[BfParams]),), {}),
     "mkf": Filter(
         {**_fields(ClusterConfig, depth="max_depth", max_cluster="max_cluster",
-                   min_cluster="min_cluster", neigh="neighborhood",
-                   bin_width="bin_width", tol="em_tol"),
+                   min_cluster="min_cluster"),
          # the bilateral filter's spatial kernel
          **_fields(BfParams, hx="h_x", radius="radius")},
         lambda image, p: mkf_denoise(image, p[ClusterConfig], p[BfParams].h_x,
@@ -189,46 +188,34 @@ def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
     and score each result against the clean one, in spec order: one cell,
     every layout's unit, its rows tagged `image_id` and `component`.
 
-    mkf specs whose tree configs differ only in depth form a family: its
-    tree is built once, at the deepest depth, and each member filters with
-    it truncated to its own depth (the tree a fresh build there gives). A
-    row's ``ms`` is its own filter time, kernel field included; the
-    family's deepest row also carries the tree build, so a cell's ``ms``
-    add up to the time its filters took.
+    The mkf specs filter with their own cuts of one tree (see
+    ``ClusterTree.cut``), built at their deepest depth and smallest
+    ``max_cluster`` with ``min_cluster`` 1. A row's ``ms`` is its own filter
+    time, cut and kernel field included; the first mkf row's also holds
+    the tree build, so a cell's ``ms`` add up to the time its filters took.
     """
     noisy = apply_noise(clean, noise)
     built = [spec.build() for spec in specs]
-    groups: dict = {}  # key: a family's config at depth 2, or a lone index
-    for index, params in enumerate(built):
+    configs = [p[ClusterConfig] for p in built if ClusterConfig in p]
+    tree, rows = None, []
+    for spec, params in zip(specs, built):
+        started = time.perf_counter()
         cfg = params.get(ClusterConfig)
-        key = index if cfg is None else replace(cfg, max_depth=2)
-        groups.setdefault(key, []).append(index)
-    rows: list = [None] * len(built)
-    for members in groups.values():
-        deepest = max(members,
-                      key=lambda i: specs[i].params.get("depth", 0))
-        cfg, tree, tree_ms = built[deepest].get(ClusterConfig), None, 0.0
-        if cfg is not None:
-            started = time.perf_counter()
-            # looked up on the filters module, as mkf_denoise does, so that
-            # wrappers installed there (the benchmark tracer's) see the build
-            tree = filters.build_cluster_tree(noisy, cfg)
-            tree_ms = (time.perf_counter() - started) * 1e3
-        for index in members:
-            spec = specs[index]
-            p = spec.params
-            started = time.perf_counter()
-            if tree is None:
-                restored = FILTERS[spec.name].run(noisy, built[index])[0]
-            else:  # mkf, on the family's tree cut to this spec's depth
-                restored = mkf_filter(noisy, tree.truncated(p["depth"]),
-                                      p["hx"], p["radius"]).raster
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            rows[index] = ResultRow(
-                image_id, spec.name, spec.canonical(), noise.describe(),
-                noise.seed, component, mae(clean, restored),
-                ssim(clean, restored, dynamic_range),
-                elapsed_ms + (tree_ms if index == deepest else 0.0))
+        if cfg is None:
+            restored = FILTERS[spec.name].run(noisy, params)[0]
+        else:
+            # built at the first mkf spec, on the filters module as in
+            # mkf_denoise, so that the benchmark tracer's wrappers see it
+            tree = tree or filters.build_cluster_tree(noisy, ClusterConfig(
+                max(c.max_depth for c in configs),
+                min(c.max_cluster for c in configs), min_cluster=1))
+            restored = mkf_filter(noisy, tree.cut(cfg), params[BfParams].h_x,
+                                  params[BfParams].radius).raster
+        rows.append(ResultRow(
+            image_id, spec.name, spec.canonical(), noise.describe(),
+            noise.seed, component, mae(clean, restored),
+            ssim(clean, restored, dynamic_range),
+            (time.perf_counter() - started) * 1e3))
     return rows
 
 
@@ -245,9 +232,9 @@ def sweep_depth(image_id: str, clean: Raster,
     """Tree-depth / cluster-size grid under two noise levels.
 
     The integral benchmark on one image: one cell per level, so every
-    (depth, size) pair at a level filters the same noise realization and
-    the depths of one size share one tree. Rows come level by level, then
-    depth by depth, then size by size.
+    (depth, size) pair at a level filters the same noise realization with
+    a cut of one tree. Rows come level by level, then depth by depth, then
+    size by size.
     """
     sizes = list(sizes)
     specs = [filter_spec("mkf", {"depth": depth, "max_cluster": size,

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import bench
 from .clustering import ClusterConfig, build_cluster_tree, write_tree_dump
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, require_positive
 from .filters import BfParams
 from .metrics import mae, ssim, ssim_constants
-from .noise import (DEFAULT_PEAK_SIGMA, apply_noise, format_number,
-                    parse_noise_spec)
+from .noise import (DEFAULT_PEAK_SIGMA, NoiseSpec, apply_noise,
+                    format_number, parse_noise_spec)
 from .raster import Raster, load_f64_raster, load_pgm, save_f64_raster, save_pgm
 from .charts import line_chart
 
@@ -242,16 +242,18 @@ def _cmd_metrics(args) -> int:
 
 
 # sweep-depth's grid flags and their parsers, which check each depth and
-# size as a tree config takes it, before any read; a flag left out takes
-# bench.sweep_depth's default
+# size as a tree config takes it, and each level as a noise spec does,
+# before any read; a flag left out takes bench.sweep_depth's default
 _GRID = {"depths": lambda text: [ClusterConfig(max_depth=int(v)).max_depth
                                  for v in _parse_levels(text)],
          "sizes": lambda text: [ClusterConfig(max_cluster=int(v)).max_cluster
                                 for v in _parse_levels(text)],
-         "levels": _parse_levels}
+         "levels": lambda text: [NoiseSpec("integral", v, seed=0).level
+                                 for v in _parse_levels(text)]}
 
 
 def _cmd_sweep_depth(args) -> int:
+    bench.derive_seed(args.seed)  # a negative --seed fails before any read
     spatial = bench.filter_spec(
         "mkf", _given(args, ("hx", "radius"))).build()[BfParams]
     grid = {name: _GRID[name](text)
@@ -288,7 +290,8 @@ def _write_bench(rows, out_dir: Path, name: str, title: str, x_label: str,
 
 def _cmd_bench_bsd(args) -> int:
     specs = [bench.parse_filter_spec(s) for s in args.filters]
-    levels = _parse_levels(args.levels)
+    levels = _GRID["levels"](args.levels)
+    bench.derive_seed(args.seed)  # a negative --seed fails before any read
     paths = sorted(args.dataset.glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm images found in {args.dataset}")
@@ -313,6 +316,8 @@ def _cmd_bench_brainweb(args) -> int:
     specs = [bench.parse_filter_spec(s) for s in args.filters]
     ssim_constants(args.dynamic_range)  # a bad --range fails before any read
     spread = _parse_spread(args.spread)
+    require_positive(peak=args.peak)
+    bench.derive_seed(args.seed)
     paths = sorted(args.volume.glob("*.mkfr"))
     if not paths:
         raise ConfigError(f"no .mkfr slices found in {args.volume}")

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import (ConfigError, require_addressable, require_bandwidth,
-                     require_positive)
+from .errors import ConfigError, require_addressable
 from .raster import Raster
 
 __all__ = [
@@ -77,6 +77,11 @@ class Histogram:
     bin_width: float
 
 
+NEIGHBORHOOD = 8  # every tree's connectivity in the proximity stage
+BIN_WIDTH = 1.0  # histogram precision; doubles as the kernels' sigma floor
+EM_TOL = 1e-4  # EM stops when no parameter moves more than this
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Knobs for tree construction.
@@ -84,17 +89,12 @@ class ClusterConfig:
     max_depth        deepest clustering round (level 0 is the whole image)
     max_cluster      clusters larger than this keep splitting
     min_cluster      clusters at or below this defer statistics to an ancestor
-    neighborhood     4- or 8-connectivity for the proximity stage
-    bin_width        intensity histogram precision; doubles as the sigma floor
-    em_tol           EM stops when no parameter moves more than this
     """
 
     max_depth: int = 2
     max_cluster: int = 20
     min_cluster: int = 9
-    neighborhood: int = 8
-    bin_width: float = 1.0
-    em_tol: float = 1e-4
+    neighborhood: ClassVar[int] = NEIGHBORHOOD
 
     def __post_init__(self) -> None:
         if self.max_depth < 2:
@@ -106,11 +106,6 @@ class ClusterConfig:
                 f"max_cluster ({self.max_cluster}) must exceed "
                 f"min_cluster ({self.min_cluster})"
             )
-        if self.neighborhood not in (4, 8):
-            raise ConfigError(f"neighborhood must be 4 or 8, got {self.neighborhood}")
-        # bin_width is also the deviation floor of the range kernels
-        require_bandwidth(bin_width=self.bin_width)
-        require_positive(em_tol=self.em_tol)
 
 
 NODE_DTYPE = np.dtype([("level", np.int64), ("parent", np.int64),
@@ -132,39 +127,58 @@ class ClusterTree:
     :data:`NODE_DTYPE`, one row per cluster, indexed by node id. Ids are
     issued level by level, so the rows of levels 0..t are a prefix of the
     table. ``levels[t]`` assigns every pixel the id of its level-t
-    cluster, so each map partitions the image. ``sigma_floor`` is the
-    lower bound applied to deviations whenever they feed a kernel (a zero
-    sample deviation would otherwise collapse the range kernel).
+    cluster, so each map partitions the image. A build at ``config`` gives it.
     """
 
     nodes: np.ndarray
     levels: list[np.ndarray]
-    sigma_floor: float
+    config: ClusterConfig
 
     @property
     def depth(self) -> int:
         """The last level: every leaf sits there."""
         return len(self.levels) - 1
 
-    def truncated(self, depth: int) -> "ClusterTree":
-        """The tree :func:`build_cluster_tree` gives at ``max_depth=depth``.
-
-        Levels are built one after another and ``max_depth`` only stops the
-        loop, so a shallower tree is an exact prefix of a deeper one: the
-        same level maps, node ids, statistics and EM fits. Its node table
-        is the prefix of this one up to the last level-`depth` node, with
-        no fit on that level, which a depth-`depth` build never splits.
-        """
-        if not 2 <= depth <= self.depth:
-            raise ConfigError(
-                f"truncation depth must be in [2, {self.depth}], got {depth}")
-        if depth == self.depth:
-            return self
-        nodes = self.nodes[:int(self.levels[depth].max()) + 1].copy()
-        nodes["em_iterations"][nodes["level"] == depth] = -1
-        nodes.flags.writeable = False
-        return ClusterTree(nodes=nodes, levels=self.levels[:depth + 1],
-                           sigma_floor=self.sigma_floor)
+    def cut(self, cfg: ClusterConfig) -> "ClusterTree":
+        """The tree :func:`build_cluster_tree` gives at ``cfg``, which may
+        be no deeper than ``config`` and have no smaller ``max_cluster``.
+        A fit sees only its cluster's pixels, so that build splits every
+        cluster as this one does until it has at most ``cfg.max_cluster``
+        pixels and then holds it; ``min_cluster`` sets only ``eligible``.
+        Later levels copy their clusters' rows, ids in first-pixel order."""
+        own = self.config
+        if cfg.max_depth > own.max_depth or cfg.max_cluster < own.max_cluster:
+            raise ConfigError(f"a tree built at {own} has no cut at {cfg}")
+        depth, size = cfg.max_depth, self.nodes["size"]
+        holds = (size <= cfg.max_cluster) & (size > own.max_cluster)
+        # the first held cluster's level is the last of this tree's own
+        last = int(self.nodes["level"][holds].min(initial=depth))
+        # the levels below the first with no split copy it, in both trees
+        split = np.diff(np.bincount(self.nodes["level"]), append=0) > 0
+        stop = min(depth, max(last + 1, int(np.argmin(split)) + 1))
+        maps = np.empty((depth - last, self.levels[0].size), np.int64)
+        # each pixel's cluster: its node in this tree, and its cut id
+        owner = previous = self.levels[last].ravel()
+        tables = [self.nodes[:owner.max() + 1]]
+        for level, out in zip(range(last + 1, stop + 1), maps):
+            owner = np.where(holds[owner], owner, self.levels[level].ravel())
+            ids, first, inverse = np.unique(owner, return_index=True,
+                                            return_inverse=True)
+            order = np.argsort(first)
+            table = self.nodes[ids[order]]
+            table["level"] = level
+            table["parent"] = previous[first[order]]
+            previous = np.add(np.argsort(order)[inverse], previous.max() + 1,
+                              out=out)
+            tables.append(table)
+        nodes = _repeat_last_level(np.concatenate(tables), maps, stop - last,
+                                   len(tables[-1]))
+        nodes["eligible"] = nodes["size"] > cfg.min_cluster
+        nodes["em_iterations"][(nodes["size"] <= cfg.max_cluster)
+                               | (nodes["level"] == depth)] = -1
+        nodes.flags.writeable = maps.flags.writeable = False
+        return ClusterTree(nodes=nodes, levels=self.levels[:last + 1] + list(
+            maps.reshape(-1, *self.levels[0].shape)), config=cfg)
 
     def leaves(self) -> np.ndarray:
         """Ids of the leaf clusters: every leaf sits at the last level."""
@@ -552,8 +566,8 @@ def _node_stats(values: np.ndarray, label: np.ndarray, count: int):
     return size, mean, delta
 
 
-def _split_sides(values: np.ndarray, label: np.ndarray, fit: np.ndarray,
-                 cfg: ClusterConfig) -> tuple[np.ndarray, list[int]]:
+def _split_sides(values: np.ndarray, label: np.ndarray,
+                 fit: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """EM component (0/1) of every pixel within its cluster, for all
     clusters marked in ``fit`` in one histogram pass and one segmented EM;
     0 for pixels of every other cluster. Also returns each fit's iteration
@@ -570,11 +584,11 @@ def _split_sides(values: np.ndarray, label: np.ndarray, fit: np.ndarray,
     segment = (np.cumsum(fit) - 1)[label[members]]
     n_seg = int(np.count_nonzero(fit))
     pix = values[members]
-    hist, inverse = _segment_histograms(pix, segment, n_seg, cfg.bin_width)
+    hist, inverse = _segment_histograms(pix, segment, n_seg, BIN_WIDTH)
     i_max = np.full(n_seg, -np.inf)
     np.maximum.at(i_max, segment, pix)
-    fits = _segmented_em(hist, initial_gauss_pair(i_max, cfg.bin_width),
-                         cfg.em_tol, cfg.bin_width, EM_MAX_ITERATIONS)
+    fits = _segmented_em(hist, initial_gauss_pair(i_max, BIN_WIDTH), EM_TOL,
+                         BIN_WIDTH, EM_MAX_ITERATIONS)
     # a degenerate or one-sided fit gives all its pixels one side, which
     # leaves the cluster whole
     side[members] = fits.labels[inverse]
@@ -632,11 +646,11 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         fit = splittable & ~carried
         if not fit.any():
             break
-        side, fitted = _split_sides(flat, label, fit, cfg)
+        side, fitted = _split_sides(flat, label, fit)
         tables[-1]["em_iterations"][fit] = fitted
         keys = (label * 2 + side).reshape(height, width)
         previous = label
-        label, first_pixel = _connected_regions(keys, cfg.neighborhood)
+        label, first_pixel = _connected_regions(keys, NEIGHBORHOOD)
         parent = previous[first_pixel]
         # a splittable cluster with one child was left whole by its fit
         carried = (splittable
@@ -647,16 +661,15 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     nodes = _repeat_last_level(np.concatenate(tables), maps, level, size.size)
     nodes.flags.writeable = False
     maps.flags.writeable = False
-    return ClusterTree(nodes=nodes,
-                       levels=list(maps.reshape(-1, height, width)),
-                       sigma_floor=cfg.bin_width)
+    return ClusterTree(nodes=nodes, config=cfg,
+                       levels=list(maps.reshape(-1, height, width)))
 
 
 def _repeat_last_level(nodes: np.ndarray, maps: np.ndarray, first: int,
                        count: int) -> np.ndarray:
-    """Fill ``maps`` from level ``first`` on, and append those levels' node
-    rows to ``nodes``, as copies of level ``first - 1``, whose ``count``
-    clusters are the last rows of ``nodes``.
+    """Fill ``maps``, one row per level, from row ``first`` on, and append
+    those levels' node rows to ``nodes``, as copies of row ``first - 1``'s
+    level, whose ``count`` clusters are the last rows of ``nodes``.
 
     A level with no cluster to fit splits none, so each later level has the
     same clusters, pixel order and statistics, and nothing to fit either:
@@ -669,7 +682,7 @@ def _repeat_last_level(nodes: np.ndarray, maps: np.ndarray, first: int,
     out[:nodes.size] = nodes
     copies = out[nodes.size:]
     copies.reshape(repeats, count)[:] = nodes[nodes.size - count:]
-    copies["level"] = np.repeat(np.arange(first, maps.shape[0]), count)
+    copies["level"] += np.repeat(np.arange(1, repeats + 1), count)
     copies["parent"] = np.arange(nodes.size - count, out.size - count)
     np.add(maps[first - 1], count * np.arange(1, repeats + 1)[:, None],
            out=maps[first:])

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clustering import ClusterConfig, ClusterTree, build_cluster_tree
+from .clustering import BIN_WIDTH, ClusterConfig, ClusterTree, build_cluster_tree
 from .errors import ConfigError, require_addressable, require_bandwidth
 from .raster import Raster
 
@@ -211,7 +211,7 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
     """Every leaf's (delta, psi), for all leaves in whole-array steps.
 
     A leaf defers to its nearest eligible ancestor (the root at last). With
-    deviations floored at ``tree.sigma_floor``, delta is that node's own
+    deviations floored at ``BIN_WIDTH``, delta is that node's own
     deviation and psi the contextual gain of its parent and grandparent,
     or of itself and its parent at level 1 or 2 (1 at the root).
     """
@@ -222,7 +222,7 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
         if not up.any():
             break
         node = np.where(up, parent[node], node)
-    deviation = np.maximum(nodes["delta"], tree.sigma_floor)
+    deviation = np.maximum(nodes["delta"], BIN_WIDTH)
     level = nodes["level"][node]
     above = np.where(level > 0, parent[node], node)
     triple = level > 2
@@ -245,7 +245,7 @@ def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = BfParams.h_x,
 def mkf_filter(image: Raster, tree: ClusterTree, h_x: float = BfParams.h_x,
                radius: int = BfParams.radius) -> MkfResult:
     """The multi-kernel pipeline after the tree: kernel field and filter,
-    for a context tree built from `image` (or truncated from one)."""
+    for a context tree built from `image` (or cut from one)."""
     field = build_kernel_field(tree)
     out = weighted_mean_filter(image, MkfRule(field, h_x), radius)
     return MkfResult(out, tree, field)

@@ -114,14 +114,27 @@ def test_sweep_depth_grid_shape_and_shared_noise():
     assert len(by_level) == 2
 
 
-def test_sweep_depth_default_grid_has_240_rows():
-    # 6 depths x 20 sizes x 2 levels
+def count_calls(monkeypatch, calls, module, name):
+    """Count the calls of `module.name` into `calls[name]`."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_sweep_depth_default_grid_has_240_rows(monkeypatch):
+    # 6 depths x 20 sizes x 2 levels, from one tree per level
+    calls = {"build_cluster_tree": 0}
+    count_calls(monkeypatch, calls, filters, "build_cluster_tree")
     rows = sweep_depth("fix", Raster(piecewise_mosaic(16, 16, regions=5,
                                                       seed=4).data),
                        seed=1, radius=2)
     assert len(rows) == 240
     depths = {row.params for row in rows}
     assert len(depths) == 6 * 20
+    assert calls == {"build_cluster_tree": 2}
 
 
 def _without_ms(rows):
@@ -164,21 +177,11 @@ def test_bench_integral_rows_match_per_case_run_case():
 
 
 @pytest.mark.parametrize("layout", ["integral", "slices", "sweep"])
-def test_each_cell_is_noised_once_with_one_tree_per_family(monkeypatch,
-                                                           layout):
-    calls = {"noise": 0, "tree": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(bench, "apply_noise",
-                        counted("noise", bench.apply_noise))
-    monkeypatch.setattr(filters, "build_cluster_tree",
-                        counted("tree", filters.build_cluster_tree))
-    # two families: max_cluster 20 (depths 2 and 3) and 60
+def test_each_cell_is_noised_once_with_one_tree(monkeypatch, layout):
+    calls = {"apply_noise": 0, "build_cluster_tree": 0}
+    count_calls(monkeypatch, calls, bench, "apply_noise")
+    count_calls(monkeypatch, calls, filters, "build_cluster_tree")
+    # two depths and two sizes: cuts of one tree
     specs = [parse_filter_spec(text) for text in (
         "bf:radius=2", "mkf:depth=2,radius=2", "mkf:depth=3,radius=2",
         "mkf:depth=2,max_cluster=60,radius=2")]
@@ -189,12 +192,12 @@ def test_each_cell_is_noised_once_with_one_tree_per_family(monkeypatch,
         rows = bench_complex_slices(
             [(f"s{i}", brain_slice(24, 24, slice_index=i)) for i in range(2)],
             specs, seed=1, peak_sigma=200.0)
-    else:  # one cell per level; each size is a family of two depths
+    else:  # one cell per level
         rows = sweep_depth("fix", small_image(), depths=(2, 3),
                            sizes=(20, 60), levels=(10.0, 1000.0, 5000.0),
                            seed=1, radius=2)
     cells = len({(row.image, row.component, row.noise) for row in rows})
-    assert calls == {"noise": cells, "tree": 2 * cells}
+    assert calls == {"apply_noise": cells, "build_cluster_tree": cells}
 
 
 def test_bench_integral_row_count():
@@ -433,7 +436,7 @@ def test_cli_sweep_depth_bad_levels_or_seed_exit_two(tmp_path, capsys, bad):
     ["--filter", "cf", "--dump-kernels", "dump.csv"],
     ["--filter", "bf", "--lam", "2"],
     ["--filter", "tv", "--depth", "3"],
-    ["--filter", "mkf", "--neigh", "5"],
+    ["--filter", "mkf", "--hi", "5"],
 ], ids=lambda flags: "-".join(f.lstrip("-") for f in flags[1:]
                              if f != "dump.csv"))
 def test_cli_denoise_rejects_flags_the_filter_does_not_take(tmp_path, capsys,
@@ -501,18 +504,27 @@ def test_cli_batch_commands_reject_the_removed_threads_flag(tmp_path, capsys,
     ["bench-brainweb", "{vol}", "--phase-drift", "a,b,c"],
     ["bench-brainweb", "{vol}", "--phase-coeffs", "1,2,3,4,5,nan"],
     ["bench-brainweb", "{vol}", "--phase-coeffs", ",".join(["1e308"] * 6)],
+    # every tree is 8-connected, with bins of width 1 and EM tolerance 1e-4
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--neigh", "4"],
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--bin-width", "2"],
+    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--tol", "0.01"],
+    ["cluster", "{pgm}", "--neigh", "4"],
+    ["cluster", "{pgm}", "--bin-width", "2"],
+    ["cluster", "{pgm}", "--tol", "0.01"],
+    ["bench-bsd", "{dir}", "--filters", "mkf:neigh=4"],
+    ["bench-bsd", "{dir}", "--filters", "mkf:bin_width=2"],
+    ["bench-brainweb", "{vol}", "--filters", "mkf:tol=0.01"],
 ], ids=lambda command: "-".join(a.lstrip("-") for a in command
                                 if not a.startswith("{")))
-def test_cli_rejects_the_removed_centre_and_phase_inputs(tmp_path, capsys,
-                                                         command):
+def test_cli_rejects_the_removed_inputs(tmp_path, capsys, command):
     write_test_pgm(tmp_path / "in.pgm")
     write_test_volume(tmp_path / "vol")
     paths = {"{pgm}": tmp_path / "in.pgm", "{vol}": tmp_path / "vol",
-             "{out}": tmp_path / "out.mkfr"}
+             "{dir}": tmp_path, "{out}": tmp_path / "out.mkfr"}
     argv = [str(paths.get(a, a)) for a in command]
     try:  # argparse exits on an unknown flag itself
         code = main([*argv, "--out-dir", str(tmp_path / "out")]
-                    if command[0] == "bench-brainweb" else argv)
+                    if command[0].startswith("bench") else argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
@@ -530,11 +542,7 @@ def test_cli_rejects_the_removed_centre_and_phase_inputs(tmp_path, capsys,
     ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--hx", "1e-300"],
     ["denoise", "{pgm}", "{out}", "--filter", "bf", "--hi", "1e-200"],
     ["denoise", "{pgm}", "{out}", "--filter", "tv", "--lam", "nan"],
-    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--bin-width", "nan"],
-    ["denoise", "{pgm}", "{out}", "--filter", "mkf", "--tol", "nan"],
     ["metrics", "{pgm}", "{pgm}", "--range", "nan"],
-    ["cluster", "{pgm}", "--bin-width", "1e-300", "--depth", "3"],
-    ["cluster", "{pgm}", "--bin-width", "1e-17", "--depth", "3"],
     ["sweep-depth", "{pgm}", "--depths", "2", "--sizes", "20", "--hx", "nan"],
     # a spread whose square underflows; a range whose SSIM constants overflow
     ["noise", "{pgm}", "{out}", "--noise", "field:spread=1e-300"],
@@ -644,23 +652,38 @@ def test_cli_bench_brainweb_rejects_range_before_reading_inputs(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["noise", "missing.pgm", "o.mkfr", "--noise", "bogus:level=1"],
-    ["metrics", "missing.pgm", "missing2.pgm", "--range", "nan"],
-    ["sweep-depth", "missing.pgm", "--hx", "nan"],
-    ["sweep-depth", "missing.pgm", "--depths", "1"],
-    ["sweep-depth", "missing.pgm", "--sizes", "5"],
-], ids=lambda command: "-".join(a.lstrip("-") for a in command
-                                if "." not in a))
+@pytest.mark.parametrize("command, name", [
+    (["noise", "missing.pgm", "o.mkfr", "--noise", "bogus:level=1"], "bogus"),
+    (["metrics", "missing.pgm", "missing2.pgm", "--range", "nan"], "range"),
+    (["sweep-depth", "missing.pgm", "--hx", "nan"], "h_x"),
+    (["sweep-depth", "missing.pgm", "--depths", "1"], "max_depth"),
+    (["sweep-depth", "missing.pgm", "--sizes", "5"], "max_cluster"),
+    (["sweep-depth", "missing.pgm", "--levels", "0"], "level"),
+    (["sweep-depth", "missing.pgm", "--levels", "10,0"], "level"),
+    (["sweep-depth", "missing.pgm", "--seed", "-1"], "seed"),
+    (["bench-bsd", "missing_dir", "--levels", "0"], "level"),
+    (["bench-bsd", "missing_dir", "--seed", "-1"], "seed"),
+    (["bench-brainweb", "missing_dir", "--peak", "0"], "peak"),
+    (["bench-brainweb", "missing_dir", "--peak", "nan"], "peak"),
+    (["bench-brainweb", "missing_dir", "--peak", "inf"], "peak"),
+    (["bench-brainweb", "missing_dir", "--seed", "-1"], "seed"),
+], ids=lambda value: "-".join(a.lstrip("-") for a in value
+                              if not a.startswith("missing") and "." not in a)
+                     if isinstance(value, list) else value)
 def test_cli_checks_arguments_before_reading_inputs(tmp_path, capsys,
-                                                    command):
-    # the inputs do not exist: reading one first would be an io error
-    argv = [str(tmp_path / a) if "." in a else a for a in command]
-    if command[0] == "sweep-depth":
+                                                    command, name):
+    # the inputs do not exist: reading one first would be an io error, and
+    # a batch command would name the missing dataset
+    argv = [str(tmp_path / a) if a.startswith("missing") or "." in a else a
+            for a in command]
+    if command[0] in ("sweep-depth", "bench-bsd", "bench-brainweb"):
         argv += ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert_one_error_line(capsys)
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad-arguments:") and err.count("\n") == 1
+    assert name in err.partition(":")[2].partition(":")[2]
     assert not any(tmp_path.iterdir())
+
 
 
 def test_cli_metrics_non_finite_mkfr_is_a_format_error(tmp_path, capsys):

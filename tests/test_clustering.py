@@ -122,10 +122,13 @@ def test_histogram_rejects_bin_indices_beyond_int64():
     # 1e20 bins of width 1e-10 span the range; the int64 cast would wrap
     with pytest.raises(ConfigError):
         build_histogram([0.0, 1e10], 1e-10)
-    with pytest.raises(ConfigError):
-        build_cluster_tree(two_region_image(),
-                           ClusterConfig(max_cluster=4, min_cluster=3,
-                                         bin_width=1e-17))
+    # through a tree: 1e19 bins of width 1 span a cluster's intensities
+    img = np.zeros((6, 6))
+    img[:, 3:] = 1e19
+    with pytest.raises(ConfigError, match="bin width 1.0 gives bin indices "
+                                          "beyond the int64 range"):
+        build_cluster_tree(Raster(img), ClusterConfig(max_cluster=4,
+                                                      min_cluster=3))
 
 
 def test_histogram_weights_sum_to_pixel_count():
@@ -726,11 +729,6 @@ def test_invalid_config_rejected_before_work():
     with pytest.raises(ConfigError):
         build_cluster_tree(two_region_image(),
                            ClusterConfig(max_depth=1))
-    with pytest.raises(ConfigError):
-        build_cluster_tree(two_region_image(),
-                           ClusterConfig(neighborhood=5))
-    with pytest.raises(ConfigError):  # the floored deviation underflows
-        ClusterConfig(bin_width=1e-160)
 
 
 def _check_tree_invariants(tree: ClusterTree, cfg: ClusterConfig, n_pixels):
@@ -807,7 +805,8 @@ def _hand_tree(spec, parents=None):
     nodes["parent"] = np.arange(-1, len(spec) - 1) if parents is None else parents
     maps = [np.flatnonzero(nodes["level"] == level)[None, :]
             for level in range(int(nodes["level"].max()) + 1)]
-    return ClusterTree(nodes=nodes, levels=maps, sigma_floor=1.0)
+    return ClusterTree(nodes=nodes, levels=maps, config=ClusterConfig(
+        max_depth=int(nodes["level"].max())))
 
 
 def test_context_full_chain():

@@ -1,6 +1,7 @@
 """Weight formulas and the weighted-mean engine against brute-force sums."""
 
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from mkfilter import (BfParams, ClusterConfig, ConfigError, KernelField,
                       MkfRule, Raster, contextual_gain, filters, mkf_denoise,
                       weighted_mean_filter)
+from mkfilter.clustering import BIN_WIDTH, EM_TOL, NEIGHBORHOOD
 from mkfilter.filters import write_kernel_csv
 
 # ---------------------------------------------------------------------------
@@ -411,8 +413,11 @@ def test_kernel_field_rows_start_at_the_first_id():
 def test_mkf_default_configuration_pins():
     # the benchmark defaults the comparison study runs with
     assert ClusterConfig() == ClusterConfig(max_depth=2, max_cluster=20,
-                                            min_cluster=9, neighborhood=8,
-                                            bin_width=1.0, em_tol=1e-4)
+                                            min_cluster=9)
+    # the settings a cut cannot vary are constants of every tree
+    assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+        "max_depth", "max_cluster", "min_cluster"]
+    assert (NEIGHBORHOOD, BIN_WIDTH, EM_TOL) == (8, 1.0, 1e-4)
     assert BfParams() == BfParams(h_x=3.0, h_I=57.0, radius=5)
 
 

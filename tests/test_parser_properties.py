@@ -108,8 +108,6 @@ def test_parser_matches_the_frozen_oracle(name, text):
 def filter_values(key, default):
     """Values a filter key accepts on its own; `max_cluster` must still
     exceed `min_cluster`."""
-    if key == "neigh":
-        return st.sampled_from([4, 8])
     if isinstance(default, int):
         return st.integers(2, 2**70)
     return st.floats(1e-150, 1e300)  # 1/(2 h^2) stays finite

@@ -2,9 +2,9 @@
 
 The corpus is the benchmark's tree inputs: both ``mkf-deep`` inputs (40 px,
 depth 7) in all eight orientations, the ``mkf-wide`` input (256 px, depth
-2), and 24 px sweep trees at three noise levels, two cluster sizes and both
-connectivities. A hypothesis property adds small piecewise-constant integer
-rasters under small random configurations. Level maps and the node
+2), and 24 px sweep trees at three noise levels and two cluster sizes. A
+hypothesis property adds small piecewise-constant integer rasters under
+small random configurations. Level maps and the node
 table's ``level``, ``parent``, ``size`` and ``eligible`` columns must be
 identical; node means and deviations are summed in another order
 (``np.bincount`` instead of per-node pairwise sums), so they must agree
@@ -18,12 +18,13 @@ node table, the form the whole-array field replaced: delta exactly, psi
 within one ulp (the walk squares with ``** 2``, which calls libm ``pow``;
 the field multiplies, which is correctly rounded).
 
-On the same trees, a depth-7 tree truncated to depth d must be exactly the
-tree a fresh depth-d build gives, with the same kernel field and filtered
-output: the depth sweep filters with truncated trees.
+On the same inputs, a depth-7 tree built at ``min_cluster`` 1, cut to any
+shallower depth, larger ``max_cluster`` and other ``min_cluster``, must be
+exactly the tree a fresh build there gives, with the same kernel field and
+filtered output: every bench cell filters with cuts of one tree. A second
+property checks the same on the small rasters.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ from mkfilter import (ClusterConfig, ConfigError, Raster, build_cluster_tree,
                       save_pgm)
 from mkfilter import clustering
 from mkfilter.bench import derive_seed
-from mkfilter.clustering import EM_MAX_ITERATIONS
+from mkfilter.clustering import BIN_WIDTH, EM_MAX_ITERATIONS
 from mkfilter.noise import NoiseSpec, apply_noise
 from mkfilter.phantoms import bsd_style, piecewise_mosaic
 
@@ -64,7 +65,7 @@ def reference_kernel_records(tree):
     (the root at last), and psi comes from (parent, grandparent), or from
     (own, parent) at level 1 or 2, or is 1 at the root."""
     rows = tree.nodes.tolist()  # (level, parent, size, mu, delta, eligible)
-    floor = tree.sigma_floor
+    floor = BIN_WIDTH
     parents = {row[1] for row in rows}
     records = {}
     for leaf in (i for i in range(len(rows)) if i not in parents):
@@ -163,59 +164,64 @@ def sweep_input(tmp_path, level):
 
 
 SWEEP_CELLS = pytest.mark.parametrize(
-    "level, max_cluster, neighborhood",
-    [(level, max_cluster, neighborhood) for level in (10.0, 300.0, 1000.0)
-     for max_cluster in (20, 100) for neighborhood in (4, 8)])
+    "level, max_cluster",
+    [(level, max_cluster) for level in (10.0, 300.0, 1000.0)
+     for max_cluster in (20, 100)])
 
 
 @SWEEP_CELLS
-def test_sweep_trees_match_oracle(tmp_path, level, max_cluster, neighborhood):
+def test_sweep_trees_match_oracle(tmp_path, level, max_cluster):
     noisy = sweep_input(tmp_path, level)
-    cfg = ClusterConfig(max_depth=7, max_cluster=max_cluster,
-                        neighborhood=neighborhood)
+    cfg = ClusterConfig(max_depth=7, max_cluster=max_cluster)
     assert_same_tree(build_cluster_tree(noisy, cfg),
                      reference_tree(noisy.data, cfg))
 
 
-def assert_same_truncation(tree, want, depth):
-    assert (tree.depth, tree.sigma_floor) == (want.depth, want.sigma_floor)
-    assert len(tree.levels) == len(want.levels) == depth + 1
+def assert_same_cut(tree, want):
+    """Byte for byte: the config, the level maps with their dtype, and the
+    node table with its floats and ``em_iterations``."""
+    assert tree.config == want.config
+    assert len(tree.levels) == len(want.levels)
     for got, expected in zip(tree.levels, want.levels):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+    assert tree.nodes.dtype == want.nodes.dtype
     assert np.array_equal(tree.nodes, want.nodes)  # floats exactly
 
 
-def assert_truncations_match_fresh_builds(image, cfg):
-    deep = build_cluster_tree(image, cfg)
-    assert deep.truncated(cfg.max_depth) is deep
-    for depth in range(2, cfg.max_depth):
-        tree = deep.truncated(depth)
-        fresh = mkf_denoise(image, dataclasses.replace(cfg, max_depth=depth))
-        assert_same_truncation(tree, fresh.tree, depth)
-        got = mkf_filter(image, tree)
-        for column in ("ids", "delta", "psi"):
-            assert np.array_equal(getattr(got.field, column),
-                                  getattr(fresh.field, column))
-        assert np.array_equal(got.field.leaf_map, fresh.field.leaf_map)
-        assert np.array_equal(got.raster.data, fresh.raster.data)
-    # truncating leaves the deep tree intact
-    assert np.array_equal(deep.nodes, build_cluster_tree(image, cfg).nodes)
+def assert_cuts_match_fresh_builds(image, max_cluster):
+    """A depth-7 tree at ``max_cluster`` and ``min_cluster`` 1, cut at
+    every depth to that size and two larger ones, at the default
+    ``min_cluster``: the same tree, kernel field and output as a fresh
+    build."""
+    source = ClusterConfig(max_depth=7, max_cluster=max_cluster, min_cluster=1)
+    deep = build_cluster_tree(image, source)
+    nodes = deep.nodes.copy()
+    assert_same_cut(deep.cut(source), deep)
+    for depth in range(2, 8):
+        for size in (max_cluster, max_cluster + 20, 5 * max_cluster):
+            cfg = ClusterConfig(max_depth=depth, max_cluster=size)
+            tree = deep.cut(cfg)
+            fresh = mkf_denoise(image, cfg)
+            assert_same_cut(tree, fresh.tree)
+            got = mkf_filter(image, tree)
+            for column in ("ids", "delta", "psi"):
+                assert np.array_equal(getattr(got.field, column),
+                                      getattr(fresh.field, column))
+            assert np.array_equal(got.field.leaf_map, fresh.field.leaf_map)
+            assert np.array_equal(got.raster.data, fresh.raster.data)
+    # cutting leaves the deep tree intact
+    assert np.array_equal(deep.nodes, nodes)
 
 
 @pytest.mark.parametrize("name", sorted(DEEP))
-def test_deep_tree_truncations_match_fresh_builds(name):
-    assert_truncations_match_fresh_builds(Raster(deep_input(name)),
-                                          ClusterConfig(max_depth=7))
+def test_deep_tree_cuts_match_fresh_builds(name):
+    assert_cuts_match_fresh_builds(Raster(deep_input(name)), 20)
 
 
 @SWEEP_CELLS
-def test_sweep_tree_truncations_match_fresh_builds(tmp_path, level,
-                                                   max_cluster, neighborhood):
-    assert_truncations_match_fresh_builds(
-        sweep_input(tmp_path, level),
-        ClusterConfig(max_depth=7, max_cluster=max_cluster,
-                      neighborhood=neighborhood))
+def test_sweep_tree_cuts_match_fresh_builds(tmp_path, level, max_cluster):
+    assert_cuts_match_fresh_builds(sweep_input(tmp_path, level), max_cluster)
 
 
 @st.composite
@@ -238,32 +244,53 @@ def piecewise_rasters(draw):
 
 
 SMALL_CONFIGS = st.builds(
-    lambda depth, min_cluster, extra, neighborhood, bin_width: ClusterConfig(
+    lambda depth, min_cluster, extra: ClusterConfig(
         max_depth=depth, min_cluster=min_cluster,
-        max_cluster=min_cluster + extra, neighborhood=neighborhood,
-        bin_width=bin_width),
-    st.integers(2, 6), st.integers(1, 4), st.integers(1, 8),
-    st.sampled_from([4, 8]), st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]))
+        max_cluster=min_cluster + extra),
+    st.integers(2, 6), st.integers(1, 4), st.integers(1, 8))
 
 
 @settings(max_examples=40, deadline=None)
 @given(values=piecewise_rasters(), cfg=SMALL_CONFIGS)
 def test_small_trees_match_oracle(values, cfg):
-    """Carried fits next to split clusters, one-pixel-wide clusters and
-    both connectivities at the border, on inputs no fixed case covers."""
-    tree = build_cluster_tree(Raster(values), cfg)
-    assert_same_tree(tree, reference_tree(values, cfg))
-    for depth in range(2, cfg.max_depth):
-        assert_same_truncation(tree.truncated(depth), build_cluster_tree(
-            Raster(values), dataclasses.replace(cfg, max_depth=depth)), depth)
+    """Carried fits next to split clusters and one-pixel-wide clusters at
+    the border, on inputs no fixed case covers."""
+    assert_same_tree(build_cluster_tree(Raster(values), cfg),
+                     reference_tree(values, cfg))
 
 
-@pytest.mark.parametrize("depth", (0, 1, 4))
-def test_truncation_depth_out_of_range(depth):
+@st.composite
+def cut_configs(draw):
+    """A source config at ``min_cluster`` 1 and a config it can be cut to:
+    no deeper, no smaller ``max_cluster``, any valid ``min_cluster``."""
+    depth, size = draw(st.integers(2, 6)), draw(st.integers(2, 12))
+    cut_size = draw(st.integers(size, size + 40))
+    return (ClusterConfig(max_depth=depth, max_cluster=size, min_cluster=1),
+            ClusterConfig(max_depth=draw(st.integers(2, depth)),
+                          max_cluster=cut_size,
+                          min_cluster=draw(st.integers(1, cut_size - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=piecewise_rasters(), configs=cut_configs())
+def test_small_tree_cuts_match_fresh_builds(values, configs):
+    """A cut is the fresh build byte for byte, so ``min_cluster`` sets only
+    ``eligible`` and a larger ``max_cluster`` only holds clusters whole."""
+    source, cfg = configs
+    assert_same_cut(build_cluster_tree(Raster(values), source).cut(cfg),
+                    build_cluster_tree(Raster(values), cfg))
+
+
+@pytest.mark.parametrize("cfg", [
+    ClusterConfig(max_depth=4),
+    ClusterConfig(max_depth=3, max_cluster=19),
+    ClusterConfig(max_depth=2, max_cluster=10, min_cluster=1),
+], ids=["deeper", "finer", "shallower-but-finer"])
+def test_cut_rejects_a_deeper_or_finer_config(cfg):
     tree = build_cluster_tree(Raster(deep_input("bsd_style")),
                               ClusterConfig(max_depth=3))
-    with pytest.raises(ConfigError, match="truncation depth"):
-        tree.truncated(depth)
+    with pytest.raises(ConfigError, match="has no cut"):
+        tree.cut(cfg)
 
 
 @pytest.mark.parametrize("name, fits, iterations, cap_hits", [
@@ -326,5 +353,32 @@ def test_levels_after_the_last_fit_are_copied(monkeypatch):
     cfg = ClusterConfig(max_depth=200)
     assert_same_tree(build_cluster_tree(image, cfg),
                      reference_tree(image.data, cfg))
-    assert_same_truncation(tree.truncated(200), build_cluster_tree(image, cfg),
-                           200)
+    assert_same_cut(tree.cut(cfg), build_cluster_tree(image, cfg))
+
+
+@pytest.mark.parametrize("image, source, cfg, ranked", [
+    (bsd_style(16, 16, seed=0), (2000, 10), (2000, 40, 9), 4),
+    # the last split leaves a fit on a cluster of more than 9 pixels that
+    # it left whole; the first level with no split has no fit to copy
+    (apply_noise(bsd_style(16, 16, seed=3), NoiseSpec("integral", 10.0, 3)),
+     (12, 4), (12, 9, 8), 6),
+], ids=["deep", "whole-fit"])
+def test_cut_copies_the_levels_after_the_last_split(monkeypatch, image,
+                                                    source, cfg, ranked):
+    """A cut by size ranks the clusters of the levels down to the first
+    level with no split, in this tree and the cut alike, and copies that
+    level down from there, as a build does."""
+    tree = build_cluster_tree(image, ClusterConfig(*source, min_cluster=1))
+    cfg = ClusterConfig(*cfg)
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    cut = tree.cut(cfg)
+    monkeypatch.undo()
+    assert 0 < len(calls) <= ranked
+    assert_same_cut(cut, build_cluster_tree(image, cfg))

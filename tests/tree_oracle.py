@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from mkfilter.clustering import (NODE_DTYPE, ClusterConfig, ClusterTree,
-                                 EmResult, Histogram, initial_gauss_pair)
+from mkfilter.clustering import (BIN_WIDTH, EM_TOL, NEIGHBORHOOD, NODE_DTYPE,
+                                 ClusterConfig, ClusterTree, EmResult,
+                                 Histogram, initial_gauss_pair)
 
 
 def reference_em(hist: Histogram, init: np.ndarray, tol: float,
@@ -129,16 +130,16 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
             if idx.size <= cfg.max_cluster:
                 continue
             pix = flat[idx]
-            base = math.floor(pix.min() / cfg.bin_width) * cfg.bin_width
-            bins = np.floor((pix - base) / cfg.bin_width).astype(np.int64)
+            base = math.floor(pix.min() / BIN_WIDTH) * BIN_WIDTH
+            bins = np.floor((pix - base) / BIN_WIDTH).astype(np.int64)
             occupied, inverse, counts = np.unique(
                 bins, return_inverse=True, return_counts=True)
-            hist = Histogram(centers=base + (occupied + 0.5) * cfg.bin_width,
+            hist = Histogram(centers=base + (occupied + 0.5) * BIN_WIDTH,
                              counts=counts.astype(np.float64),
                              starts=np.zeros(1, dtype=np.int64),
-                             bin_width=cfg.bin_width)
-            init = initial_gauss_pair(float(pix.max()), cfg.bin_width)
-            result = reference_em(hist, init, cfg.em_tol, cfg.bin_width)
+                             bin_width=BIN_WIDTH)
+            init = initial_gauss_pair(float(pix.max()), BIN_WIDTH)
+            result = reference_em(hist, init, EM_TOL, BIN_WIDTH)
             rows[node_id][6] = result.iterations
             if result.degenerate:
                 continue
@@ -148,7 +149,7 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
             side[idx] = pixel_side
 
         keys = levels[-1] * 2 + side.reshape(height, width)
-        regions = reference_flood(keys, cfg.neighborhood).ravel()
+        regions = reference_flood(keys, NEIGHBORHOOD).ravel()
         order = np.argsort(regions, kind="stable")
         bounds = np.searchsorted(regions[order], np.arange(regions.max() + 2))
         label_map = np.empty(flat.size, dtype=np.int64)
@@ -163,4 +164,4 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
         members = new_members
 
     return ClusterTree(nodes=np.array(list(map(tuple, rows)), dtype=NODE_DTYPE),
-                       levels=levels, sigma_floor=cfg.bin_width)
+                       levels=levels, config=cfg)
