@@ -7,7 +7,7 @@ and an MAE/SSIM benchmark harness.
 """
 
 from .raster import (Raster, ComplexRaster, load_pgm, save_pgm,
-                     load_f64_raster, save_f64_raster, to_grayscale)
+                     load_f64_raster, save_f64_raster)
 from .clustering import (ClusterConfig, ClusterTree, NODE_DTYPE, Histogram,
                          build_histogram, initial_gauss_pair,
                          em_similarity_cluster, proximity_cluster,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Raster", "ComplexRaster", "load_pgm", "save_pgm",
-    "load_f64_raster", "save_f64_raster", "to_grayscale",
+    "load_f64_raster", "save_f64_raster",
     "ClusterConfig", "ClusterTree", "NODE_DTYPE", "Histogram",
     "build_histogram", "initial_gauss_pair",
     "em_similarity_cluster", "proximity_cluster", "build_cluster_tree",

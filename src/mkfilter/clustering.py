@@ -30,7 +30,7 @@ broadcast over its bins instead of being gathered, and one reduction per
 iteration tells that no segment finishes; the active layout is rebuilt
 only when that test fails and a segment does leave.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
-are the one-cluster cases of the same code.
+are the one-cluster cases of the same code, at the same constants.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class Histogram:
     centers: np.ndarray
     counts: np.ndarray
     starts: np.ndarray
-    bin_width: float
 
 
 NEIGHBORHOOD = 8  # every tree's connectivity in the proximity stage
@@ -110,9 +109,10 @@ class ClusterConfig:
 
 NODE_DTYPE = np.dtype([("level", np.int64), ("parent", np.int64),
                        ("size", np.int64), ("mu", np.float64),
-                       ("delta", np.float64), ("eligible", np.bool_),
-                       ("em_iterations", np.int64)])
+                       ("delta", np.float64), ("em_iterations", np.int64)])
 """One row per cluster, indexed by node id; ``parent`` is -1 for the root.
+A cluster is eligible for its own kernel when ``size`` exceeds its tree's
+``config.min_cluster``; that is read, not stored.
 ``em_iterations`` counts the iterations of the EM fit run on the cluster to
 split it at the next level (0 for a single bin, ``EM_MAX_ITERATIONS`` at the
 cap); it is -1 where no fit ran: on a cluster that is not splittable, or
@@ -144,8 +144,8 @@ class ClusterTree:
         be no deeper than ``config`` and have no smaller ``max_cluster``.
         A fit sees only its cluster's pixels, so that build splits every
         cluster as this one does until it has at most ``cfg.max_cluster``
-        pixels and then holds it; ``min_cluster`` sets only ``eligible``.
-        Later levels copy their clusters' rows, ids in first-pixel order."""
+        pixels and then holds it; ``min_cluster`` is read from ``config``
+        alone. Later levels copy their clusters' rows, ids in first-pixel order."""
         own = self.config
         if cfg.max_depth > own.max_depth or cfg.max_cluster < own.max_cluster:
             raise ConfigError(f"a tree built at {own} has no cut at {cfg}")
@@ -173,7 +173,6 @@ class ClusterTree:
             tables.append(table)
         nodes = _repeat_last_level(np.concatenate(tables), maps, stop - last,
                                    len(tables[-1]))
-        nodes["eligible"] = nodes["size"] > cfg.min_cluster
         nodes["em_iterations"][(nodes["size"] <= cfg.max_cluster)
                                | (nodes["level"] == depth)] = -1
         nodes.flags.writeable = maps.flags.writeable = False
@@ -206,9 +205,9 @@ class EmResult:
 
 
 def _segment_histograms(values: np.ndarray, segment: np.ndarray,
-                        n_segments: int, bin_width: float):
-    """Bin each segment's values into width-`bin_width` bins anchored at
-    floor(min/bin_width)*bin_width of that segment.
+                        n_segments: int):
+    """Bin each segment's values into width-``BIN_WIDTH`` bins anchored at
+    floor(min/BIN_WIDTH)*BIN_WIDTH of that segment.
 
     The occupied bins of all segments are laid out back to back, segment
     by segment and ascending within a segment; every segment must be
@@ -222,10 +221,10 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
     """
     lowest = np.full(n_segments, np.inf)
     np.minimum.at(lowest, segment, values)
-    bases = np.floor(lowest / bin_width) * bin_width
-    bins = np.floor((values - bases[segment]) / bin_width)
+    bases = np.floor(lowest / BIN_WIDTH) * BIN_WIDTH
+    bins = np.floor((values - bases[segment]) / BIN_WIDTH)
     if not np.abs(bins).max() < 2.0 ** 63:  # also catches nan and inf
-        raise ConfigError(f"bin width {bin_width} gives bin indices beyond "
+        raise ConfigError(f"bin width {BIN_WIDTH} gives bin indices beyond "
                           "the int64 range")
     bins = bins.astype(np.int64)
     low = int(bins.min())
@@ -245,31 +244,31 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
                                           return_inverse=True,
                                           return_counts=True)
     bin_segment, offset = np.divmod(head, stride)
-    centers = bases[bin_segment] + (bin_of[offset] + 0.5) * bin_width
+    centers = bases[bin_segment] + (bin_of[offset] + 0.5) * BIN_WIDTH
     starts = np.flatnonzero(np.diff(bin_segment, prepend=-1))
-    return (Histogram(centers, counts.astype(np.float64), starts, bin_width),
-            inverse)
+    return Histogram(centers, counts.astype(np.float64), starts), inverse
 
 
-def build_histogram(pixels, bin_width: float) -> Histogram:
-    """Bin intensities into width-`bin_width` bins anchored at
-    floor(min/bin_width)*bin_width; weights are member counts."""
+def build_histogram(pixels) -> Histogram:
+    """Bin intensities into width-``BIN_WIDTH`` bins anchored at
+    floor(min/BIN_WIDTH)*BIN_WIDTH; weights are member counts."""
     values = np.asarray(pixels, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("histogram needs at least one pixel")
     return _segment_histograms(
-        values, np.zeros(values.size, dtype=np.int64), 1, bin_width)[0]
+        values, np.zeros(values.size, dtype=np.int64), 1)[0]
 
 
-def initial_gauss_pair(i_max, sigma_floor: float) -> np.ndarray:
+def initial_gauss_pair(i_max) -> np.ndarray:
     """EM starting point: means at one and two thirds of the maximal
-    intensity, deviations at the maximal intensity, equal weights.
+    intensity, deviations at the maximal intensity's magnitude, equal
+    weights. The EM floors the deviations at ``BIN_WIDTH``.
 
     ``i_max`` is one cluster's maximum, or an array of them; the result is
     (mu, sigma, weight) x component, plus that array's segment axis.
     """
     i_max = np.asarray(i_max, dtype=np.float64)
-    sigma = np.maximum(np.abs(i_max), sigma_floor)
+    sigma = np.abs(i_max)
     return np.array([[i_max / 3.0, 2.0 * i_max / 3.0], [sigma, sigma],
                      np.full((2,) + i_max.shape, 0.5)])
 
@@ -458,21 +457,22 @@ def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:
                     np.cumsum(iterations)[:-1])
 
 
-def em_similarity_cluster(hist: Histogram, init: np.ndarray, tol: float, *,
+def em_similarity_cluster(hist: Histogram, init: np.ndarray, *,
                           max_iterations: int = EM_MAX_ITERATIONS) -> EmResult:
     """Fit a two-component mixture to the histogram and hard-label each bin.
 
     This is the segmented EM that :func:`build_cluster_tree` runs over a
     whole level; ``init`` is the (3, 2) start of a one-segment histogram
-    (see :func:`initial_gauss_pair`), or has a segment axis. The M-step clamps
-    each deviation at the bin width, as the tree does; because the clamp
-    is the constrained maximizer of the expected complete-data
+    (see :func:`initial_gauss_pair`), or has a segment axis. As in the
+    tree, a fit stops when no parameter moves by ``EM_TOL``, and the start
+    and every M-step clamp each deviation at ``BIN_WIDTH``; because the
+    clamp is the constrained maximizer of the expected complete-data
     log-likelihood, the recorded log-likelihood sequence is
     non-decreasing. Ties in the posterior go to the first component. A
     single-bin histogram cannot be split and yields a degenerate result
     with all mass on the first component.
     """
-    return _segmented_em(hist, init, tol, hist.bin_width, max_iterations,
+    return _segmented_em(hist, init, EM_TOL, BIN_WIDTH, max_iterations,
                          trace=True)
 
 
@@ -480,22 +480,21 @@ def em_similarity_cluster(hist: Histogram, init: np.ndarray, tol: float, *,
 # proximity clustering
 
 
-def _connected_regions(keys: np.ndarray,
-                       neighborhood: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label each maximal connected region of equal ``keys``: the region of
+def _connected_regions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label each maximal 8-connected region of equal ``keys``: the region of
     every pixel, numbered in row-major order of each region's first pixel,
     and the flat index of each region's first pixel.
 
     A union-find over horizontal runs of equal keys, in whole-array steps.
     Runs are numbered in row-major order; a run joins the runs of the next
-    row through vertical (and, for 8-connectivity, diagonal) equal-key
-    edges. An edge whose two pixels both continue the runs of the edge just
-    to its left joins the same two runs, so only edges at a run start are
-    kept. Every root is hooked onto the smallest root it shares an edge
-    with, then pointers jump until each run points at its root; this
-    repeats until no edge joins two roots. Roots only ever move to smaller
-    run ids, so a region's root is its first run, which starts at the
-    region's first pixel.
+    row through vertical and diagonal equal-key edges. An edge whose two
+    pixels both continue the runs of the edge just to its left joins the
+    same two runs, so only edges at a run start are kept. Every root is
+    hooked onto the smallest root it shares an edge with, then pointers
+    jump until each run points at its root; this repeats until no edge
+    joins two roots. Roots only ever move to smaller run ids, so a
+    region's root is its first run, which starts at the region's first
+    pixel.
     """
     height, width = keys.shape
     starts = np.empty(keys.shape, dtype=bool)
@@ -503,11 +502,10 @@ def _connected_regions(keys: np.ndarray,
     np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
     run = (np.cumsum(starts) - 1).reshape(height, width)
     run_start = np.flatnonzero(starts)
-    steps = ((1, 0),) + (((1, 1), (1, -1)) if neighborhood == 8 else ())
     heads, tails = [], []
-    for dy, dx in steps:  # edges towards the next row, one direction at a time
-        a = (slice(0, height - dy), slice(max(0, -dx), width - max(0, dx)))
-        b = (slice(dy, height), slice(max(0, dx), width - max(0, -dx)))
+    for dx in (0, 1, -1):  # edges to the next row: down, down-right, down-left
+        a = (slice(0, height - 1), slice(max(0, -dx), width - max(0, dx)))
+        b = (slice(1, height), slice(max(0, dx), width - max(0, -dx)))
         joins = (keys[a] == keys[b]) & (starts[a] | starts[b])
         heads.append(run[a][joins])
         tails.append(run[b][joins])
@@ -534,18 +532,20 @@ def _connected_regions(keys: np.ndarray,
 
 
 def proximity_cluster(labels: np.ndarray, neighborhood: int) -> np.ndarray:
-    """Give each maximal connected region of same-labelled pixels its own
+    """Give each maximal 8-connected region of same-labelled pixels its own
     fresh label. The output refines the input partition, never merges.
 
     Fresh labels are issued in row-major order of each region's first
-    pixel, so the result is deterministic.
+    pixel, so the result is deterministic. ``neighborhood`` must be
+    ``NEIGHBORHOOD``, the trees' connectivity.
     """
-    if neighborhood not in (4, 8):
-        raise ConfigError(f"neighborhood must be 4 or 8, got {neighborhood}")
+    if neighborhood != NEIGHBORHOOD:
+        raise ConfigError(f"neighborhood must be {NEIGHBORHOOD}, "
+                          f"got {neighborhood}")
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ConfigError(f"label map must be 2D, got shape {labels.shape}")
-    region, _ = _connected_regions(labels, neighborhood)
+    region, _ = _connected_regions(labels)
     return region.reshape(labels.shape)
 
 
@@ -584,11 +584,11 @@ def _split_sides(values: np.ndarray, label: np.ndarray,
     segment = (np.cumsum(fit) - 1)[label[members]]
     n_seg = int(np.count_nonzero(fit))
     pix = values[members]
-    hist, inverse = _segment_histograms(pix, segment, n_seg, BIN_WIDTH)
+    hist, inverse = _segment_histograms(pix, segment, n_seg)
     i_max = np.full(n_seg, -np.inf)
     np.maximum.at(i_max, segment, pix)
-    fits = _segmented_em(hist, initial_gauss_pair(i_max, BIN_WIDTH), EM_TOL,
-                         BIN_WIDTH, EM_MAX_ITERATIONS)
+    fits = _segmented_em(hist, initial_gauss_pair(i_max), EM_TOL, BIN_WIDTH,
+                         EM_MAX_ITERATIONS)
     # a degenerate or one-sided fit gives all its pixels one side, which
     # leaves the cluster whole
     side[members] = fits.labels[inverse]
@@ -630,7 +630,6 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
             flat, label, parents.size)
         table["level"] = level
         table["parent"] = parents
-        table["eligible"] = table["size"] > cfg.min_cluster
         table["em_iterations"] = -1
         tables.append(table)
         np.add(label, first_id, out=maps[level])
@@ -650,7 +649,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         tables[-1]["em_iterations"][fit] = fitted
         keys = (label * 2 + side).reshape(height, width)
         previous = label
-        label, first_pixel = _connected_regions(keys, NEIGHBORHOOD)
+        label, first_pixel = _connected_regions(keys)
         parent = previous[first_pixel]
         # a splittable cluster with one child was left whole by its fit
         carried = (splittable
@@ -694,11 +693,13 @@ def _repeat_last_level(nodes: np.ndarray, maps: np.ndarray, first: int,
 
 
 def write_tree_dump(tree: ClusterTree, path) -> None:
-    """One node per line: `id level parent size mu delta eligible`."""
+    """One node per line: `id level parent size mu delta eligible`, where
+    eligible is 1 if size exceeds the tree's ``min_cluster``, else 0."""
     columns = (tree.nodes[name].tolist() for name in
-               ("level", "parent", "size", "mu", "delta", "eligible"))
+               ("level", "parent", "size", "mu", "delta"))
+    least = tree.config.min_cluster
     with open(path, "w", encoding="ascii") as fh:
-        for node_id, (level, parent, size, mu, delta, eligible) in enumerate(
+        for node_id, (level, parent, size, mu, delta) in enumerate(
                 zip(*columns)):
             fh.write(f"{node_id} {level} {parent} {size} "
-                     f"{mu:.17g} {delta:.17g} {int(eligible)}\n")
+                     f"{mu:.17g} {delta:.17g} {int(size > least)}\n")

@@ -210,15 +210,16 @@ def weighted_mean_filter(image: Raster, weight_rule, radius: int) -> Raster:
 def build_kernel_field(tree: ClusterTree) -> KernelField:
     """Every leaf's (delta, psi), for all leaves in whole-array steps.
 
-    A leaf defers to its nearest eligible ancestor (the root at last). With
-    deviations floored at ``BIN_WIDTH``, delta is that node's own
-    deviation and psi the contextual gain of its parent and grandparent,
-    or of itself and its parent at level 1 or 2 (1 at the root).
+    A leaf defers to its nearest eligible ancestor (the root at last): one
+    of more than ``tree.config.min_cluster`` pixels. With deviations
+    floored at ``BIN_WIDTH``, delta is that node's own deviation and psi
+    the contextual gain of its parent and grandparent, or of itself and
+    its parent at level 1 or 2 (1 at the root).
     """
-    nodes, parent = tree.nodes, tree.nodes["parent"]
+    nodes, parent, size = tree.nodes, tree.nodes["parent"], tree.nodes["size"]
     leaves = node = tree.leaves()
     for _ in range(tree.depth):  # one gather per level climbed
-        up = ~nodes["eligible"][node] & (parent[node] >= 0)
+        up = (size[node] <= tree.config.min_cluster) & (parent[node] >= 0)
         if not up.any():
             break
         node = np.where(up, parent[node], node)

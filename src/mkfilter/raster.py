@@ -25,7 +25,6 @@ __all__ = [
     "save_pgm",
     "load_f64_raster",
     "save_f64_raster",
-    "to_grayscale",
 ]
 
 
@@ -210,21 +209,3 @@ def load_f64_raster(path) -> Raster:
         raise FormatError(f"non-finite value at byte {12 + 8 * int(bad[0])}")
     return Raster(values, range_hint=(float(values.min()), float(values.max())))
 
-
-# ---------------------------------------------------------------------------
-# Grayscale conversion (ITU-R BT.601 luma weights)
-
-_LUMA = (0.299, 0.587, 0.114)
-
-
-def to_grayscale(rgb8, width: int, height: int) -> Raster:
-    """Convert interleaved 8-bit RGB bytes to a luma raster in [0, 255]."""
-    flat = np.frombuffer(bytes(rgb8), dtype=np.uint8)
-    if flat.size != 3 * width * height:
-        raise FormatError(
-            f"RGB payload length mismatch: expected {3 * width * height} "
-            f"bytes, found {flat.size}"
-        )
-    rgb = flat.reshape(height, width, 3).astype(np.float64)
-    luma = _LUMA[0] * rgb[:, :, 0] + _LUMA[1] * rgb[:, :, 1] + _LUMA[2] * rgb[:, :, 2]
-    return Raster(np.floor(luma + 0.5), range_hint=(0.0, 255.0))

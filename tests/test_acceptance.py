@@ -95,9 +95,9 @@ def test_criterion_03_clustering_invariants():
         values = rng.integers(0, 256, (32, 32)).astype(float)
         tree = build_cluster_tree(Raster(values), cfg)
         _check_tree_invariants(tree, cfg, 32 * 32)
-        hist = build_histogram(values, 1.0)
+        hist = build_histogram(values)
         result = em_similarity_cluster(
-            hist, initial_gauss_pair(float(values.max()), 1.0), 1e-4)
+            hist, initial_gauss_pair(float(values.max())))
         if result.log_likelihood.size > 1:
             ll_slack_ok &= bool(np.diff(result.log_likelihood).min() > -1e-9)
     report(3, ll_slack_ok,

@@ -19,8 +19,8 @@ from mkfilter import (NODE_DTYPE, ClusterConfig, ClusterTree, ConfigError,
                       build_histogram, build_kernel_field,
                       em_similarity_cluster, initial_gauss_pair, phantoms,
                       proximity_cluster)
-from mkfilter.clustering import (EM_MAX_ITERATIONS, _segment_histograms,
-                                 _segmented_em)
+from mkfilter.clustering import (BIN_WIDTH, EM_MAX_ITERATIONS, EM_TOL,
+                                 _segment_histograms, _segmented_em)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -61,24 +61,25 @@ def em_over_raw_values(values, mu, sigma, weight, tol, sigma_floor,
     return mu, sigma, weight
 
 
-def flood_fill_components(labels, neighborhood):
-    """Connected components of each input label via scipy flood fill."""
-    structure = (np.ones((3, 3), dtype=bool) if neighborhood == 8
-                 else np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))
+EIGHT = np.ones((3, 3), dtype=bool)  # scipy's 8-connectivity structure
+
+
+def flood_fill_components(labels):
+    """8-connected components of each input label via scipy flood fill."""
     out = np.full(labels.shape, -1, dtype=np.int64)
     next_id = 0
     for value in np.unique(labels):
-        comp, count = ndimage.label(labels == value, structure=structure)
+        comp, count = ndimage.label(labels == value, structure=EIGHT)
         for c in range(1, count + 1):
             out[comp == c] = next_id
             next_id += 1
     return out
 
 
-def row_major_components(labels, neighborhood):
+def row_major_components(labels):
     """The flood-fill oracle's components, renumbered in row-major order of
     each component's first pixel."""
-    comp = flood_fill_components(labels, neighborhood).ravel()
+    comp = flood_fill_components(labels).ravel()
     _, first = np.unique(comp, return_index=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
@@ -101,32 +102,26 @@ def partitions_equal(a, b):
 
 
 def test_histogram_single_value():
-    h = build_histogram([5, 5, 5], 1.0)
+    h = build_histogram([5, 5, 5])
     assert h.centers.tolist() == [5.5]
     assert h.counts.tolist() == [3.0]
 
 
-def test_histogram_bin_width_two():
-    h = build_histogram([0, 1, 2, 3], 2.0)
-    assert h.centers.tolist() == [1.0, 3.0]
-    assert h.counts.tolist() == [2.0, 2.0]
-
-
 def test_histogram_spans_signed_range():
-    h = build_histogram([-3000.0, 3000.0], 1.0)
+    h = build_histogram([-3000.0, 3000.0])
     assert h.centers.size == 2
     assert h.centers[1] - h.centers[0] == 6000.0
 
 
 def test_histogram_rejects_bin_indices_beyond_int64():
-    # 1e20 bins of width 1e-10 span the range; the int64 cast would wrap
-    with pytest.raises(ConfigError):
-        build_histogram([0.0, 1e10], 1e-10)
-    # through a tree: 1e19 bins of width 1 span a cluster's intensities
+    # 1e19 bins of width 1 span the range; the int64 cast would wrap
+    message = "bin width 1.0 gives bin indices beyond the int64 range"
+    with pytest.raises(ConfigError, match=message):
+        build_histogram([0.0, 1e19])
+    # through a tree: the same span in a cluster's intensities
     img = np.zeros((6, 6))
     img[:, 3:] = 1e19
-    with pytest.raises(ConfigError, match="bin width 1.0 gives bin indices "
-                                          "beyond the int64 range"):
+    with pytest.raises(ConfigError, match=message):
         build_cluster_tree(Raster(img), ClusterConfig(max_cluster=4,
                                                       min_cluster=3))
 
@@ -135,11 +130,11 @@ def test_histogram_weights_sum_to_pixel_count():
     rng = np.random.default_rng(7)
     for _ in range(20):
         pixels = rng.normal(0, 50, rng.integers(1, 400))
-        h = build_histogram(pixels, 1.0)
+        h = build_histogram(pixels)
         assert h.counts.sum() == pixels.size
 
 
-def per_segment_histograms(values, segment, n_segments, bin_width):
+def per_segment_histograms(values, segment, n_segments):
     """Each segment binned on its own with ``np.unique``, the way the tree
     oracle bins a cluster, then laid out back to back: (centers, counts,
     starts, inverse)."""
@@ -149,11 +144,11 @@ def per_segment_histograms(values, segment, n_segments, bin_width):
     for s in range(n_segments):
         idx = np.flatnonzero(segment == s)
         pix = values[idx]
-        base = math.floor(pix.min() / bin_width) * bin_width
-        bins = np.floor((pix - base) / bin_width).astype(np.int64)
+        base = math.floor(pix.min() / BIN_WIDTH) * BIN_WIDTH
+        bins = np.floor((pix - base) / BIN_WIDTH).astype(np.int64)
         occupied, local, count = np.unique(bins, return_inverse=True,
                                            return_counts=True)
-        centers.append(base + (occupied + 0.5) * bin_width)
+        centers.append(base + (occupied + 0.5) * BIN_WIDTH)
         counts.append(count.astype(np.float64))
         starts.append(offset)
         inverse[idx] = local + offset
@@ -162,11 +157,11 @@ def per_segment_histograms(values, segment, n_segments, bin_width):
             np.array(starts, dtype=np.int64), inverse)
 
 
-def assert_histograms_match_per_segment(values, segment, bin_width):
+def assert_histograms_match_per_segment(values, segment):
     n_segments = int(segment.max()) + 1
-    hist, inverse = _segment_histograms(values, segment, n_segments, bin_width)
+    hist, inverse = _segment_histograms(values, segment, n_segments)
     centers, counts, starts, ref_inverse = per_segment_histograms(
-        values, segment, n_segments, bin_width)
+        values, segment, n_segments)
     for got, want in ((hist.centers, centers), (hist.counts, counts),
                       (hist.starts, starts), (inverse, ref_inverse)):
         assert got.dtype == want.dtype
@@ -177,6 +172,13 @@ def assert_histograms_match_per_segment(values, segment, bin_width):
 NARROW_SAMPLES = st.lists(st.tuples(st.integers(0, 5),
                                     st.integers(-300, 300).map(float)),
                           min_size=1, max_size=200)
+# narrow fractional values: several values per bin and values on the bin
+# edges, counted
+FRACTIONAL_SAMPLES = st.lists(
+    st.tuples(st.integers(0, 5),
+              st.integers(-1200, 1200).map(lambda q: q / 4.0)
+              | st.floats(-300.0, 300.0, allow_nan=False)),
+    min_size=1, max_size=200)
 # wide float spans across many segments: a key space far beyond the
 # number of values, ranked
 WIDE_SAMPLES = st.lists(st.tuples(st.integers(0, 40),
@@ -185,16 +187,14 @@ WIDE_SAMPLES = st.lists(st.tuples(st.integers(0, 40),
 
 
 @settings(max_examples=150, deadline=None)
-@given(samples=NARROW_SAMPLES | WIDE_SAMPLES,
-       bin_width=st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0])
-       | st.floats(0.5, 4.0))
-def test_segment_histograms_match_per_segment_unique(samples, bin_width):
+@given(samples=NARROW_SAMPLES | FRACTIONAL_SAMPLES | WIDE_SAMPLES)
+def test_segment_histograms_match_per_segment_unique(samples):
     """Random segment layouts, negative values and ties, in counted and in
     ranked key spaces: each segment gets exactly the histogram it gets on
     its own."""
     ids, values = zip(*samples)
     segment = np.unique(ids, return_inverse=True)[1].astype(np.int64)
-    assert_histograms_match_per_segment(np.array(values), segment, bin_width)
+    assert_histograms_match_per_segment(np.array(values), segment)
 
 
 def spy_on(monkeypatch, *names):
@@ -212,14 +212,14 @@ def test_segment_histograms_count_a_narrow_key_space(monkeypatch):
     values = np.array([3.0, 7.5, 7.9, 3.2, -2.0, 250.0, -1.5, 7.0])
     segment = np.array([0, 0, 0, 0, 1, 1, 1, 2])
     calls = spy_on(monkeypatch, "argsort", "sort", "unique", "searchsorted")
-    hist, inverse = _segment_histograms(values, segment, 3, 1.0)
+    hist, inverse = _segment_histograms(values, segment, 3)
     assert calls == dict.fromkeys(calls, 0)
     assert hist.centers.tolist() == [3.5, 7.5, -1.5, 250.5, 7.5]
     assert hist.counts.tolist() == [2.0, 2.0, 2.0, 1.0, 1.0]
     assert hist.starts.tolist() == [0, 2, 4]
     assert inverse.tolist() == [0, 1, 1, 0, 2, 3, 2, 4]
     monkeypatch.undo()
-    assert_histograms_match_per_segment(values, segment, 1.0)
+    assert_histograms_match_per_segment(values, segment)
 
 
 def test_segment_histograms_rank_a_wide_key_space(monkeypatch):
@@ -227,21 +227,21 @@ def test_segment_histograms_rank_a_wide_key_space(monkeypatch):
     values = np.array([0.0, 1e6, 5e5, -1e6, 0.25])
     segment = np.array([0, 0, 1, 1, 2])
     calls = spy_on(monkeypatch, "unique", "bincount")
-    hist, inverse = _segment_histograms(values, segment, 3, 1.0)
+    hist, inverse = _segment_histograms(values, segment, 3)
     assert calls == {"unique": 2, "bincount": 0}
     assert hist.centers.tolist() == [0.5, 1e6 + 0.5, -1e6 + 0.5, 5e5 + 0.5,
                                      0.5]
     assert hist.starts.tolist() == [0, 2, 4]
     assert inverse.tolist() == [0, 1, 3, 2, 4]
     monkeypatch.undo()
-    assert_histograms_match_per_segment(values, segment, 1.0)
+    assert_histograms_match_per_segment(values, segment)
 
 
 def test_segment_histograms_rank_bins_when_the_key_would_wrap():
     # each segment spans 8e18 + 1 bins; segment * span + bin passes int64
     values = np.array([0.0, 8e18, 8e18, 0.0, 8e18])
     segment = np.array([0, 0, 1, 1, 1])
-    assert_histograms_match_per_segment(values, segment, 1.0)
+    assert_histograms_match_per_segment(values, segment)
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +249,28 @@ def test_segment_histograms_rank_bins_when_the_key_would_wrap():
 
 
 def test_initial_pair_rule():
-    assert initial_gauss_pair(255.0, 1.0).tolist() == [
+    assert initial_gauss_pair(255.0).tolist() == [
         [85.0, 170.0], [255.0, 255.0], [0.5, 0.5]]
     # per-cluster maxima give the same rule along a segment axis
-    theta = initial_gauss_pair(np.array([255.0, -0.5]), 1.0)
+    theta = initial_gauss_pair(np.array([255.0, -0.5]))
     assert theta.shape == (3, 2, 2)
-    assert theta[:, :, 0].tolist() == initial_gauss_pair(255.0, 1.0).tolist()
-    assert theta[:, :, 1].tolist() == initial_gauss_pair(-0.5, 1.0).tolist()
+    assert theta[:, :, 0].tolist() == initial_gauss_pair(255.0).tolist()
+    assert theta[:, :, 1].tolist() == initial_gauss_pair(-0.5).tolist()
+    # the deviations are |i_max|, unfloored; the EM floors its start, so a
+    # start below BIN_WIDTH fits as the floored start does
+    assert theta[1, :, 1].tolist() == [0.5, 0.5]
+    hist = build_histogram([-0.5, -0.2, -1.7, -2.6])
+    floored = initial_gauss_pair(-0.5)
+    floored[1] = BIN_WIDTH
+    assert _fit_bytes(em_similarity_cluster(hist, initial_gauss_pair(-0.5))) \
+        == _fit_bytes(em_similarity_cluster(hist, floored))
 
 
 def test_em_two_modes_match_raw_value_oracle():
     values = [0.0] * 100 + [255.0] * 100
-    hist = build_histogram(values, 1.0)
-    init = initial_gauss_pair(255.0, 1.0)
-    result = em_similarity_cluster(hist, init, 1e-4)
+    hist = build_histogram(values)
+    init = initial_gauss_pair(255.0)
+    result = em_similarity_cluster(hist, init)
     mu_ref, _, _ = em_over_raw_values(
         values, (85.0, 170.0), (255.0, 255.0), (0.5, 0.5), 1e-4, 1.0)
     # oracle converges onto the two modes (0, 255); the binned fit agrees
@@ -275,8 +283,8 @@ def test_em_two_modes_match_raw_value_oracle():
 
 
 def test_em_single_bin_degenerates():
-    hist = build_histogram([7.0, 7.2, 7.4], 1.0)
-    result = em_similarity_cluster(hist, initial_gauss_pair(7.4, 1.0), 1e-4)
+    hist = build_histogram([7.0, 7.2, 7.4])
+    result = em_similarity_cluster(hist, initial_gauss_pair(7.4))
     assert result.degenerate
     assert result.labels.tolist() == [0]
     assert result.theta[2].tolist() == [1.0, 0.0]
@@ -290,18 +298,20 @@ def test_em_log_likelihood_non_decreasing():
             rng.normal(rng.uniform(0, 100), rng.uniform(1, 20), 150),
             rng.normal(rng.uniform(120, 255), rng.uniform(1, 20), 150),
         ])
-        hist = build_histogram(values, 1.0)
-        init = initial_gauss_pair(float(values.max()), 1.0)
-        result = em_similarity_cluster(hist, init, 1e-6)
+        hist = build_histogram(values)
+        init = initial_gauss_pair(float(values.max()))
+        # a tighter tolerance than the trees' runs more iterations
+        result = _segmented_em(hist, init, 1e-6, BIN_WIDTH, EM_MAX_ITERATIONS,
+                               trace=True)
         diffs = np.diff(result.log_likelihood)
         assert diffs.min() > -1e-9
 
 
 def test_em_sigma_respects_floor():
     values = [0.0] * 50 + [200.0] * 50
-    hist = build_histogram(values, 1.0)
-    result = em_similarity_cluster(hist, initial_gauss_pair(200.0, 1.0), 1e-4)
-    assert result.theta[1].min() >= 1.0
+    hist = build_histogram(values)
+    result = em_similarity_cluster(hist, initial_gauss_pair(200.0))
+    assert result.theta[1].min() >= BIN_WIDTH
 
 
 def test_segmented_em_matches_one_histogram_fits():
@@ -319,17 +329,17 @@ def test_segmented_em_matches_one_histogram_fits():
         np.array([3.0, 3.5]),  # one bin
         np.concatenate([rng.normal(60, 2, 30), rng.normal(64, 2, 30)]),
     ]
-    inits = [initial_gauss_pair(float(v.max()), 1.0) for v in samples]
+    inits = [initial_gauss_pair(float(v.max())) for v in samples]
     # a far, narrow second component gets no mass: that fit stops at once
     samples.append(rng.normal(50, 5, 40))
     inits.append(np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]]))
     # equal components tie on every bin; ties go to the first component
     samples.append(rng.normal(80, 10, 50))
     inits.append(np.array([[80.0, 80.0], [10.0, 10.0], [0.5, 0.5]]))
-    hists = [build_histogram(v, 1.0) for v in samples]
+    hists = [build_histogram(v) for v in samples]
     starts = np.cumsum([0] + [h.centers.size for h in hists[:-1]])
     batch = Histogram(np.concatenate([h.centers for h in hists]),
-                      np.concatenate([h.counts for h in hists]), starts, 1.0)
+                      np.concatenate([h.counts for h in hists]), starts)
     fits = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
                          EM_MAX_ITERATIONS, trace=True)
     untraced = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
@@ -343,8 +353,8 @@ def test_segmented_em_matches_one_histogram_fits():
     ends = list(starts[1:]) + [None]
     for k, (hist, init) in enumerate(zip(hists, inits)):
         trace = fits.log_likelihood[k]
-        for single in (em_similarity_cluster(hist, init, 1e-4),
-                       reference_em(hist, init, 1e-4, 1.0)):
+        for single in (em_similarity_cluster(hist, init),
+                       reference_em(hist, init, EM_TOL, BIN_WIDTH)):
             assert np.array_equal(fits.labels[starts[k]:ends[k]], single.labels)
             assert bool(fits.degenerate[k]) == single.degenerate
             assert trace.size == single.log_likelihood.size
@@ -366,7 +376,7 @@ def _batch(hists):
     """The histograms back to back, one segment each."""
     starts = np.cumsum([0] + [h.centers.size for h in hists[:-1]])
     return Histogram(np.concatenate([h.centers for h in hists]),
-                     np.concatenate([h.counts for h in hists]), starts, 1.0)
+                     np.concatenate([h.counts for h in hists]), starts)
 
 
 def _em_bytes(fit, segment, bins=slice(None)):
@@ -387,12 +397,12 @@ def test_lone_segment_fit_equals_its_gathered_fit(max_iterations):
     root = add_integral_noise(phantoms.bsd_style(40, 40, seed=3), 1000.0, 11)
     bimodal = np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)])
     far = rng.normal(50, 5, 40)
-    cases = [(root.data, initial_gauss_pair(float(root.data.max()), 1.0)),
-             (bimodal, initial_gauss_pair(float(bimodal.max()), 1.0)),
+    cases = [(root.data, initial_gauss_pair(float(root.data.max()))),
+             (bimodal, initial_gauss_pair(float(bimodal.max()))),
              (far, np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]]))]
     iterations = []
     for values, init in cases:
-        hist = build_histogram(values, 1.0)
+        hist = build_histogram(values)
         alone = _segmented_em(hist, init[..., None], 1e-4, 1.0, max_iterations,
                               trace=True)
         paired = _segmented_em(_batch([hist, hist]), np.stack([init, init], -1),
@@ -428,14 +438,14 @@ def test_segmented_em_lost_converged_and_capped_in_one_iteration(
                np.concatenate([rng.normal(40, 8, 120), rng.normal(190, 15, 80)]),
                rng.uniform(0, 255, 300)]
     inits = [np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]]), near,
-             initial_gauss_pair(float(samples[2].max()), 1.0),
-             initial_gauss_pair(float(samples[3].max()), 1.0)]
+             initial_gauss_pair(float(samples[2].max())),
+             initial_gauss_pair(float(samples[3].max()))]
     expected = [1, 2, max_iterations, max_iterations]
     if fixed_point:
         samples.append(spikes)
         inits.append(exact)
         expected.append(1)
-    hists = [build_histogram(v, 1.0) for v in samples]
+    hists = [build_histogram(v) for v in samples]
     batch = _batch(hists)
     fits = _segmented_em(batch, np.stack(inits, axis=-1), 1e-4, 1.0,
                          max_iterations, trace=True)
@@ -484,7 +494,7 @@ def em_layouts(draw):
                                     max_size=seg.size)))
         kind = draw(st.sampled_from(["rule", "random", "far", "weightless"]))
         if kind == "rule":
-            init = initial_gauss_pair(float(seg.max()), floor)
+            init = initial_gauss_pair(float(seg.max()))
         else:
             mu = draw(st.lists(st.floats(-100, 400), min_size=2, max_size=2))
             sigma = draw(st.lists(st.floats(0.1, 200), min_size=2, max_size=2))
@@ -496,7 +506,7 @@ def em_layouts(draw):
                 init[2] = [1.0, 0.0]
         inits.append(init)
     hist = Histogram(np.array(centers), np.array(counts, dtype=np.float64),
-                     np.array(starts), floor)
+                     np.array(starts))
     theta = inits[0] if n_seg == 1 and draw(st.booleans()) else np.stack(
         inits, axis=-1)
     tol = draw(st.sampled_from([1e-12, 1e-6, 1e-4, 1e-2, 1.0, 10.0]))
@@ -535,19 +545,12 @@ def test_opposite_corners_split():
     labels[0, 0] = labels[2, 2] = 0
     out = proximity_cluster(labels, 8)
     assert np.unique(out).size == 3
-    assert partitions_equal(out, flood_fill_components(labels, 8))
+    assert partitions_equal(out, flood_fill_components(labels))
 
 
 def test_uniform_map_single_label():
     out = proximity_cluster(np.zeros((5, 7), dtype=int), 8)
     assert np.unique(out).size == 1
-
-
-def test_checkerboard_four_connectivity():
-    labels = np.indices((4, 4)).sum(axis=0) % 2
-    out = proximity_cluster(labels, 4)
-    assert np.unique(out).size == 16
-    assert partitions_equal(out, flood_fill_components(labels, 4))
 
 
 def test_checkerboard_eight_connectivity_keeps_two():
@@ -558,13 +561,11 @@ def test_checkerboard_eight_connectivity_keeps_two():
 
 def test_proximity_matches_flood_fill_oracle_on_random_maps():
     rng = np.random.default_rng(3)
-    for neighborhood in (4, 8):
-        for _ in range(15):
-            labels = rng.integers(0, 3, size=(10, 12))
-            out = proximity_cluster(labels, neighborhood)
-            ref = flood_fill_components(labels, neighborhood)
-            assert partitions_equal(out, ref)
-            assert np.unique(out).size >= np.unique(labels).size
+    for _ in range(30):
+        labels = rng.integers(0, 3, size=(10, 12))
+        out = proximity_cluster(labels, 8)
+        assert partitions_equal(out, flood_fill_components(labels))
+        assert np.unique(out).size >= np.unique(labels).size
 
 
 def spiral(size):
@@ -587,8 +588,7 @@ def spiral(size):
             return grid
 
 
-@pytest.mark.parametrize("neighborhood", (4, 8))
-def test_proximity_labels_follow_row_major_first_pixel(neighborhood):
+def test_proximity_labels_follow_row_major_first_pixel():
     rng = np.random.default_rng(37)
     maps = [
         np.array([[5]]),
@@ -599,10 +599,10 @@ def test_proximity_labels_follow_row_major_first_pixel(neighborhood):
     ] + [rng.integers(0, 3, size=shape) for shape in
          [(1, 9), (9, 1), (6, 6), (10, 12), (13, 7)] * 4]
     for labels in maps:
-        out = proximity_cluster(labels, neighborhood)
+        out = proximity_cluster(labels, 8)
         assert out.dtype == np.int64 and out.shape == labels.shape
-        assert np.array_equal(out, row_major_components(labels, neighborhood))
-        assert np.array_equal(out, reference_flood(labels, neighborhood))
+        assert np.array_equal(out, row_major_components(labels))
+        assert np.array_equal(out, reference_flood(labels, 8))
 
 
 @st.composite
@@ -636,27 +636,23 @@ def run_maps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(keys=run_maps(), neighborhood=st.sampled_from([4, 8]))
-def test_proximity_matches_reference_flood_on_run_maps(keys, neighborhood):
+@given(keys=run_maps())
+def test_proximity_matches_reference_flood_on_run_maps(keys):
     """Run-based connectivity against the stack flood fill, label for
     label, where runs are long and regions meet only diagonally."""
-    out = proximity_cluster(keys, neighborhood)
+    out = proximity_cluster(keys, 8)
     assert out.dtype == np.int64 and out.shape == keys.shape
-    assert np.array_equal(out, reference_flood(keys, neighborhood))
+    assert np.array_equal(out, reference_flood(keys, 8))
 
 
 def test_proximity_exact_labels_on_small_maps():
-    assert proximity_cluster(np.array([[5]]), 4).tolist() == [[0]]
+    assert proximity_cluster(np.array([[5]]), 8).tolist() == [[0]]
     row = np.array([[0, 0, 1, 1, 0, 2, 2, 0]])
     assert proximity_cluster(row, 8).tolist() == [[0, 0, 1, 1, 2, 3, 3, 4]]
-    assert proximity_cluster(row.T, 4).ravel().tolist() == [0, 0, 1, 1, 2, 3, 3, 4]
+    assert proximity_cluster(row.T, 8).ravel().tolist() == [0, 0, 1, 1, 2, 3, 3, 4]
     board = np.indices((3, 4)).sum(axis=0) % 2
-    assert np.array_equal(proximity_cluster(board, 4),
-                          np.arange(12).reshape(3, 4))
     assert np.array_equal(proximity_cluster(board, 8), board)
-    for neighborhood in (4, 8):
-        assert np.array_equal(proximity_cluster(spiral(17), neighborhood),
-                              1 - spiral(17))
+    assert np.array_equal(proximity_cluster(spiral(17), 8), 1 - spiral(17))
 
 
 def test_tree_build_leaves_scipy_sparse_unimported(tmp_path, src_env):
@@ -682,8 +678,21 @@ def test_tree_build_leaves_scipy_sparse_unimported(tmp_path, src_env):
 
 
 def test_proximity_rejects_bad_neighborhood():
-    with pytest.raises(ConfigError):
-        proximity_cluster(np.zeros((2, 2), dtype=int), 6)
+    for neighborhood in (6, 4):  # trees are 8-connected alone
+        with pytest.raises(ConfigError, match="neighborhood must be 8"):
+            proximity_cluster(np.zeros((2, 2), dtype=int), neighborhood)
+
+
+def test_proximity_takes_the_tree_neighborhood():
+    """The call as a tree's caller makes it, with the config's
+    connectivity: a tree's leaves are connected and numbered in row-major
+    order of their first pixels, so they come back as they are."""
+    image = add_integral_noise(phantoms.bsd_style(24, 24, seed=3), 300.0, 5)
+    tree = build_cluster_tree(image, ClusterConfig(max_depth=4))
+    leaves = tree.levels[-1]
+    assert np.array_equal(
+        proximity_cluster(leaves, ClusterConfig.neighborhood),
+        leaves - leaves.min())
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +752,6 @@ def _check_tree_invariants(tree: ClusterTree, cfg: ClusterConfig, n_pixels):
             assert node["level"] == level
             assert node["size"] == count
             assert node["delta"] >= 0.0
-            assert node["eligible"] == (node["size"] > cfg.min_cluster)
         if level > 0:
             # refinement: every cluster nests in exactly one parent cluster
             prev = tree.levels[level - 1]
@@ -759,13 +767,11 @@ def _check_tree_invariants(tree: ClusterTree, cfg: ClusterConfig, n_pixels):
             assert node["level"] == nodes[node["parent"]]["level"] + 1
         else:
             assert node_id == 0 and node["level"] == 0
-    # connectivity: at every level, each cluster is one flood-fill component
-    structure = np.ones((3, 3), dtype=bool) if cfg.neighborhood == 8 else \
-        np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    # connectivity: at every level, each cluster is one 8-connected
+    # flood-fill component
     for label_map in tree.levels:
         for node_id in np.unique(label_map):
-            _, count = ndimage.label(label_map == node_id,
-                                     structure=structure)
+            _, count = ndimage.label(label_map == node_id, structure=EIGHT)
             assert count == 1
 
 
@@ -796,44 +802,45 @@ def test_tree_is_deterministic():
 
 
 def _hand_tree(spec, parents=None):
-    """A tree from (level, delta, size, eligible) rows, one per node id;
-    a chain (each node the parent of the next) unless `parents` is given.
-    Each level map is one pixel per node of that level."""
+    """A tree from (level, delta, size) rows, one per node id; a chain
+    (each node the parent of the next) unless `parents` is given. Its
+    config keeps the default ``min_cluster`` of 9, so a node of more than
+    9 pixels is eligible. Each level map is one pixel per node of that
+    level."""
     nodes = np.zeros(len(spec), dtype=NODE_DTYPE)
-    for name, column in zip(("level", "delta", "size", "eligible"), zip(*spec)):
+    for name, column in zip(("level", "delta", "size"), zip(*spec)):
         nodes[name] = column
     nodes["parent"] = np.arange(-1, len(spec) - 1) if parents is None else parents
     maps = [np.flatnonzero(nodes["level"] == level)[None, :]
             for level in range(int(nodes["level"].max()) + 1)]
-    return ClusterTree(nodes=nodes, levels=maps, config=ClusterConfig(
-        max_depth=int(nodes["level"].max())))
+    cfg = ClusterConfig(max_depth=int(nodes["level"].max()))
+    assert cfg.min_cluster == 9
+    return ClusterTree(nodes=nodes, levels=maps, config=cfg)
 
 
 def test_context_full_chain():
-    tree = _hand_tree([(0, 40.0, 100, True), (1, 20.0, 60, True),
-                       (2, 10.0, 30, True), (3, 5.0, 15, True)])
+    tree = _hand_tree([(0, 40.0, 100), (1, 20.0, 60), (2, 10.0, 30),
+                       (3, 5.0, 15)])
     # (own, parent, grandparent) = (5, 10, 20): psi = (10 / 20)^2
     assert by_leaf(build_kernel_field(tree)) == {3: (5.0, 0.25)}
 
 
 def test_context_level_two_falls_back_to_pair():
-    tree = _hand_tree([(0, 20.0, 100, True), (1, 10.0, 60, True),
-                       (2, 5.0, 30, True)])
+    tree = _hand_tree([(0, 20.0, 100), (1, 10.0, 60), (2, 5.0, 30)])
     # (own, parent) = (5, 10): psi = (5 / 10)^2
     assert by_leaf(build_kernel_field(tree)) == {2: (5.0, 0.25)}
 
 
 def test_context_ineligible_leaf_inherits_ancestor():
-    tree = _hand_tree([(0, 40.0, 100, True), (1, 20.0, 60, True),
-                       (2, 10.0, 30, True), (3, 5.0, 4, False)])
+    tree = _hand_tree([(0, 40.0, 100), (1, 20.0, 60), (2, 10.0, 30),
+                       (3, 5.0, 4)])
     # effective node is the level-2 ancestor, which itself falls back to
     # the pair (10, 20)
     assert by_leaf(build_kernel_field(tree)) == {3: (10.0, 0.25)}
 
 
 def test_context_floors_deviations():
-    tree = _hand_tree([(0, 20.0, 100, True), (1, 0.0, 60, True),
-                       (2, 0.0, 30, True)])
+    tree = _hand_tree([(0, 20.0, 100), (1, 0.0, 60), (2, 0.0, 30)])
     # (own, parent) = (1, 1) after the floor
     assert by_leaf(build_kernel_field(tree)) == {2: (1.0, 1.0)}
 
@@ -842,13 +849,15 @@ def test_context_all_leaves_at_once():
     """Leaves whose chains take every branch of the rule, resolved in one
     kernel field: a full triple, an ineligible leaf deferring one and two
     levels up, and an all-ineligible chain that ends at the root."""
-    spec = [(0, 64.0, 90, True),                                # 0
-            (1, 32.0, 50, True), (1, 2.0, 40, False),           # 1, 2
-            (2, 16.0, 30, True), (2, 8.0, 20, True),            # 3, 4
-            (2, 0.5, 40, False),                                # 5
-            (3, 4.0, 12, True), (3, 6.0, 4, False),             # 6, 7
-            (3, 0.5, 14, True), (3, 3.0, 6, False),             # 8, 9
-            (3, 7.0, 40, False)]                                # 10
+    # sizes of more than 9 pixels are eligible, 10 and 9 on either side of
+    # the bound; each node's size is its children's sum
+    spec = [(0, 64.0, 45),                              # 0
+            (1, 32.0, 36), (1, 2.0, 9),                 # 1, 2
+            (2, 16.0, 16), (2, 8.0, 20),                # 3, 4
+            (2, 0.5, 9),                                # 5
+            (3, 4.0, 10), (3, 6.0, 6),                  # 6, 7
+            (3, 0.5, 14), (3, 3.0, 6),                  # 8, 9
+            (3, 7.0, 9)]                                # 10
     tree = _hand_tree(spec, parents=[-1, 0, 0, 1, 1, 2, 3, 3, 4, 4, 5])
     assert by_leaf(build_kernel_field(tree)) == {
         6: (4.0, 0.25),     # (own, parent, grandparent) = (4, 16, 32)

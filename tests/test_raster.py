@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkfilter import (ComplexRaster, FormatError, Raster, load_f64_raster,
-                      load_pgm, save_f64_raster, save_pgm, to_grayscale)
+                      load_pgm, save_f64_raster, save_pgm)
 
 
 def test_raster_validates_shape_and_finiteness():
@@ -162,27 +162,3 @@ def test_mkfr_empty_file_is_bad_magic(tmp_path):
     with pytest.raises(FormatError, match="magic"):
         load_f64_raster(path)
 
-
-# ---------------------------------------------------------------------------
-# grayscale
-
-
-def test_grayscale_known_pixels():
-    r = to_grayscale(bytes([255, 255, 255, 255, 0, 0, 0, 0, 0]), 3, 1)
-    # white -> 255; pure red -> round(0.299 * 255) = 76; black -> 0
-    assert r.data.ravel().tolist() == [255.0, 76.0, 0.0]
-
-
-def test_grayscale_length_check():
-    with pytest.raises(FormatError, match="length"):
-        to_grayscale(bytes([1, 2, 3, 4]), 2, 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 9))
-def test_grayscale_stays_in_range(w, h, seed):
-    rng = np.random.default_rng(seed)
-    payload = rng.integers(0, 256, size=3 * w * h).astype(np.uint8).tobytes()
-    r = to_grayscale(payload, w, h)
-    assert r.data.min() >= 0.0 and r.data.max() <= 255.0
-    assert np.array_equal(r.data, np.floor(r.data))  # integers

@@ -4,10 +4,10 @@ The corpus is the benchmark's tree inputs: both ``mkf-deep`` inputs (40 px,
 depth 7) in all eight orientations, the ``mkf-wide`` input (256 px, depth
 2), and 24 px sweep trees at three noise levels and two cluster sizes. A
 hypothesis property adds small piecewise-constant integer rasters under
-small random configurations. Level maps and the node
-table's ``level``, ``parent``, ``size`` and ``eligible`` columns must be
-identical; node means and deviations are summed in another order
-(``np.bincount`` instead of per-node pairwise sums), so they must agree
+small random configurations. Level maps, the config and the node
+table's ``level``, ``parent`` and ``size`` columns must be identical;
+node means and deviations are summed in another order (``np.bincount``
+instead of per-node pairwise sums), so they must agree
 within 1e-12 relative. The oracle fits every splittable cluster at every
 level; the tree fits a cluster that a fit left whole only once, so its
 ``em_iterations`` must equal the oracle's where it fitted, and where it
@@ -39,7 +39,8 @@ from mkfilter import (ClusterConfig, ConfigError, Raster, build_cluster_tree,
                       save_pgm)
 from mkfilter import clustering
 from mkfilter.bench import derive_seed
-from mkfilter.clustering import BIN_WIDTH, EM_MAX_ITERATIONS
+from mkfilter.clustering import (BIN_WIDTH, EM_MAX_ITERATIONS,
+                                 write_tree_dump)
 from mkfilter.noise import NoiseSpec, apply_noise
 from mkfilter.phantoms import bsd_style, piecewise_mosaic
 
@@ -62,15 +63,16 @@ def dihedral(values, k):
 def reference_kernel_records(tree):
     """(delta, psi) by leaf id, one leaf at a time: a leaf is a node no
     other node names as parent; it climbs to its nearest eligible ancestor
-    (the root at last), and psi comes from (parent, grandparent), or from
-    (own, parent) at level 1 or 2, or is 1 at the root."""
-    rows = tree.nodes.tolist()  # (level, parent, size, mu, delta, eligible)
-    floor = BIN_WIDTH
+    (of more than ``min_cluster`` pixels; the root at last), and psi comes
+    from (parent, grandparent), or from (own, parent) at level 1 or 2, or
+    is 1 at the root."""
+    rows = tree.nodes.tolist()  # (level, parent, size, mu, delta, em_iter.)
+    floor, least = BIN_WIDTH, tree.config.min_cluster
     parents = {row[1] for row in rows}
     records = {}
     for leaf in (i for i in range(len(rows)) if i not in parents):
         node = leaf
-        while not rows[node][5] and rows[node][1] >= 0:
+        while rows[node][2] <= least and rows[node][1] >= 0:
             node = rows[node][1]
         level, parent = rows[node][:2]
         own = max(rows[node][4], floor)
@@ -120,12 +122,13 @@ def recorded_fits(tree):
 
 
 def assert_same_tree(tree, ref):
+    assert tree.config == ref.config
     assert len(tree.levels) == len(ref.levels)
     for got, want in zip(tree.levels, ref.levels):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert tree.nodes.dtype == ref.nodes.dtype
     assert len(tree.nodes) == len(ref.nodes)
-    for name in ("level", "parent", "size", "eligible"):
+    for name in ("level", "parent", "size"):
         assert np.array_equal(tree.nodes[name], ref.nodes[name])
     for name in ("mu", "delta"):
         got, want = tree.nodes[name], ref.nodes[name]
@@ -275,10 +278,34 @@ def cut_configs(draw):
 @given(values=piecewise_rasters(), configs=cut_configs())
 def test_small_tree_cuts_match_fresh_builds(values, configs):
     """A cut is the fresh build byte for byte, so ``min_cluster`` sets only
-    ``eligible`` and a larger ``max_cluster`` only holds clusters whole."""
+    the config and a larger ``max_cluster`` only holds clusters whole."""
     source, cfg = configs
     assert_same_cut(build_cluster_tree(Raster(values), source).cut(cfg),
                     build_cluster_tree(Raster(values), cfg))
+
+
+@pytest.mark.parametrize("min_cluster", [1, 4, 9])
+def test_cut_tree_dumps_match_fresh_builds(tmp_path, min_cluster):
+    """The tree dump reads eligibility from the config: the dump of a cut
+    at any ``min_cluster`` is the dump of a fresh build there, byte for
+    byte, and its last column is 1 exactly where ``size`` exceeds
+    ``min_cluster``."""
+    image = Raster(deep_input("bsd_style"))
+    deep = build_cluster_tree(image, ClusterConfig(max_depth=7, max_cluster=10,
+                                                   min_cluster=1))
+    cut_path, fresh_path = tmp_path / "cut.txt", tmp_path / "fresh.txt"
+    for depth in (2, 4, 7):
+        for size in (10, 20, 60):
+            cfg = ClusterConfig(max_depth=depth, max_cluster=size,
+                                min_cluster=min_cluster)
+            write_tree_dump(deep.cut(cfg), cut_path)
+            write_tree_dump(build_cluster_tree(image, cfg), fresh_path)
+            assert cut_path.read_bytes() == fresh_path.read_bytes()
+            rows = [line.split() for line in
+                    cut_path.read_text(encoding="ascii").splitlines()]
+            assert [row[6] for row in rows] == [
+                str(int(int(row[3]) > min_cluster)) for row in rows]
+            assert {row[6] for row in rows} == {"0", "1"}
 
 
 @pytest.mark.parametrize("cfg", [

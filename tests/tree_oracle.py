@@ -116,7 +116,7 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
     def new_node(level, member_idx, parent):
         pix = flat[member_idx]
         rows.append([level, parent, member_idx.size, float(pix.mean()),
-                     float(pix.std()), member_idx.size > cfg.min_cluster, -1])
+                     float(pix.std()), -1])
         return len(rows) - 1
 
     all_idx = np.arange(flat.size)
@@ -136,11 +136,10 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
                 bins, return_inverse=True, return_counts=True)
             hist = Histogram(centers=base + (occupied + 0.5) * BIN_WIDTH,
                              counts=counts.astype(np.float64),
-                             starts=np.zeros(1, dtype=np.int64),
-                             bin_width=BIN_WIDTH)
-            init = initial_gauss_pair(float(pix.max()), BIN_WIDTH)
+                             starts=np.zeros(1, dtype=np.int64))
+            init = initial_gauss_pair(float(pix.max()))
             result = reference_em(hist, init, EM_TOL, BIN_WIDTH)
-            rows[node_id][6] = result.iterations
+            rows[node_id][5] = result.iterations
             if result.degenerate:
                 continue
             pixel_side = result.labels[inverse]
