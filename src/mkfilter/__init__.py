@@ -12,7 +12,7 @@ from .clustering import (ClusterConfig, ClusterTree, NODE_DTYPE, Histogram,
                          build_histogram, initial_gauss_pair,
                          em_similarity_cluster, proximity_cluster,
                          build_cluster_tree)
-from .filters import (BfParams, KernelField, MkfRule, MkfResult,
+from .filters import (BfParams, KernelField, MkfResult,
                       contextual_gain, weighted_mean_filter,
                       build_kernel_field, mkf_denoise, mkf_filter)
 from .baselines import (TvParams, CfParams, tv_denoise, tv_denoise_trace,
@@ -32,7 +32,7 @@ __all__ = [
     "ClusterConfig", "ClusterTree", "NODE_DTYPE", "Histogram",
     "build_histogram", "initial_gauss_pair",
     "em_similarity_cluster", "proximity_cluster", "build_cluster_tree",
-    "BfParams", "KernelField", "MkfRule", "MkfResult",
+    "BfParams", "KernelField", "MkfResult",
     "contextual_gain", "weighted_mean_filter",
     "build_kernel_field", "mkf_denoise", "mkf_filter",
     "TvParams", "CfParams", "tv_denoise", "tv_denoise_trace",

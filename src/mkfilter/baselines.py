@@ -10,7 +10,8 @@
   magnitude on a tie). Constants and planar ramps are exact fixed points
   (boundaries use odd reflection, which planes survive; plain mirroring
   would not preserve them at the borders).
-- bf_denoise: classic bilateral filtering, delegated to the shared engine.
+- bf_denoise: classic bilateral filtering, the shared engine's one-leaf
+  kernel field.
 
 TV and CF read and write only contiguous 1-D slices. numpy runs a 2-D
 strided view one row at a time, and at 64 to 128 pixels a row that loop
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (ConfigError, overflow_is_config_error, require_addressable,
                      require_positive)
-from .filters import BfParams, weighted_mean_filter
+from .filters import BfParams, KernelField, weighted_mean_filter
 from .raster import Raster
 
 __all__ = [
@@ -345,7 +346,10 @@ def cf_gaussian_denoise(image: Raster, p: CfParams = CfParams()) -> Raster:
 
 
 def bf_denoise(image: Raster, p: BfParams = BfParams()) -> Raster:
-    return weighted_mean_filter(image, p, p.radius)
+    """The one-leaf kernel field: delta = h_I and psi = 1 at every pixel."""
+    field = KernelField(np.zeros(image.data.shape, np.int64), [0], [p.h_I],
+                        [1.0])
+    return weighted_mean_filter(image, field, p.radius, p.h_x)
 
 
 def write_energy_csv(trace, path) -> None:

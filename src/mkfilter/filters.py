@@ -8,11 +8,12 @@ it with per-cluster bandwidths read from a context tree: a leaf cluster
 contributes its own intensity deviation, rescaled by the contextual gain
 of its ancestors, so the effective bandwidth is delta / sqrt(psi).
 
-The engine computes the range factor psi / (2 delta^2) once: one scalar
-for the bilateral filter, one value per leaf for the multi-kernel filter.
-It runs every window offset whose spatial weight is not 0 over row strips
+The engine takes only a kernel field. The bilateral filter is its
+one-leaf case: every pixel maps to one leaf with delta = h_I and psi = 1.
+The engine computes the range factor psi / (2 delta^2) once per leaf,
+runs every window offset whose spatial weight is not 0 over row strips
 of about ``_STRIP_ELEMENTS`` pixels, so its five work buffers stay in
-cache, and gathers the per-leaf factors by each strip's center pixels.
+cache, and gathers the factors by each strip's center pixels.
 """
 
 from __future__ import annotations
@@ -82,13 +83,6 @@ class KernelField:
             raise ConfigError("the leaf map must use every leaf id and no other")
 
 
-class MkfRule(NamedTuple):
-    """Weight rule binding a kernel field to a spatial bandwidth."""
-
-    field: KernelField
-    h_x: float
-
-
 class MkfResult(NamedTuple):
     raster: Raster
     tree: ClusterTree
@@ -117,14 +111,14 @@ _STRIP_ELEMENTS = 16384
 
 
 def _window_mean(values: np.ndarray, h_x: float, radius: int,
-                 factor, rows) -> np.ndarray:
+                 factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Direct weighted-mean form, one window offset at a time over row strips.
 
-    `factor` is the range factor psi / (2 delta^2): a scalar with `rows`
-    None (bilateral), or one entry per leaf that `rows` gathers by the
-    center pixel (multi-kernel). Each strip of about ``_STRIP_ELEMENTS`` pixels runs
-    every offset into five strip buffers, so each output pixel sums the
-    same terms in the same order as a whole-image pass would. Offsets
+    `factor` holds the range factor psi / (2 delta^2) of each leaf, which
+    `rows` gathers by the center pixel. Each strip of about
+    ``_STRIP_ELEMENTS`` pixels runs every offset into five strip buffers,
+    so each output pixel sums the same terms in the same order as a
+    whole-image pass would. Offsets
     whose spatial weight underflows to 0 would add only zeros and are
     skipped, so a radius beyond that distance gives the same output.
     """
@@ -153,8 +147,8 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
             center = values[top:bottom]
             # rows are in range by construction; "clip" lets take write into
             # the buffer directly, where "raise" would buffer the output
-            scale = factor if rows is None else np.take(
-                factor, rows[top:bottom], mode="clip", out=gathered)
+            scale = np.take(factor, rows[top:bottom], mode="clip",
+                            out=gathered)
             # a zero factor stays a zero range term even where the squared
             # step overflows to inf (inf * 0 is nan)
             zero_range = scale == 0
@@ -178,29 +172,20 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     return out
 
 
-def weighted_mean_filter(image: Raster, weight_rule, radius: int) -> Raster:
-    """Run the filter engine over `image`.
-
-    `weight_rule` is either :class:`BfParams` (single range bandwidth) or
-    an :class:`MkfRule` (per-cluster bandwidths; each leaf's range factor
-    is computed once and looked up by the center pixel's leaf cluster).
-    """
+def weighted_mean_filter(image: Raster, field: KernelField, radius: int,
+                         h_x: float) -> Raster:
+    """Run the filter engine over `image` with the range kernels of
+    `field` (each leaf's range factor is computed once and looked up by
+    the center pixel's leaf) and the spatial bandwidth `h_x`."""
+    require_bandwidth(h_x=h_x)
     if radius < 1:
         raise ConfigError(f"radius must be >= 1, got {radius}")
-    if isinstance(weight_rule, BfParams):
-        delta, psi, rows = weight_rule.h_I, 1.0, None
-    elif isinstance(weight_rule, MkfRule):
-        field = weight_rule.field
-        if field.leaf_map.shape != image.data.shape:
-            raise ConfigError("kernel field was built for a different image size")
-        delta, psi, rows = field.delta, field.psi, field.rows
-    else:
-        raise ConfigError(
-            f"unsupported weight rule {type(weight_rule).__name__}")
+    if field.leaf_map.shape != image.data.shape:
+        raise ConfigError("kernel field was built for a different image size")
     with np.errstate(over="ignore"):  # a huge delta gives a zero factor
-        factor = psi / (2.0 * np.asarray(delta, dtype=np.float64) ** 2)
-    return image.with_data(_window_mean(image.data, weight_rule.h_x, radius,
-                                        factor, rows))
+        factor = field.psi / (2.0 * field.delta ** 2)
+    return image.with_data(_window_mean(image.data, h_x, radius, factor,
+                                        field.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +233,7 @@ def mkf_filter(image: Raster, tree: ClusterTree, h_x: float = BfParams.h_x,
     """The multi-kernel pipeline after the tree: kernel field and filter,
     for a context tree built from `image` (or cut from one)."""
     field = build_kernel_field(tree)
-    out = weighted_mean_filter(image, MkfRule(field, h_x), radius)
+    out = weighted_mean_filter(image, field, radius, h_x)
     return MkfResult(out, tree, field)
 
 

@@ -15,7 +15,7 @@ from test_bench_cli import replay_row
 from test_clustering import _check_tree_invariants
 from test_filters import brute_force_filter, records_field, uniform_field
 
-from mkfilter import (BfParams, CfParams, ClusterConfig, MkfRule,
+from mkfilter import (BfParams, CfParams, ClusterConfig,
                       Raster, TvParams, add_integral_noise, add_spatial_noise,
                       bf_denoise, build_cluster_tree, build_histogram,
                       cf_gaussian_denoise, em_similarity_cluster,
@@ -48,7 +48,7 @@ def test_criterion_01_engine_matches_brute_force():
         if case % 2 == 0:
             p = BfParams(h_x=float(rng.uniform(1, 5)),
                          h_I=float(rng.uniform(5, 80)), radius=radius)
-            got = weighted_mean_filter(Raster(values), p, radius).data
+            got = bf_denoise(Raster(values), p).data
             ref = brute_force_filter(values, p.h_x, radius, bf=p)
         else:
             n_leaves = int(rng.integers(1, 4))
@@ -58,8 +58,8 @@ def test_criterion_01_engine_matches_brute_force():
                        for k in range(n_leaves)}
             field = records_field(records, leaf_map)
             h_x = float(rng.uniform(1, 5))
-            got = weighted_mean_filter(Raster(values), MkfRule(field, h_x),
-                                       radius).data
+            got = weighted_mean_filter(Raster(values), field, radius,
+                                       h_x).data
             ref = brute_force_filter(values, h_x, radius, field=field)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     elapsed = time.perf_counter() - started
@@ -114,11 +114,9 @@ def test_criterion_04_mkf_reduces_to_bf():
         h_i = float(rng.uniform(5, 70))
         h_x = float(rng.uniform(1, 5))
         radius = int(rng.integers(1, 4))
-        bf = weighted_mean_filter(Raster(values),
-                                  BfParams(h_x, h_i, radius), radius).data
+        bf = bf_denoise(Raster(values), BfParams(h_x, h_i, radius)).data
         field = uniform_field((h, w), h_i, 1.0)
-        mk = weighted_mean_filter(Raster(values), MkfRule(field, h_x),
-                                  radius).data
+        mk = weighted_mean_filter(Raster(values), field, radius, h_x).data
         worst = max(worst, float(np.max(np.abs(bf - mk))))
     report(4, worst < 1e-12,
            f"20 rasters, psi=1, delta=h_I: max |mkf - bf| = {worst:.2e}")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from test_filters import uniform_field
+
 from mkfilter import (BfParams, CfParams, ConfigError, Raster, TvParams,
                       bf_denoise, cf_gaussian_denoise, tv_denoise,
                       tv_denoise_trace, weighted_mean_filter)
@@ -347,11 +349,14 @@ def test_bf_defaults_match_benchmark_protocol():
 
 
 def test_bf_denoise_delegates_to_engine():
+    # the bilateral filter is the engine's one-leaf kernel field
     rng = np.random.default_rng(9)
     img = Raster(rng.uniform(0, 255, (14, 14)))
     p = BfParams(h_x=3.0, h_I=57.0, radius=5)
+    field = uniform_field(img.data.shape, p.h_I, 1.0)
     assert np.array_equal(bf_denoise(img, p).data,
-                          weighted_mean_filter(img, p, 5).data)
+                          weighted_mean_filter(img, field, p.radius,
+                                               p.h_x).data)
 
 
 def test_bf_alternate_settings_run():

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkfilter import (BfParams, ClusterConfig, ConfigError, KernelField,
-                      MkfRule, Raster, contextual_gain, filters, mkf_denoise,
-                      weighted_mean_filter)
+                      Raster, bf_denoise, build_cluster_tree, contextual_gain,
+                      filters, mkf_denoise, mkf_filter, weighted_mean_filter)
 from mkfilter.clustering import BIN_WIDTH, EM_TOL, NEIGHBORHOOD
 from mkfilter.filters import write_kernel_csv
 
@@ -196,14 +196,13 @@ def test_mkf_weight_extreme_arguments_underflow_cleanly():
 def test_constant_image_is_fixed_point():
     img = Raster(np.full((9, 11), 42.0))
     p = BfParams(h_x=3.0, h_I=10.0, radius=3)
-    assert np.allclose(weighted_mean_filter(img, p, 3).data, 42.0,
-                       atol=1e-12)
+    assert np.allclose(bf_denoise(img, p).data, 42.0, atol=1e-12)
 
 
 def test_three_pixel_row_with_huge_bandwidths():
     img = Raster(np.array([[0.0, 255.0, 0.0]]))
     p = BfParams(h_x=1e9, h_I=1e9, radius=1)
-    out = weighted_mean_filter(img, p, 1).data
+    out = bf_denoise(img, p).data
     assert out == pytest.approx(np.full((1, 3), 85.0), abs=1e-6)
 
 
@@ -218,7 +217,7 @@ def test_engine_matches_brute_force_bf():
         cases.append((rng.uniform(0, 255, (10, 10)),
                       BfParams(h_x=2.0, h_I=25.0, radius=2), 1e-12))
     for values, p, bound in cases:
-        got = weighted_mean_filter(Raster(values), p, 2).data
+        got = bf_denoise(Raster(values), p).data
         ref = brute_force_filter(values, p.h_x, 2, bf=p)
         assert np.max(np.abs(got - ref)) < bound
 
@@ -238,7 +237,7 @@ def test_engine_matches_brute_force_mkf():
     cases.append((values, records_field({0: (10.0, 0.5), 1: (30.0, 1.0),
                                          2: (50.0, 2.0)}, leaf_map), 1e-12))
     for values, field, bound in cases:
-        got = weighted_mean_filter(Raster(values), MkfRule(field, 3.0), 2).data
+        got = weighted_mean_filter(Raster(values), field, 2, 3.0).data
         ref = brute_force_filter(values, 3.0, 2, field=field)
         assert np.max(np.abs(got - ref)) < bound
 
@@ -279,13 +278,15 @@ def test_strip_engine_matches_whole_image_reference(monkeypatch, budget):
                  "default": filters._STRIP_ELEMENTS}[budget]
         monkeypatch.setattr(filters, "_STRIP_ELEMENTS", strip)
         if isinstance(kernel, BfParams):
-            rule, delta, psi = kernel, kernel.h_I, 1.0
+            # scalar delta and psi: the oracle of a one-leaf field
+            got = bf_denoise(Raster(values), kernel).data
+            delta, psi = kernel.h_I, 1.0
         else:
-            rule = MkfRule(kernel, h_x)
+            got = weighted_mean_filter(Raster(values), kernel, radius,
+                                       h_x).data
             delta, psi = kernel.delta[kernel.rows], kernel.psi[kernel.rows]
-        got = weighted_mean_filter(Raster(values), rule, radius).data
         want = reference_window_mean(values, h_x, radius, delta, psi)
-        assert np.array_equal(got, want), (values.shape, radius, rule)
+        assert np.array_equal(got, want), (values.shape, radius, kernel)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -296,16 +297,15 @@ def test_engine_sum_overflow_is_a_config_error(monkeypatch):
     values[-1] = 1.5e307
     monkeypatch.setattr(filters, "_STRIP_ELEMENTS", 1)
     with pytest.raises(ConfigError, match="overflow"):
-        weighted_mean_filter(Raster(values), BfParams(), 5)
+        bf_denoise(Raster(values), BfParams())
 
 
 def test_offsets_whose_spatial_weight_underflows_change_nothing():
     # at h_x 3 the spatial weight exp(-d^2 / 18) is exactly 0 beyond a
     # distance of about 115.8 px, so radius 150 gives radius 116's output
     values = np.random.default_rng(44).uniform(0, 255, (8, 8))
-    near, far = (weighted_mean_filter(Raster(values), BfParams(3.0, 20.0,
-                                                               radius),
-                                      radius).data for radius in (116, 150))
+    near, far = (bf_denoise(Raster(values), BfParams(3.0, 20.0, radius)).data
+                 for radius in (116, 150))
     assert np.array_equal(near, far)
 
 
@@ -316,10 +316,10 @@ def test_engine_peak_memory_stays_below_four_images():
     values = rng.uniform(0, 255, (512, 512))
     field = records_field({k: (rng.uniform(2, 60), rng.uniform(0.1, 2.0))
                            for k in range(8)}, rng.integers(0, 8, (512, 512)))
-    image, rule = Raster(values), MkfRule(field, 3.0)
+    image = Raster(values)
     tracemalloc.start()
     try:
-        weighted_mean_filter(image, rule, 5)
+        weighted_mean_filter(image, field, 5, 3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -329,7 +329,7 @@ def test_engine_peak_memory_stays_below_four_images():
 def test_output_is_window_convex_combination():
     rng = np.random.default_rng(12)
     values = rng.uniform(-100, 100, (12, 12))
-    out = weighted_mean_filter(Raster(values), BfParams(3, 30, 3), 3).data
+    out = bf_denoise(Raster(values), BfParams(3, 30, 3)).data
     padded = np.pad(values, 3, mode="symmetric")
     for y in range(12):
         for x in range(12):
@@ -342,8 +342,8 @@ def test_bf_shift_equivariance_away_from_borders():
     big = rng.uniform(0, 255, (13, 13))
     a, b = Raster(big[:12, :12]), Raster(big[1:, 1:])
     p = BfParams(h_x=2.0, h_I=30.0, radius=2)
-    fa = weighted_mean_filter(a, p, 2).data
-    fb = weighted_mean_filter(b, p, 2).data
+    fa = bf_denoise(a, p).data
+    fb = bf_denoise(b, p).data
     # windows that never touch padding in either image see identical content
     assert np.allclose(fa[3:10, 3:10], fb[2:9, 2:9], atol=1e-12)
 
@@ -352,8 +352,8 @@ def test_bf_intensity_offset_equivariance():
     rng = np.random.default_rng(14)
     values = rng.uniform(0, 255, (10, 10))
     p = BfParams(h_x=2.0, h_I=25.0, radius=2)
-    base = weighted_mean_filter(Raster(values), p, 2).data
-    shifted = weighted_mean_filter(Raster(values + 60.0), p, 2).data
+    base = bf_denoise(Raster(values), p).data
+    shifted = bf_denoise(Raster(values + 60.0), p).data
     assert np.max(np.abs(shifted - (base + 60.0))) < 1e-9
 
 
@@ -362,10 +362,10 @@ def test_single_leaf_field_reproduces_bf():
     values = rng.uniform(0, 255, (10, 10))
     delta, psi = 30.0, 0.25
     field = uniform_field((10, 10), delta, psi)
-    via_mkf = weighted_mean_filter(Raster(values), MkfRule(field, 3.0), 2).data
+    via_mkf = weighted_mean_filter(Raster(values), field, 2, 3.0).data
     h_i = delta / math.sqrt(psi)
-    via_bf = weighted_mean_filter(Raster(values),
-                                  BfParams(h_x=3.0, h_I=h_i, radius=2), 2).data
+    via_bf = bf_denoise(Raster(values),
+                        BfParams(h_x=3.0, h_I=h_i, radius=2)).data
     assert np.max(np.abs(via_mkf - via_bf)) < 1e-12
 
 
@@ -392,7 +392,22 @@ def test_param_validation():
         KernelField(np.array([[0, 1, 2]]), [0, 2, 1], [1.0] * 3, [1.0] * 3)
     with pytest.raises(ConfigError):
         weighted_mean_filter(Raster(np.zeros((3, 3))),
-                             BfParams(3, 57, 5), 0)
+                             uniform_field((3, 3), 57.0, 1.0), 0, 3.0)
+
+
+@pytest.mark.parametrize("h_x", [0.0, 1e-200, math.nan, -1.0, math.inf])
+def test_spatial_bandwidth_is_checked_before_filtering(h_x):
+    # unchecked, 0 and 1e-200 divide by zero in the engine, nan reads as an
+    # overflow, and -1 and inf filter; every entry checks h_x as BfParams does
+    image = Raster(np.random.default_rng(45).uniform(0, 255, (12, 12)))
+    cfg = ClusterConfig(max_depth=2, max_cluster=10, min_cluster=4)
+    tree = build_cluster_tree(image, cfg)
+    for run in (lambda: mkf_denoise(image, cfg, h_x=h_x, radius=2),
+                lambda: mkf_filter(image, tree, h_x=h_x, radius=2),
+                lambda: weighted_mean_filter(
+                    image, uniform_field((12, 12), 30.0, 1.0), 2, h_x)):
+        with pytest.raises(ConfigError, match="h_x"):
+            run()
 
 
 def test_kernel_field_rows_start_at_the_first_id():
