@@ -31,6 +31,16 @@ iteration tells that no segment finishes; the active layout is rebuilt
 only when that test fails and a segment does leave.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
 are the one-cluster cases of the same code, at the same constants.
+
+The per-pixel passes bound their working memory: they write their
+results into the buffers of their inputs where those are no longer
+needed (the bins into one float buffer, the keys of a level into its
+sides, the union-find's roots into its edges, the squared deviations
+into one buffer) and drop each array once it has been used; the node
+rows of every level are written once, into the final table. At 256 px,
+depth 2, a build peaks at about 9 image sizes (8 bytes per pixel) above
+its input, of which its output, the level maps and the node table, takes
+4; at 512 px, depth 7, at about 27, of which the output takes 18.
 """
 
 from __future__ import annotations
@@ -171,8 +181,7 @@ class ClusterTree:
             previous = np.add(np.argsort(order)[inverse], previous.max() + 1,
                               out=out)
             tables.append(table)
-        nodes = _repeat_last_level(np.concatenate(tables), maps, stop - last,
-                                   len(tables[-1]))
+        nodes = _repeat_last_level(tables, maps, stop - last)
         nodes["em_iterations"][(nodes["size"] <= cfg.max_cluster)
                                | (nodes["level"] == depth)] = -1
         nodes.flags.writeable = maps.flags.writeable = False
@@ -222,26 +231,39 @@ def _segment_histograms(values: np.ndarray, segment: np.ndarray,
     lowest = np.full(n_segments, np.inf)
     np.minimum.at(lowest, segment, values)
     bases = np.floor(lowest / BIN_WIDTH) * BIN_WIDTH
-    bins = np.floor((values - bases[segment]) / BIN_WIDTH)
-    if not np.abs(bins).max() < 2.0 ** 63:  # also catches nan and inf
+    # floor((values - base) / BIN_WIDTH), in one buffer
+    bins = bases.take(segment)
+    np.subtract(values, bins, out=bins)
+    np.divide(bins, BIN_WIDTH, out=bins)
+    np.floor(bins, out=bins)
+    # both ends within the int64 range; nan fails both tests
+    if not (bins.max() < 2.0 ** 63 and -bins.min() < 2.0 ** 63):
         raise ConfigError(f"bin width {BIN_WIDTH} gives bin indices beyond "
                           "the int64 range")
-    bins = bins.astype(np.int64)
-    low = int(bins.min())
-    stride = int(bins.max()) - low + 1
+    key = bins.astype(np.int64)
+    del bins
+    low = int(key.min())
+    stride = int(key.max()) - low + 1
     if n_segments * stride <= _KEYS_PER_VALUE * max(values.size, 1024):
-        key = segment * stride + (bins - low)
+        # segment * stride + (bin - low), in place
+        key -= low
+        key += segment * stride
         tally = np.bincount(key)
         occupied = tally > 0
-        inverse = (np.cumsum(occupied) - 1)[key]
+        rank = np.cumsum(occupied)
+        rank -= 1
+        # keys are in range by construction; "clip" lets take write over
+        # the keys it reads, where "raise" would buffer its output
+        inverse = rank.take(key, mode="clip", out=key)
         head = np.flatnonzero(occupied)
         counts = tally[head]
         bin_of = np.arange(low, low + stride)  # the bin of each key offset
     else:
-        bin_of, offset = np.unique(bins, return_inverse=True)
+        bin_of, offset = np.unique(key, return_inverse=True)
+        del key
         stride = bin_of.size
-        head, inverse, counts = np.unique(segment * stride + offset,
-                                          return_inverse=True,
+        offset += segment * stride
+        head, inverse, counts = np.unique(offset, return_inverse=True,
                                           return_counts=True)
     bin_segment, offset = np.divmod(head, stride)
     centers = bases[bin_segment] + (bin_of[offset] + 0.5) * BIN_WIDTH
@@ -494,41 +516,61 @@ def _connected_regions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     jump until each run points at its root; this repeats until no edge
     joins two roots. Roots only ever move to smaller run ids, so a
     region's root is its first run, which starts at the region's first
-    pixel.
+    pixel. Each round overwrites every edge with the roots of its two
+    ends, which it joins alike, and the run ids with the region ids at
+    the end, so that no copy of the edges or of the run map is held.
     """
     height, width = keys.shape
     starts = np.empty(keys.shape, dtype=bool)
     starts[:, :1] = True
     np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
-    run = (np.cumsum(starts) - 1).reshape(height, width)
+    run = np.cumsum(starts).reshape(height, width)
+    run -= 1
     run_start = np.flatnonzero(starts)
+    # one pair of masks serves the three directions in turn
+    same, either = np.empty((2, height - 1, width), dtype=bool)
     heads, tails = [], []
     for dx in (0, 1, -1):  # edges to the next row: down, down-right, down-left
         a = (slice(0, height - 1), slice(max(0, -dx), width - max(0, dx)))
         b = (slice(1, height), slice(max(0, dx), width - max(0, -dx)))
-        joins = (keys[a] == keys[b]) & (starts[a] | starts[b])
+        joins = np.equal(keys[a], keys[b], out=same[:, :width - abs(dx)])
+        joins &= np.logical_or(starts[a], starts[b],
+                               out=either[:, :width - abs(dx)])
         heads.append(run[a][joins])
         tails.append(run[b][joins])
-    head, tail = np.concatenate(heads), np.concatenate(tails)
+    del same, either, starts, joins
+    head = np.concatenate(heads)
+    del heads
+    tail = np.concatenate(tails)
+    del tails
     root = np.arange(run_start.size)
     while True:
-        root_head, root_tail = root[head], root[tail]
-        apart = root_head != root_tail
+        # an edge joins what its ends' roots join: keep the roots in its
+        # place ("clip": the ids are in range, and take writes in place)
+        root.take(head, mode="clip", out=head)
+        root.take(tail, mode="clip", out=tail)
+        apart = head != tail
         if not apart.any():
             break
         # edges inside one tree stay inside it; drop them
-        head, tail = head[apart], tail[apart]
-        root_head, root_tail = root_head[apart], root_tail[apart]
-        np.minimum.at(root, np.maximum(root_head, root_tail),
-                      np.minimum(root_head, root_tail))
+        head = head[apart]
+        tail = tail[apart]
+        del apart
+        low = np.minimum(head, tail)
+        np.maximum(head, tail, out=head)
+        tail = low
+        np.minimum.at(root, head, low)
+        del low
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):
                 break
             root = jumped
     is_root = root == np.arange(root.size)
-    region = (np.cumsum(is_root) - 1)[root]
-    return region[run].ravel(), run_start[is_root]
+    region = np.cumsum(is_root)
+    region -= 1
+    region = region.take(root)
+    return region.take(run, mode="clip", out=run).ravel(), run_start[is_root]
 
 
 def proximity_cluster(labels: np.ndarray, neighborhood: int) -> np.ndarray:
@@ -559,8 +601,11 @@ def _node_stats(values: np.ndarray, label: np.ndarray, count: int):
     size = np.bincount(label, minlength=count)
     with np.errstate(over="ignore"):  # an overflow leaves a delta of inf
         mean = np.bincount(label, weights=values, minlength=count) / size
-        dev = values - mean[label]
-        delta = np.sqrt(np.bincount(label, weights=dev * dev, minlength=count) / size)
+        # the squared deviations, in one buffer
+        dev = mean.take(label)
+        np.subtract(values, dev, out=dev)
+        np.multiply(dev, dev, out=dev)
+        delta = np.sqrt(np.bincount(label, weights=dev, minlength=count) / size)
     if not np.isfinite(delta).all():
         raise ConfigError("cluster deviations overflow the float64 range")
     return size, mean, delta
@@ -577,21 +622,26 @@ def _split_sides(values: np.ndarray, label: np.ndarray,
     pixels, histogram and EM start are those of that fit, so the tree
     keeps that fit's single side instead.
     """
-    side = np.zeros(values.size, dtype=np.int64)
     members = np.flatnonzero(fit[label])
     if members.size == 0:
-        return side, []
-    segment = (np.cumsum(fit) - 1)[label[members]]
+        return np.zeros(values.size, dtype=np.int64), []
     n_seg = int(np.count_nonzero(fit))
-    pix = values[members]
-    hist, inverse = _segment_histograms(pix, segment, n_seg)
+    # each member's segment: the rank of its cluster among the fitted ones
+    segment = label.take(members)
+    rank = np.cumsum(fit)
+    rank -= 1
+    rank.take(segment, mode="clip", out=segment)
+    pix = values.take(members)
     i_max = np.full(n_seg, -np.inf)
     np.maximum.at(i_max, segment, pix)
+    hist, inverse = _segment_histograms(pix, segment, n_seg)
+    del pix, segment
     fits = _segmented_em(hist, initial_gauss_pair(i_max), EM_TOL, BIN_WIDTH,
                          EM_MAX_ITERATIONS)
     # a degenerate or one-sided fit gives all its pixels one side, which
     # leaves the cluster whole
-    side[members] = fits.labels[inverse]
+    side = np.zeros(values.size, dtype=np.int64)
+    side[members] = fits.labels.take(inverse, mode="clip", out=inverse)
     return side, fits.iterations
 
 
@@ -645,46 +695,58 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         fit = splittable & ~carried
         if not fit.any():
             break
-        side, fitted = _split_sides(flat, label, fit)
+        keys, fitted = _split_sides(flat, label, fit)
         tables[-1]["em_iterations"][fit] = fitted
-        keys = (label * 2 + side).reshape(height, width)
-        previous = label
-        label, first_pixel = _connected_regions(keys)
-        parent = previous[first_pixel]
+        # side + 2 * label, in the sides' buffer; a key halved is its label
+        keys += label
+        keys += label
+        del label
+        label, first_pixel = _connected_regions(keys.reshape(height, width))
+        parent = keys.take(first_pixel) // 2
+        del keys
         # a splittable cluster with one child was left whole by its fit
         carried = (splittable
                    & (np.bincount(parent, minlength=size.size) == 1))[parent]
         size = add_level(level, label, maps[level - 1][first_pixel])
         level += 1
 
-    nodes = _repeat_last_level(np.concatenate(tables), maps, level, size.size)
+    del label
+    nodes = _repeat_last_level(tables, maps, level)
     nodes.flags.writeable = False
     maps.flags.writeable = False
     return ClusterTree(nodes=nodes, config=cfg,
                        levels=list(maps.reshape(-1, height, width)))
 
 
-def _repeat_last_level(nodes: np.ndarray, maps: np.ndarray, first: int,
-                       count: int) -> np.ndarray:
-    """Fill ``maps``, one row per level, from row ``first`` on, and append
-    those levels' node rows to ``nodes``, as copies of row ``first - 1``'s
-    level, whose ``count`` clusters are the last rows of ``nodes``.
+def _repeat_last_level(tables: list[np.ndarray], maps: np.ndarray,
+                       first: int) -> np.ndarray:
+    """The node table of levels ``0`` to ``first - 1``, one table each in
+    ``tables``, followed by copies of the last of them down to the last
+    row of ``maps``, whose rows from ``first`` on it fills alike.
 
+    Each table is written into the result once and dropped from
+    ``tables``, so that no second copy of the rows is held.
     A level with no cluster to fit splits none, so each later level has the
     same clusters, pixel order and statistics, and nothing to fit either:
-    a copy takes the next ``count`` ids and names its original as parent.
+    a copy takes the next ids, one per cluster of the last table, and
+    names its original as parent.
     """
-    repeats = maps.shape[0] - first
-    if repeats == 0:
-        return nodes
-    out = np.empty(nodes.size + repeats * count, dtype=NODE_DTYPE)
-    out[:nodes.size] = nodes
-    copies = out[nodes.size:]
-    copies.reshape(repeats, count)[:] = nodes[nodes.size - count:]
-    copies["level"] += np.repeat(np.arange(1, repeats + 1), count)
-    copies["parent"] = np.arange(nodes.size - count, out.size - count)
-    np.add(maps[first - 1], count * np.arange(1, repeats + 1)[:, None],
-           out=maps[first:])
+    repeats, count = maps.shape[0] - first, len(tables[-1])
+    kept = sum(map(len, tables))
+    out = np.empty(kept + repeats * count, dtype=NODE_DTYPE)
+    start = 0
+    for i in range(len(tables)):
+        end = start + len(tables[i])
+        out[start:end] = tables[i]
+        tables[i] = None
+        start = end
+    if repeats:
+        copies = out[kept:]
+        copies.reshape(repeats, count)[:] = out[kept - count:kept]
+        copies["level"] += np.repeat(np.arange(1, repeats + 1), count)
+        copies["parent"] = np.arange(kept - count, out.size - count)
+        np.add(maps[first - 1], count * np.arange(1, repeats + 1)[:, None],
+               out=maps[first:])
     return out
 
 

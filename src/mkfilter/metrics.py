@@ -6,6 +6,13 @@ is explicit because the benchmark mixes 8-bit data (L=255) with signed
 MRI slices (L=6000). Scores are computed on real-valued pixels, not on
 clamped 8-bit exports. The window is a separable numpy correlation,
 bit-identical to scipy.ndimage.correlate1d in its 'reflect' mode.
+
+SSIM runs over row strips of about ``_STRIP_PIXELS`` pixels, each read
+with a mirrored halo of half a window above and below, so its window
+means and score terms stay strip-sized; only the score map is as large as
+the image. Every pixel gets the float operations of a whole-image pass,
+in the same order, and the score is the mean of the whole map, so it is
+the same number.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ __all__ = ["mae", "ssim", "ssim_constants"]
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
+# Pixels per SSIM row strip (at least one row): its window means and score
+# terms stay in cache.
+_STRIP_PIXELS = 8192
+
 
 def _check_dims(a: Raster, b: Raster) -> None:
     if a.data.shape != b.data.shape:
@@ -33,7 +44,8 @@ def mae(a: Raster, b: Raster) -> float:
     """Mean absolute error; ConfigError where it overflows."""
     _check_dims(a, b)
     with overflow_is_config_error("the MAE of these images"):
-        return float(np.abs(a.data - b.data).mean())
+        diff = np.subtract(a.data, b.data)
+        return float(np.abs(diff, out=diff).mean())
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -43,16 +55,26 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def _correlate_rows(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Correlate every column of `img` with the symmetric, odd-length
-    `taps`, mirror-padded with the edge sample repeated (scipy's 'reflect',
-    numpy's 'symmetric'; the mirror repeats where the taps outreach the
-    image). The taps are added in scipy's order, centre first and then each
-    mirrored pair from the outermost in, so the sums round alike."""
+def _mirrored(n: int, start: int, stop: int, half: int) -> np.ndarray:
+    """Indices along an axis of length ``n`` of the positions ``start -
+    half`` to ``stop + half``, mirrored with the edge sample repeated
+    (scipy's 'reflect', numpy's 'symmetric'); the mirror repeats where
+    ``half`` outreaches the axis."""
+    source = np.arange(start - half, stop + half) % (2 * n)
+    return np.where(source < n, source, 2 * n - 1 - source)
+
+
+def _correlate_rows(img: np.ndarray, taps: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """Correlate every column of ``img`` with the symmetric, odd-length
+    ``taps``. ``rows`` are the rows of ``img`` that the windows read, in
+    order: each output row's source row, with half the taps' length more
+    on each side (see :func:`_mirrored`). The taps are added in scipy's
+    order, centre first and then each mirrored pair from the outermost
+    in, so the sums round alike."""
     half = taps.size // 2
-    n = img.shape[0]
-    source = np.arange(-half, n + half) % (2 * n)
-    padded = img.take(np.where(source < n, source, 2 * n - 1 - source), axis=0)
+    n = rows.size - 2 * half
+    padded = img.take(rows, axis=0)
     out = padded[half:half + n] * taps[half]
     pair = np.empty_like(out)
     for j in range(half, 0, -1):
@@ -63,13 +85,20 @@ def _correlate_rows(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _window_mean(img: np.ndarray, taps: np.ndarray,
+                 rows: np.ndarray | None = None) -> np.ndarray:
     """Separable window mean: the taps along axis 0, then along axis 1.
 
-    The result is C-ordered: the score's mean sums in memory order, so a
-    transposed layout would round its sum differently."""
-    return np.ascontiguousarray(
-        _correlate_rows(_correlate_rows(img, taps).T, taps).T)
+    ``rows`` picks the output rows as :func:`_correlate_rows` does; by
+    default they are all of ``img``'s. The result is C-ordered, as the
+    score map that SSIM averages is."""
+    half = taps.size // 2
+    height, width = img.shape
+    if rows is None:
+        rows = _mirrored(height, 0, height, half)
+    columns = _correlate_rows(img, taps, rows).T
+    return np.ascontiguousarray(_correlate_rows(
+        columns, taps, _mirrored(width, 0, width, half)).T)
 
 
 def ssim_constants(dynamic_range: float) -> tuple[float, float]:
@@ -88,18 +117,31 @@ def ssim_constants(dynamic_range: float) -> tuple[float, float]:
 
 def ssim(a: Raster, b: Raster, dynamic_range: float) -> float:
     """Mean local structural similarity over the full image; ConfigError
-    where its products overflow."""
+    where its products overflow.
+
+    The score map is filled one row strip at a time: each strip reads the
+    rows its windows reach, mirrored at the image edges, and the squares
+    and product of the two images are taken on those rows alone."""
     _check_dims(a, b)
     c1, c2 = ssim_constants(dynamic_range)
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
-    x = a.data
-    y = b.data
+    half = taps.size // 2
+    height, width = a.data.shape
+    strip = max(1, _STRIP_PIXELS // width)
+    score = np.empty((height, width))
     with overflow_is_config_error("the SSIM of these images"):
-        mu_x = _window_mean(x, taps)
-        mu_y = _window_mean(y, taps)
-        var_x = _window_mean(x * x, taps) - mu_x * mu_x
-        var_y = _window_mean(y * y, taps) - mu_y * mu_y
-        cov = _window_mean(x * y, taps) - mu_x * mu_y
-        score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
-            (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))
+        for top in range(0, height, strip):
+            bottom = min(top + strip, height)
+            rows = _mirrored(height, top, bottom, half)
+            reach = slice(rows.min(), rows.max() + 1)
+            x, y = a.data[reach], b.data[reach]
+            rows -= reach.start
+            mu_x = _window_mean(x, taps, rows)
+            mu_y = _window_mean(y, taps, rows)
+            var_x = _window_mean(x * x, taps, rows) - mu_x * mu_x
+            var_y = _window_mean(y * y, taps, rows) - mu_y * mu_y
+            cov = _window_mean(x * y, taps, rows) - mu_x * mu_y
+            np.divide((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2),
+                      (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2),
+                      out=score[top:bottom])
     return float(score.mean())

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkfilter import (BfParams, ClusterConfig, ConfigError, KernelField,
-                      Raster, bf_denoise, build_cluster_tree, contextual_gain,
-                      filters, mkf_denoise, mkf_filter, weighted_mean_filter)
+                      Raster, add_integral_noise, bf_denoise,
+                      build_cluster_tree, contextual_gain, filters, mae,
+                      mkf_denoise, mkf_filter, ssim, weighted_mean_filter)
 from mkfilter.clustering import BIN_WIDTH, EM_TOL, NEIGHBORHOOD
 from mkfilter.filters import write_kernel_csv
+from mkfilter.phantoms import bsd_style
 
 # ---------------------------------------------------------------------------
 # oracle: per-pixel direct sums built on the scalar weight functions
@@ -324,6 +326,46 @@ def test_engine_peak_memory_stays_below_four_images():
     finally:
         tracemalloc.stop()
     assert peak < 4 * values.nbytes
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``call()``,
+    its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def noisy_phantom(px: int) -> Raster:
+    return add_integral_noise(bsd_style(px, px, seed=3), 1000.0, 11)
+
+
+@pytest.mark.parametrize("px, depth, images", [(256, 2, 13), (512, 7, 33)])
+def test_tree_peak_memory_stays_within_its_budget(px, depth, images):
+    # whole-image temporaries kept across the connectivity pass, and the
+    # node rows copied twice, took 16.1 and 39.0 image sizes
+    image = noisy_phantom(px)
+    peak = traced_peak(
+        lambda: build_cluster_tree(image, ClusterConfig(max_depth=depth)))
+    assert peak < images * image.data.nbytes
+
+
+def test_ssim_peak_memory_stays_below_four_images():
+    # whole-image window means and score terms took 9.0 image sizes
+    noisy = noisy_phantom(256)
+    clean = bsd_style(256, 256, seed=3)
+    assert traced_peak(lambda: ssim(clean, noisy, 255.0)) \
+        < 4 * clean.data.nbytes
+
+
+def test_mae_peak_memory_stays_below_one_and_a_half_images():
+    # the difference and its absolute value took 2.0 image sizes
+    noisy = noisy_phantom(256)
+    clean = bsd_style(256, 256, seed=3)
+    assert traced_peak(lambda: mae(clean, noisy)) < 1.5 * clean.data.nbytes
 
 
 def test_output_is_window_convex_combination():

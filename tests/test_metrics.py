@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from mkfilter import ConfigError, Raster, mae, ssim
+from mkfilter import ConfigError, Raster, mae, metrics, ssim
 from mkfilter.metrics import SSIM_SIGMA, SSIM_WINDOW, _gaussian_taps, _window_mean
 
 
@@ -111,3 +111,55 @@ def test_ssim_validation():
         ssim(Raster(np.zeros((2, 2))), Raster(np.zeros((3, 2))), 255.0)
     with pytest.raises(ConfigError):
         ssim(Raster(np.zeros((2, 2))), Raster(np.zeros((2, 2))), 0.0)
+
+
+def scipy_ssim(x, y, dynamic_range):
+    """The whole-image SSIM: scipy's 'reflect' correlation for every window
+    mean, the score expression of :func:`ssim`, and its ``.mean()``."""
+    taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
+
+    def window(img):
+        return correlate1d(correlate1d(img, taps, axis=0, mode="reflect"),
+                           taps, axis=1, mode="reflect")
+
+    c1, c2 = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+    mu_x, mu_y = window(x), window(y)
+    var_x = window(x * x) - mu_x * mu_x
+    var_y = window(y * y) - mu_y * mu_y
+    cov = window(x * y) - mu_x * mu_y
+    score = ((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)) / (
+        (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2))
+    return float(score.mean())
+
+
+# a strip of the default size is this many rows of a 64 px wide image
+STRIP_ROWS = metrics._STRIP_PIXELS // 64
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (1, 300), (300, 1), (STRIP_ROWS - 1, 64), (STRIP_ROWS, 64),
+    (STRIP_ROWS + 1, 64), (300, 57), (256, 256)])
+@pytest.mark.parametrize("strip_pixels", [1, 200, metrics._STRIP_PIXELS])
+@pytest.mark.parametrize("dynamic_range", [255.0, 6000.0])
+def test_ssim_matches_the_whole_image_scipy_reference(
+        monkeypatch, shape, strip_pixels, dynamic_range):
+    # strips of one row, of a few rows and of the default size give the
+    # whole-image score to the last bit
+    rng = np.random.default_rng(sum(shape))
+    low = 0.0 if dynamic_range == 255.0 else -dynamic_range / 2
+    x = rng.uniform(low, low + dynamic_range, shape)
+    y = x + rng.normal(0.0, dynamic_range / 20, shape)
+    monkeypatch.setattr(metrics, "_STRIP_PIXELS", strip_pixels)
+    got = ssim(Raster(x), Raster(y), dynamic_range)
+    assert got == scipy_ssim(x, y, dynamic_range)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ssim_overflow_in_the_last_strip_is_a_config_error(monkeypatch):
+    # three strips of 8 rows; the windows of the first two reach 5 rows
+    # past them, so only the last strip squares the 1e200 row
+    x = np.full((24, 8), 100.0)
+    x[-1] = 1e200
+    monkeypatch.setattr(metrics, "_STRIP_PIXELS", 64)
+    with pytest.raises(ConfigError, match="overflow"):
+        ssim(Raster(x), Raster(np.full((24, 8), 100.0)), 255.0)
