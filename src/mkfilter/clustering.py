@@ -38,15 +38,17 @@ needed (the bins into one float buffer, the keys of a level into its
 sides, the union-find's roots into its edges, the squared deviations
 into one buffer) and drop each array once it has been used; the node
 rows of every level are written once, into the final table. At 256 px,
-depth 2, a build peaks at about 9 image sizes (8 bytes per pixel) above
-its input, of which its output, the level maps and the node table, takes
-4; at 512 px, depth 7, at about 27, of which the output takes 18.
+depth 2, a build peaks at about 6 image sizes (8 bytes per pixel) above
+its input, of which its output, the node table and the leaf map (level
+maps are derived on use), takes 2; at 512 px, depth 7, at about 20, of
+which the output takes 11.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -131,23 +133,37 @@ that carries the fit that left its parent whole (same pixels, same fit)."""
 
 @dataclass
 class ClusterTree:
-    """Cluster hierarchy plus one label map per level.
+    """Cluster hierarchy: its node table and its leaf map.
 
     ``nodes`` is the node table: a read-only structured array of
     :data:`NODE_DTYPE`, one row per cluster, indexed by node id. Ids are
     issued level by level, so the rows of levels 0..t are a prefix of the
-    table. ``levels[t]`` assigns every pixel the id of its level-t
-    cluster, so each map partitions the image. A build at ``config`` gives it.
+    table. ``leaf_map`` (read-only) assigns every pixel the id of its leaf,
+    and ``levels[t]``, derived from both, the id of its level-t cluster;
+    each map partitions the image. A build at ``config`` gives it.
     """
 
     nodes: np.ndarray
-    levels: list[np.ndarray]
+    leaf_map: np.ndarray
     config: ClusterConfig
 
     @property
     def depth(self) -> int:
         """The last level: every leaf sits there."""
-        return len(self.levels) - 1
+        return self.config.max_depth
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Read-only map of every level, derived once: a pixel's level-t id
+        is its leaf's level-t ancestor, one gather up ``parent`` per level."""
+        ancestor = self.leaves()  # the table's last rows
+        index = self.leaf_map.ravel() - ancestor[0]
+        maps = np.empty((self.depth + 1, index.size), dtype=np.int64)
+        for out in maps[::-1]:
+            ancestor.take(index, out=out)
+            ancestor = self.nodes["parent"][ancestor]
+        maps.flags.writeable = False
+        return tuple(maps.reshape(-1, *self.leaf_map.shape))
 
     def cut(self, cfg: ClusterConfig) -> "ClusterTree":
         """The tree :func:`build_cluster_tree` gives at ``cfg``, which may
@@ -166,11 +182,10 @@ class ClusterTree:
         # the levels below the first with no split copy it, in both trees
         split = np.diff(np.bincount(self.nodes["level"]), append=0) > 0
         stop = min(depth, max(last + 1, int(np.argmin(split)) + 1))
-        maps = np.empty((depth - last, self.levels[0].size), np.int64)
         # each pixel's cluster: its node in this tree, and its cut id
         owner = previous = self.levels[last].ravel()
         tables = [self.nodes[:owner.max() + 1]]
-        for level, out in zip(range(last + 1, stop + 1), maps):
+        for level in range(last + 1, stop + 1):
             owner = np.where(holds[owner], owner, self.levels[level].ravel())
             ids, first, inverse = np.unique(owner, return_index=True,
                                             return_inverse=True)
@@ -178,15 +193,16 @@ class ClusterTree:
             table = self.nodes[ids[order]]
             table["level"] = level
             table["parent"] = previous[first[order]]
-            previous = np.add(np.argsort(order)[inverse], previous.max() + 1,
-                              out=out)
+            previous = np.argsort(order)[inverse] + (previous.max() + 1)
             tables.append(table)
-        nodes = _repeat_last_level(tables, maps, stop - last)
+        # the last ranked level's ids, moved to their copy at the last level
+        leaf_map = np.add(previous, (depth - stop) * len(tables[-1])).reshape(
+            self.leaf_map.shape)
+        nodes = _repeat_last_level(tables, depth - stop)
         nodes["em_iterations"][(nodes["size"] <= cfg.max_cluster)
                                | (nodes["level"] == depth)] = -1
-        nodes.flags.writeable = maps.flags.writeable = False
-        return ClusterTree(nodes=nodes, levels=self.levels[:last + 1] + list(
-            maps.reshape(-1, *self.levels[0].shape)), config=cfg)
+        nodes.flags.writeable = leaf_map.flags.writeable = False
+        return ClusterTree(nodes=nodes, leaf_map=leaf_map, config=cfg)
 
     def leaves(self) -> np.ndarray:
         """Ids of the leaf clusters: every leaf sits at the last level."""
@@ -667,14 +683,12 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     flat = image.data.ravel()
 
     tables: list[np.ndarray] = []
-    # every level's map in one block, allocated before the first level, so
-    # that a depth whose maps the machine cannot hold fails at once
+    # a depth whose level maps the machine cannot hold fails at once: the
+    # maps stay derivable from the tree
     require_addressable("the level maps", cfg.max_depth + 1, height, width)
-    maps = np.empty((cfg.max_depth + 1, flat.size), dtype=np.int64)
 
     def add_level(level, label, parents):
         """Append the level's node rows, from its level-local pixel labels."""
-        first_id = sum(map(len, tables))
         table = np.empty(parents.size, dtype=NODE_DTYPE)
         table["size"], table["mu"], table["delta"] = _node_stats(
             flat, label, parents.size)
@@ -682,11 +696,11 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         table["parent"] = parents
         table["em_iterations"] = -1
         tables.append(table)
-        np.add(label, first_id, out=maps[level])
         return table["size"]
 
     label = np.zeros(flat.size, dtype=np.int64)
     size = add_level(0, label, np.full(1, -1))
+    first_id = 0  # of the last level built
     # per cluster: left whole by an earlier fit, which it carries
     carried = np.zeros(1, dtype=bool)
     level = 1
@@ -707,22 +721,22 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         # a splittable cluster with one child was left whole by its fit
         carried = (splittable
                    & (np.bincount(parent, minlength=size.size) == 1))[parent]
-        size = add_level(level, label, maps[level - 1][first_pixel])
+        parent += first_id
+        first_id += size.size
+        size = add_level(level, label, parent)
         level += 1
 
-    del label
-    nodes = _repeat_last_level(tables, maps, level)
-    nodes.flags.writeable = False
-    maps.flags.writeable = False
-    return ClusterTree(nodes=nodes, config=cfg,
-                       levels=list(maps.reshape(-1, height, width)))
+    # the last built level's labels, moved to their copy at the last level
+    label += first_id + (cfg.max_depth + 1 - level) * size.size
+    nodes = _repeat_last_level(tables, cfg.max_depth + 1 - level)
+    nodes.flags.writeable = label.flags.writeable = False
+    return ClusterTree(nodes=nodes, leaf_map=label.reshape(height, width),
+                       config=cfg)
 
 
-def _repeat_last_level(tables: list[np.ndarray], maps: np.ndarray,
-                       first: int) -> np.ndarray:
-    """The node table of levels ``0`` to ``first - 1``, one table each in
-    ``tables``, followed by copies of the last of them down to the last
-    row of ``maps``, whose rows from ``first`` on it fills alike.
+def _repeat_last_level(tables: list[np.ndarray], repeats: int) -> np.ndarray:
+    """The node table of the levels in ``tables``, one table each,
+    followed by ``repeats`` copies of the last of them.
 
     Each table is written into the result once and dropped from
     ``tables``, so that no second copy of the rows is held.
@@ -731,7 +745,7 @@ def _repeat_last_level(tables: list[np.ndarray], maps: np.ndarray,
     a copy takes the next ids, one per cluster of the last table, and
     names its original as parent.
     """
-    repeats, count = maps.shape[0] - first, len(tables[-1])
+    count = len(tables[-1])
     kept = sum(map(len, tables))
     out = np.empty(kept + repeats * count, dtype=NODE_DTYPE)
     start = 0
@@ -745,8 +759,6 @@ def _repeat_last_level(tables: list[np.ndarray], maps: np.ndarray,
         copies.reshape(repeats, count)[:] = out[kept - count:kept]
         copies["level"] += np.repeat(np.arange(1, repeats + 1), count)
         copies["parent"] = np.arange(kept - count, out.size - count)
-        np.add(maps[first - 1], count * np.arange(1, repeats + 1)[:, None],
-               out=maps[first:])
     return out
 
 

@@ -214,7 +214,7 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
     triple = level > 2
     psi = contextual_gain(np.where(triple, deviation[above], deviation[node]),
                           deviation[np.where(triple, parent[above], above)])
-    return KernelField(tree.levels[tree.depth], ids=leaves,
+    return KernelField(tree.leaf_map, ids=leaves,
                        delta=deviation[node], psi=psi)
 
 

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkfilter import (Raster, bench, filters, load_f64_raster, load_pgm,
-                      save_f64_raster, save_pgm)
+from tree_oracle import reference_tree
+
+from mkfilter import (ClusterConfig, Raster, bench, filters, load_f64_raster,
+                      load_pgm, save_f64_raster, save_pgm)
 from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
                             derive_seed,
                             parse_filter_spec, read_rows_csv,
@@ -304,16 +306,24 @@ def test_cli_denoise_mkfr_output_preserves_reals(tmp_path):
 
 
 def test_cli_cluster_exports(tmp_path):
+    """Every dumped level map is the per-cluster oracle's, on a phantom
+    whose last split is at level 2, so that levels 3 and 4 repeat its
+    clusters under new ids."""
     src = tmp_path / "in.pgm"
     write_test_pgm(src)
     labels = tmp_path / "labels"
     tree = tmp_path / "tree.txt"
-    assert main(["cluster", str(src), "--depth", "2", "--dump-tree",
+    assert main(["cluster", str(src), "--depth", "4", "--dump-tree",
                  str(tree), "--dump-labels", str(labels)]) == 0
+    want = reference_tree(load_pgm(src).data, ClusterConfig(max_depth=4)).levels
+    for copy in (3, 4):  # a copy shifts its level's ids by one constant
+        assert np.unique(want[copy] - want[copy - 1]).size == 1
     exported = sorted(labels.glob("*.mkfr"))
-    assert len(exported) == 3  # levels 0..2
-    level0 = load_f64_raster(exported[0])
-    assert np.unique(level0.data).size == 1
+    assert [p.name for p in exported] == [f"labels_{t:02d}.mkfr"
+                                          for t in range(5)]
+    for path, level in zip(exported, want):
+        assert np.array_equal(load_f64_raster(path).data,
+                              level.astype(np.float64))
 
 
 def test_cli_noise_and_metrics(tmp_path, capsys):

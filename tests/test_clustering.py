@@ -797,6 +797,22 @@ def test_tree_is_deterministic():
         assert np.array_equal(m1, m2)
 
 
+def test_tree_maps_are_read_only_and_derived_once():
+    """A tree is its node table and its leaf map: the level maps, a build's
+    and a cut's alike, are derived from them once, and no map takes
+    writes."""
+    image = add_integral_noise(phantoms.bsd_style(24, 24, seed=3), 300.0, 5)
+    tree = build_cluster_tree(image, ClusterConfig(max_depth=4, min_cluster=1))
+    for t in (tree, tree.cut(ClusterConfig(max_depth=3, max_cluster=40))):
+        assert t.levels is t.levels
+        assert len(t.levels) == t.depth + 1
+        assert np.array_equal(t.levels[-1], t.leaf_map)
+        for label_map in (t.leaf_map, *t.levels):
+            assert label_map.shape == image.data.shape
+            with pytest.raises(ValueError, match="read-only"):
+                label_map[0, 0] = -1
+
+
 # ---------------------------------------------------------------------------
 # deviation context of the kernel field
 
@@ -805,17 +821,16 @@ def _hand_tree(spec, parents=None):
     """A tree from (level, delta, size) rows, one per node id; a chain
     (each node the parent of the next) unless `parents` is given. Its
     config keeps the default ``min_cluster`` of 9, so a node of more than
-    9 pixels is eligible. Each level map is one pixel per node of that
-    level."""
+    9 pixels is eligible. The leaf map is one pixel per leaf."""
     nodes = np.zeros(len(spec), dtype=NODE_DTYPE)
     for name, column in zip(("level", "delta", "size"), zip(*spec)):
         nodes[name] = column
     nodes["parent"] = np.arange(-1, len(spec) - 1) if parents is None else parents
-    maps = [np.flatnonzero(nodes["level"] == level)[None, :]
-            for level in range(int(nodes["level"].max()) + 1)]
-    cfg = ClusterConfig(max_depth=int(nodes["level"].max()))
+    depth = int(nodes["level"].max())
+    cfg = ClusterConfig(max_depth=depth)
     assert cfg.min_cluster == 9
-    return ClusterTree(nodes=nodes, levels=maps, config=cfg)
+    return ClusterTree(nodes=nodes, config=cfg,
+                       leaf_map=np.flatnonzero(nodes["level"] == depth)[None, :])
 
 
 def test_context_full_chain():

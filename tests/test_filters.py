@@ -343,10 +343,12 @@ def noisy_phantom(px: int) -> Raster:
     return add_integral_noise(bsd_style(px, px, seed=3), 1000.0, 11)
 
 
-@pytest.mark.parametrize("px, depth, images", [(256, 2, 13), (512, 7, 33)])
+@pytest.mark.parametrize("px, depth, images",
+                         [(256, 2, 8), (512, 7, 23), (16, 2000, 100)])
 def test_tree_peak_memory_stays_within_its_budget(px, depth, images):
     # whole-image temporaries kept across the connectivity pass, and the
-    # node rows copied twice, took 16.1 and 39.0 image sizes
+    # node rows copied twice, took 16.1 and 39.0 image sizes; a stored
+    # label map per level took 9.1, 26.7 and 2182
     image = noisy_phantom(px)
     peak = traced_peak(
         lambda: build_cluster_tree(image, ClusterConfig(max_depth=depth)))

@@ -123,9 +123,11 @@ def recorded_fits(tree):
 
 def assert_same_tree(tree, ref):
     assert tree.config == ref.config
+    assert tree.depth == ref.depth
     assert len(tree.levels) == len(ref.levels)
     for got, want in zip(tree.levels, ref.levels):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
     assert tree.nodes.dtype == ref.nodes.dtype
     assert len(tree.nodes) == len(ref.nodes)
     for name in ("level", "parent", "size"):
@@ -184,10 +186,13 @@ def assert_same_cut(tree, want):
     """Byte for byte: the config, the level maps with their dtype, and the
     node table with its floats and ``em_iterations``."""
     assert tree.config == want.config
+    assert tree.depth == want.depth
     assert len(tree.levels) == len(want.levels)
     for got, expected in zip(tree.levels, want.levels):
-        assert got.dtype == expected.dtype
+        assert got.dtype == expected.dtype == np.int64
         assert np.array_equal(got, expected)
+    assert tree.leaf_map.dtype == want.leaf_map.dtype
+    assert np.array_equal(tree.leaf_map, want.leaf_map)
     assert tree.nodes.dtype == want.nodes.dtype
     assert np.array_equal(tree.nodes, want.nodes)  # floats exactly
 

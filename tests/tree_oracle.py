@@ -3,19 +3,22 @@
 This is the straightforward per-cluster construction that the level-batched
 ``mkfilter.clustering.build_cluster_tree`` must reproduce. It is kept as an
 independent oracle, the way ``brute_force_filter`` serves the window engine:
-it shares only the data types (node table, tree, histogram, EM result)
-and the EM starting rule with the library, never the histogram, EM,
-connectivity or statistics code.
+it shares only the data types (node table, histogram, EM result) and the
+EM starting rule with the library, never the histogram, EM, connectivity
+or statistics code. It writes every level's label map itself, so the
+tree's maps, which it derives from its leaf map, are checked against
+maps made independently.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from mkfilter.clustering import (BIN_WIDTH, EM_TOL, NEIGHBORHOOD, NODE_DTYPE,
-                                 ClusterConfig, ClusterTree, EmResult,
+                                 ClusterConfig, EmResult,
                                  Histogram, initial_gauss_pair)
 
 
@@ -108,7 +111,8 @@ def reference_flood(keys: np.ndarray, neighborhood: int) -> np.ndarray:
 def reference_tree(values: np.ndarray, cfg: ClusterConfig):
     """Per-cluster tree construction, fitting every splittable cluster
     afresh at every level; each fit's iteration count goes into its
-    cluster's ``em_iterations``."""
+    cluster's ``em_iterations``. Returns the node table, the list of
+    level maps it wrote, the config and the depth, by those names."""
     height, width = values.shape
     flat = values.ravel()
     rows: list[list] = []  # one NODE_DTYPE row per node, by id
@@ -162,5 +166,6 @@ def reference_tree(values: np.ndarray, cfg: ClusterConfig):
         levels.append(label_map.reshape(height, width))
         members = new_members
 
-    return ClusterTree(nodes=np.array(list(map(tuple, rows)), dtype=NODE_DTYPE),
-                       levels=levels, config=cfg)
+    return SimpleNamespace(
+        nodes=np.array(list(map(tuple, rows)), dtype=NODE_DTYPE),
+        levels=levels, config=cfg, depth=cfg.max_depth)
