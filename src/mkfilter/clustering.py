@@ -23,12 +23,13 @@ labels, and one ``np.bincount`` pass for the node statistics. A
 splittable cluster that its fit left whole reaches the next level with the
 same pixels and keeps that fit there instead of being fitted again; once
 a level has no cluster left to fit, the levels below it are copies of it.
-The EM keeps the bins' centres and counts as one row per component, so
-that most of its calls take same-shape operands, and reuses the M step's
-``x - mu`` in the next E step. A lone active segment's parameters
-broadcast over its bins instead of being gathered, and one reduction per
-iteration tells that no segment finishes; the active layout is rebuilt
-only when that test fails and a segment does leave.
+The EM keeps the bins' centres and counts as one row per component and
+reaches each per-bin parameter as two component rows, so that no per-bin
+call takes a broadcast operand, and it reuses the M step's ``x - mu`` in
+the next E step. A lone active segment's rows are 0-d views of its
+parameters; several segments gather theirs into one kept buffer. A quick
+test per iteration tells that no segment finishes; the active layout is
+rebuilt only when that test fails and a segment does leave.
 ``build_histogram``, ``em_similarity_cluster`` and ``proximity_cluster``
 are the one-cluster cases of the same code, at the same constants.
 
@@ -324,20 +325,21 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     has the same shape. A segment leaves the active set when its
     parameters move less than ``tol``, when a component loses all support
     (its parameters then stay as they were), or at the iteration cap.
-    Each iteration first takes one reduction, the smallest of the active
-    segments' largest parameter moves (a lone segment's largest move);
-    only when it falls below ``tol`` (or is nan), or at the cap, does the
-    full test run, and the active layout is rebuilt only when a segment
-    leaves. Per layout the work arrays, two parameter buffers (current
-    and next) and their views are made once, and every step writes into
-    them. The bins' centres and counts are stored once per component,
-    (2, bins), so the per-bin products take same-shape operands, and the
-    constants are 0-d arrays. The M step writes ``x - mu`` of the new
-    means into a kept buffer, which the next E step divides by sigma; only
-    a layout's first iteration subtracts afresh. Several active segments
-    gather their parameters for each bin; a lone one broadcasts its
-    parameter columns over its bins instead. Each segment runs exactly the
-    float operations of a fit on its own histogram, in the same order.
+    Each iteration first takes a quick test: the smallest of the active
+    segments' largest parameter moves (two reductions), or a lone
+    segment's six moves read as Python floats. Only when it fails, or at
+    the cap, does the full test run, and the active layout is rebuilt only
+    when a segment leaves. Per layout the work arrays, two parameter
+    buffers (current and next) and their views are made once, and every
+    step writes into them. The bins' centres and counts are stored once
+    per component, (2, bins), the constants are 0-d arrays, and each
+    per-bin parameter (mu, sigma, the log-constant) is reached as two
+    component rows, so that no per-bin call broadcasts: a lone segment's
+    0-d views, or the rows of one kept (2, bins) buffer that a gather
+    fills. The M step writes ``x - mu`` of the new means into a kept
+    buffer, which the next E step divides by sigma; only a layout's first
+    iteration subtracts afresh. Each segment runs exactly the float
+    operations of a fit on its own histogram, in the same order.
     Each segment's iteration count is recorded as it leaves; its
     log-likelihood per iteration only with ``trace``.
     """
@@ -359,6 +361,10 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     # 0-d operands: a Python float is converted again on every call
     half, half_log_2pi, floor = map(np.array, (0.5, _HALF_LOG_2PI,
                                                sigma_floor))
+    # the ufuncs as locals: a call then looks up no global and no attribute
+    add, subtract, divide, maximum = np.add, np.subtract, np.divide, np.maximum
+    multiply, square, sqrt, absolute = np.multiply, np.square, np.sqrt, np.abs
+    log, exp, reduceat = np.log, np.exp, np.add.reduceat
     is_active = ~degenerate
     active = np.flatnonzero(is_active)
     iteration = 0
@@ -373,24 +379,36 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
             # centres, counts and totals once per component, so that the
             # per-bin and per-segment operands share their shapes
             xa, na = np.tile(x[bins], (2, 1)), np.tile(n[bins], (2, 1))
+            xa0, xa1 = xa
             total = np.tile(np.add.reduceat(na[0], local_starts), (2, 1))
-            # a lone segment's parameter columns broadcast over its bins
-            gather = local if active.size > 1 else None
             # two parameter buffers, current and next, (mu, sigma, weight)
-            # x component x segment, with the views each step takes
+            # x component x segment, and the log-constant per component
             pair = np.empty((2, 3, 2, active.size))
             pair[0] = theta[:, :, active]
-            views = [(p, p[0], p[1], p[2], p[1:]) for p in pair]
+            const = np.empty_like(pair[0, 0])
+            # per-bin parameters as component rows; several segments
+            # gather each into one kept buffer before its use
+            gather = active.size > 1
+            per_bin = np.empty((2, bins.size)) if gather else None
+
+            def rows(column):
+                """The kept buffer's rows, or a lone segment's 0-d views."""
+                return (tuple(per_bin) if gather
+                        else (column[0, 0, ...], column[1, 0, ...]))
+
+            views = [(p, p[0], p[1], p[2], p[1:], rows(p[0]), rows(p[1]))
+                     for p in pair]
+            const0, const1 = rows(const)
             current = 0
             # work arrays of the layout; log_p turns into resp in place
             step = np.empty_like(pair[0])
             step_rows, step_all = step.reshape(6, -1), step.reshape(-1)
             log_th = np.empty_like(pair[0, 1:])
             log_sigma, log_weight = log_th
-            const = np.empty_like(pair[0, 0])
             log_p, work, diff = np.empty((3, 2, bins.size))
             log_p0, log_p1 = log_p
             work0, work1 = work
+            diff0, diff1 = diff
             top, log_norm = np.empty((2, bins.size))
             # n_resp and n_resp * x per component, summed in one reduceat
             weighted = np.empty((4, bins.size))
@@ -398,58 +416,75 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
             sums = np.empty((4, active.size))
             mass, mass_x = sums[:2], sums[2:]
             # x - mu; from then on the M step leaves it for the next E step
-            np.subtract(xa, _per_bin(pair[0, 0], gather), out=diff)
+            _, mu, _, _, _, (mu0, mu1), _ = views[0]
+            if gather:
+                mu.take(local, axis=-1, mode="clip", out=per_bin)
+            subtract(xa0, mu0, out=diff0)
+            subtract(xa1, mu1, out=diff1)
             while True:
                 iteration += 1
-                th, _, sigma, _, sigma_weight = views[current]
+                (th, _, sigma, _, sigma_weight, _,
+                 (sigma0, sigma1)) = views[current]
                 # E step in log space, per bin with its segment's parameters
-                np.log(sigma_weight, out=log_th)
-                np.subtract(log_weight, log_sigma, out=const)
-                np.subtract(const, half_log_2pi, out=const)
-                np.divide(diff, _per_bin(sigma, gather), out=work)
-                np.square(work, out=work)
-                np.multiply(work, half, out=work)
-                np.subtract(_per_bin(const, gather), work, out=log_p)
-                np.maximum(log_p0, log_p1, out=top)
-                np.subtract(log_p, top, out=work)
-                np.exp(work, out=work)
-                np.add(work0, work1, out=log_norm)
-                np.log(log_norm, out=log_norm)
-                np.add(top, log_norm, out=log_norm)
-                np.subtract(log_p, log_norm, out=log_p)
-                resp = np.exp(log_p, out=log_p)
+                log(sigma_weight, out=log_th)
+                subtract(log_weight, log_sigma, out=const)
+                subtract(const, half_log_2pi, out=const)
+                if gather:
+                    sigma.take(local, axis=-1, mode="clip", out=per_bin)
+                divide(diff0, sigma0, out=work0)
+                divide(diff1, sigma1, out=work1)
+                square(work, out=work)
+                multiply(work, half, out=work)
+                if gather:
+                    const.take(local, axis=-1, mode="clip", out=per_bin)
+                subtract(const0, work0, out=log_p0)
+                subtract(const1, work1, out=log_p1)
+                maximum(log_p0, log_p1, out=top)
+                subtract(log_p0, top, out=work0)
+                subtract(log_p1, top, out=work1)
+                exp(work, out=work)
+                add(work0, work1, out=log_norm)
+                log(log_norm, out=log_norm)
+                add(top, log_norm, out=log_norm)
+                subtract(log_p0, log_norm, out=log_p0)
+                subtract(log_p1, log_norm, out=log_p1)
+                resp = exp(log_p, out=log_p)
                 if trace:
                     trace_seg.append(active)
-                    trace_ll.append(np.add.reduceat(na[0] * log_norm,
-                                                    local_starts))
+                    trace_ll.append(reduceat(na[0] * log_norm, local_starts))
 
                 # M step, the deviation clamped at the floor
-                new, mu, sigma, weight, _ = views[1 - current]
-                np.multiply(na, resp, out=n_resp)
-                np.multiply(n_resp, xa, out=n_resp_x)
-                np.add.reduceat(weighted, local_starts, axis=1, out=sums)
-                np.divide(mass_x, mass, out=mu)
-                np.subtract(xa, _per_bin(mu, gather), out=diff)
-                np.square(diff, out=work)
-                np.multiply(n_resp, work, out=work)
-                np.add.reduceat(work, local_starts, axis=1, out=sigma)
-                np.divide(sigma, mass, out=sigma)
-                np.sqrt(sigma, out=sigma)
-                np.maximum(sigma, floor, out=sigma)
-                np.divide(mass, total, out=weight)
-                np.subtract(new, th, out=step)
-                np.abs(step, out=step)
-                # One reduction tells that no segment finishes: the largest
-                # move of a lone segment, else the smallest of the segments'
-                # largest moves. It also sees ``lost``: a component without
-                # mass has only zero terms n_resp * x, so its new mean is
-                # 0 / 0 = nan, its segment's move is nan, and nan >= tol
-                # is false.
-                if gather is None:
-                    going = np.maximum.reduce(step_all) >= tol
-                else:
+                new, mu, sigma, weight, _, (mu0, mu1), _ = views[1 - current]
+                multiply(na, resp, out=n_resp)
+                multiply(n_resp, xa, out=n_resp_x)
+                reduceat(weighted, local_starts, axis=1, out=sums)
+                divide(mass_x, mass, out=mu)
+                if gather:
+                    mu.take(local, axis=-1, mode="clip", out=per_bin)
+                subtract(xa0, mu0, out=diff0)
+                subtract(xa1, mu1, out=diff1)
+                square(diff, out=work)
+                multiply(n_resp, work, out=work)
+                reduceat(work, local_starts, axis=1, out=sigma)
+                divide(sigma, mass, out=sigma)
+                sqrt(sigma, out=sigma)
+                maximum(sigma, floor, out=sigma)
+                divide(mass, total, out=weight)
+                subtract(new, th, out=step)
+                absolute(step, out=step)
+                # A quick test tells that no segment finishes: the smallest
+                # of the segments' largest moves, or a lone segment's six
+                # moves read as floats. It also sees ``lost``: a component
+                # without mass has only zero terms n_resp * x, so its new
+                # mean is 0 / 0 = nan, its segment's move is nan, and
+                # nan >= tol is false. Python's max may pass over a nan,
+                # but the sum carries it, and nan == nan is false.
+                if gather:
                     going = np.minimum.reduce(
                         np.maximum.reduce(step_rows, axis=0)) >= tol
+                else:
+                    moves = step_all.tolist()
+                    going = max(moves) >= tol and sum(moves) == sum(moves)
                 if iteration == max_iterations or not going:
                     shift = np.maximum.reduce(step_rows, axis=0)
                     lost = np.minimum(mass[0], mass[1]) <= 0.0
@@ -476,13 +511,6 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
                         None if traces is None else traces[0],
                         int(iterations[0]))
     return EmResult(theta, labels, degenerate, traces, iterations)
-
-
-def _per_bin(columns: np.ndarray, local: np.ndarray | None) -> np.ndarray:
-    """Each bin's parameters from per-segment columns (last axis): gathered
-    by ``local``, the layout's segment of each bin, or the columns of a lone
-    segment as they are, to broadcast over its bins."""
-    return columns if local is None else columns.take(local, axis=-1)
 
 
 def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:

@@ -536,6 +536,51 @@ def test_segmented_em_matches_frozen_oracle(layout):
     assert _fit_bytes(got) == _fit_bytes(want)
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["alone", "last"])
+def test_lone_segment_finish_test_edges(batched):
+    """A lone segment's quick finish test reads its six moves as Python
+    floats. A largest move equal to ``tol`` goes on, as ``>=`` says: ``tol``
+    is the largest move of iteration k + 1, read from the frozen loop capped
+    at k and at k + 1, which is below every earlier move; the fit then
+    stops one iteration later, and with a hair above it, at k + 1. A component
+    that gets a weight of exactly 0 at iteration 1 loses all mass at
+    iteration 2: its moves are nan, which Python's ``max`` passes over, and
+    at a ``tol`` of 0 the other component's moves of 0 pass; the fit must
+    stop there all the same. Each fit runs alone, and as the
+    last segment of a batch whose other segment loses a component at
+    iteration 1; every result is the frozen loop's, byte for byte."""
+    k = 24
+    converging = build_histogram(np.concatenate([
+        np.random.default_rng(31).normal(40, 8, 120),
+        np.random.default_rng(32).normal(190, 15, 80)]))
+    start = initial_gauss_pair(converging.centers.max())
+    before, after = (frozen_em(converging, start, 0.0, 1.0, cap).theta
+                     for cap in (k, k + 1))
+    tol = float(np.abs(after - before).max())
+    losing = build_histogram(np.random.default_rng(7).normal(50, 5, 40))
+    late = np.array([[50.0, 249.5], [5.0, 5.0], [0.5, 0.5]])
+    cases = [(converging, start, tol, k + 2),
+             (converging, start, np.nextafter(tol, np.inf), k + 1),
+             (losing, late, 0.0, 2)]
+    far = build_histogram(np.random.default_rng(19).normal(50, 5, 40))
+    far_start = np.array([[50.0, 1e6], [5.0, 1.0], [0.5, 0.5]])
+    for hist, init, tol, expected in cases:
+        hists, inits = [hist], [init]
+        if batched:
+            hists.insert(0, far)
+            inits.insert(0, far_start)
+        batch, theta = _batch(hists), np.stack(inits, axis=-1)
+        got = _segmented_em(batch, theta, tol, 1.0, EM_MAX_ITERATIONS,
+                            trace=True)
+        want = frozen_em(batch, theta, tol, 1.0, EM_MAX_ITERATIONS, trace=True)
+        assert _fit_bytes(got) == _fit_bytes(want)
+        assert got.iterations.tolist() == [1] * batched + [expected]
+    # the lost component kept its iteration-1 parameters, weight 0
+    one = frozen_em(losing, late, 0.0, 1.0, 1)
+    assert one.theta[2, 1] == 0.0
+    assert got.theta[:, :, -1].tobytes() == one.theta.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # proximity clustering
 

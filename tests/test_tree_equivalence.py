@@ -13,6 +13,9 @@ level; the tree fits a cluster that a fit left whole only once, so its
 ``em_iterations`` must equal the oracle's where it fitted, and where it
 carried a fit the oracle's refit must count what that fit counted.
 
+Every EM call that builds the benchmark's trees must also give the
+frozen EM loop's results (``em_oracle``), byte for byte.
+
 On every oracle tree the kernel field must match a per-leaf walk up the
 node table, the form the whole-array field replaced: delta exactly, psi
 within one ulp (the walk squares with ``** 2``, which calls libm ``pow``;
@@ -32,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from em_oracle import segmented_em as frozen_em
 from tree_oracle import reference_tree
 
 from mkfilter import (ClusterConfig, ConfigError, Raster, build_cluster_tree,
@@ -153,9 +157,13 @@ def test_deep_trees_match_oracle(name, orientation):
                      reference_tree(values, cfg))
 
 
+def wide_input():
+    return apply_noise(bsd_style(256, 256, seed=PHANTOM_SEED),
+                       NoiseSpec("integral", LEVEL, 11)).data
+
+
 def test_wide_tree_matches_oracle():
-    values = apply_noise(bsd_style(256, 256, seed=PHANTOM_SEED),
-                         NoiseSpec("integral", LEVEL, 11)).data
+    values = wide_input()
     cfg = ClusterConfig(max_depth=2)
     assert_same_tree(build_cluster_tree(Raster(values), cfg),
                      reference_tree(values, cfg))
@@ -363,6 +371,41 @@ def test_em_work_run_on_deep_inputs_is_pinned(monkeypatch, name, fits,
     counts = counts[counts >= 0]
     assert (counts.size, counts.sum()) == (fits, iterations)
     assert counts.tolist() == run
+
+
+def test_em_calls_match_the_frozen_loop(monkeypatch):
+    """Every EM call that builds the benchmark's trees (both mkf-deep
+    inputs at depth 7, the mkf-wide input at depth 2) gives the frozen
+    loop's theta, labels, iterations and degenerate flags, byte for byte.
+    These layouts reach what the hypothesis layouts do not: up to 30
+    segments and 1,314 bins, the 500-iteration cap, and lone tails, where
+    one segment runs on alone after a phase with several."""
+    calls = []
+    segmented_em = clustering._segmented_em
+
+    def spy(*args, **kwargs):
+        result = segmented_em(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(clustering, "_segmented_em", spy)
+    for values, depth in [(deep_input("bsd_style"), 7),
+                          (deep_input("piecewise_mosaic"), 7),
+                          (wide_input(), 2)]:
+        build_cluster_tree(Raster(values), ClusterConfig(max_depth=depth))
+    monkeypatch.undo()
+    lone_tails = 0
+    for args, kwargs, got in calls:
+        want = frozen_em(*args, **kwargs)
+        for name in ("theta", "labels", "iterations", "degenerate"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        ran = got.iterations[~got.degenerate]
+        lone_tails += ran.size > 1 and np.count_nonzero(ran == ran.max()) == 1
+    assert len(calls) == 15
+    assert max(args[0].starts.size for args, _, _ in calls) == 30
+    assert max(args[0].centers.size for args, _, _ in calls) == 1314
+    assert max(got.iterations.max() for _, _, got in calls) == EM_MAX_ITERATIONS
+    assert lone_tails == 6
 
 
 def test_levels_after_the_last_fit_are_copied(monkeypatch):
