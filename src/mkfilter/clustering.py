@@ -172,36 +172,42 @@ class ClusterTree:
         A fit sees only its cluster's pixels, so that build splits every
         cluster as this one does until it has at most ``cfg.max_cluster``
         pixels and then holds it; ``min_cluster`` is read from ``config``
-        alone. Later levels copy their clusters' rows, ids in first-pixel order."""
+        alone. The cut filters this tree's rows: below a held cluster only
+        the chain of first children (they hold its first pixel) is kept, as
+        its copies, so ids stay in first-pixel order, as in the build."""
         own = self.config
         if cfg.max_depth > own.max_depth or cfg.max_cluster < own.max_cluster:
             raise ConfigError(f"a tree built at {own} has no cut at {cfg}")
-        depth, size = cfg.max_depth, self.nodes["size"]
-        holds = (size <= cfg.max_cluster) & (size > own.max_cluster)
-        # the first held cluster's level is the last of this tree's own
-        last = int(self.nodes["level"][holds].min(initial=depth))
-        # the levels below the first with no split copy it, in both trees
-        split = np.diff(np.bincount(self.nodes["level"]), append=0) > 0
-        stop = min(depth, max(last + 1, int(np.argmin(split)) + 1))
-        # each pixel's cluster: its node in this tree, and its cut id
-        owner = previous = self.levels[last].ravel()
-        tables = [self.nodes[:owner.max() + 1]]
-        for level in range(last + 1, stop + 1):
-            owner = np.where(holds[owner], owner, self.levels[level].ravel())
-            ids, first, inverse = np.unique(owner, return_index=True,
-                                            return_inverse=True)
-            order = np.argsort(first)
-            table = self.nodes[ids[order]]
-            table["level"] = level
-            table["parent"] = previous[first[order]]
-            previous = np.argsort(order)[inverse] + (previous.max() + 1)
-            tables.append(table)
-        # the last ranked level's ids, moved to their copy at the last level
-        leaf_map = np.add(previous, (depth - stop) * len(tables[-1])).reshape(
-            self.leaf_map.shape)
-        nodes = _repeat_last_level(tables, depth - stop)
+        depth = cfg.max_depth
+        # row ends of levels 0..depth; a level has at most one row per pixel
+        ends = np.cumsum(np.bincount(
+            self.nodes["level"][:(depth + 1) * self.leaf_map.size]))
+        rows = self.nodes[:ends[depth]]
+        parent, ids = rows["parent"], np.arange(rows.size)
+        under = np.append(False, rows["size"][parent[1:]] <= cfg.max_cluster)
+        # ids follow first pixels: a parent's smallest child holds its first
+        first = np.full(rows.size, rows.size)
+        np.minimum.at(first, parent[1:], ids[1:])
+        is_first = first[parent] == ids
+        # a held parent passes on its owner, and its copy to its first child
+        owner, keep = ids.copy(), ~under
+        for span in map(slice, ends[:depth], ends[1:]):
+            owner[span] = np.where(under[span], owner[parent[span]], ids[span])
+            keep[span] |= keep[parent[span]] & is_first[span]
+        cut_id = np.cumsum(keep) - 1
+        nodes = rows[owner[keep]]
+        nodes["level"] = rows["level"][keep]
+        nodes["parent"][1:] = cut_id[parent[keep][1:]]
         nodes["em_iterations"][(nodes["size"] <= cfg.max_cluster)
                                | (nodes["level"] == depth)] = -1
+        # each owner's id is now that of its copy at the last level
+        last = slice(ends[depth - 1], ends[depth])
+        cut_id[owner[last][keep[last]]] = cut_id[last][keep[last]]
+        ancestor = self.leaves()
+        index = self.leaf_map - ancestor[0]
+        for _ in range(self.depth - depth):
+            ancestor = self.nodes["parent"][ancestor]
+        leaf_map = cut_id[owner[ancestor]].take(index, mode="clip", out=index)
         nodes.flags.writeable = leaf_map.flags.writeable = False
         return ClusterTree(nodes=nodes, leaf_map=leaf_map, config=cfg)
 

@@ -86,19 +86,13 @@ def _correlate_rows(img: np.ndarray, taps: np.ndarray,
 
 
 def _window_mean(img: np.ndarray, taps: np.ndarray,
-                 rows: np.ndarray | None = None) -> np.ndarray:
-    """Separable window mean: the taps along axis 0, then along axis 1.
-
-    ``rows`` picks the output rows as :func:`_correlate_rows` does; by
-    default they are all of ``img``'s. The result is C-ordered, as the
-    score map that SSIM averages is."""
-    half = taps.size // 2
-    height, width = img.shape
-    if rows is None:
-        rows = _mirrored(height, 0, height, half)
-    columns = _correlate_rows(img, taps, rows).T
+                 rows: np.ndarray) -> np.ndarray:
+    """Separable window mean, C-ordered as the score map that SSIM
+    averages is: the taps along axis 0 over ``rows``, which
+    :func:`_correlate_rows` reads, then along axis 1."""
+    columns = _mirrored(img.shape[1], 0, img.shape[1], taps.size // 2)
     return np.ascontiguousarray(_correlate_rows(
-        columns, taps, _mirrored(width, 0, width, half)).T)
+        _correlate_rows(img, taps, rows).T, taps, columns).T)
 
 
 def ssim_constants(dynamic_range: float) -> tuple[float, float]:

@@ -5,7 +5,8 @@ import pytest
 from scipy.ndimage import correlate1d
 
 from mkfilter import ConfigError, Raster, mae, metrics, ssim
-from mkfilter.metrics import SSIM_SIGMA, SSIM_WINDOW, _gaussian_taps, _window_mean
+from mkfilter.metrics import (SSIM_SIGMA, SSIM_WINDOW, _gaussian_taps,
+                              _mirrored, _window_mean)
 
 
 def rand_raster(rng, lo=0.0, hi=255.0, shape=(24, 24)):
@@ -55,7 +56,8 @@ def test_window_mean_matches_scipy_reflect_correlation(shape):
     for img in (rng.uniform(0.0, 255.0, shape), rng.uniform(-1e6, 1e6, shape)):
         expected = correlate1d(correlate1d(img, taps, axis=0, mode="reflect"),
                                taps, axis=1, mode="reflect")
-        got = _window_mean(img, taps)
+        got = _window_mean(img, taps,
+                           _mirrored(shape[0], 0, shape[0], SSIM_WINDOW // 2))
         assert np.array_equal(got, expected)
         # SSIM's mean sums in memory order, so the layout must match too
         assert got.flags.c_contiguous

@@ -213,7 +213,10 @@ def assert_cuts_match_fresh_builds(image, max_cluster):
     source = ClusterConfig(max_depth=7, max_cluster=max_cluster, min_cluster=1)
     deep = build_cluster_tree(image, source)
     nodes = deep.nodes.copy()
-    assert_same_cut(deep.cut(source), deep)
+    cut = deep.cut(source)
+    # a cut filters the node table: it derives no level map of the source
+    assert "levels" not in deep.__dict__
+    assert_same_cut(cut, deep)
     for depth in range(2, 8):
         for size in (max_cluster, max_cluster + 20, 5 * max_cluster):
             cfg = ClusterConfig(max_depth=depth, max_cluster=size)
@@ -431,29 +434,19 @@ def test_levels_after_the_last_fit_are_copied(monkeypatch):
     assert_same_cut(tree.cut(cfg), build_cluster_tree(image, cfg))
 
 
-@pytest.mark.parametrize("image, source, cfg, ranked", [
-    (bsd_style(16, 16, seed=0), (2000, 10), (2000, 40, 9), 4),
+@pytest.mark.parametrize("image, source, cfg", [
+    (bsd_style(16, 16, seed=0), (2000, 10), (2000, 40, 9)),
     # the last split leaves a fit on a cluster of more than 9 pixels that
     # it left whole; the first level with no split has no fit to copy
     (apply_noise(bsd_style(16, 16, seed=3), NoiseSpec("integral", 10.0, 3)),
-     (12, 4), (12, 9, 8), 6),
+     (12, 4), (12, 9, 8)),
 ], ids=["deep", "whole-fit"])
-def test_cut_copies_the_levels_after_the_last_split(monkeypatch, image,
-                                                    source, cfg, ranked):
-    """A cut by size ranks the clusters of the levels down to the first
-    level with no split, in this tree and the cut alike, and copies that
-    level down from there, as a build does."""
+def test_cut_copies_the_levels_after_the_last_split(image, source, cfg):
+    """A cut by size holds clusters that this tree splits, and copies the
+    levels below the first with no split, as a build does. It filters the
+    node table and derives no level map of this tree."""
     tree = build_cluster_tree(image, ClusterConfig(*source, min_cluster=1))
     cfg = ClusterConfig(*cfg)
-    calls = []
-    unique = np.unique
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", spy)
     cut = tree.cut(cfg)
-    monkeypatch.undo()
-    assert 0 < len(calls) <= ranked
+    assert "levels" not in tree.__dict__
     assert_same_cut(cut, build_cluster_tree(image, cfg))
