@@ -347,8 +347,7 @@ def cf_gaussian_denoise(image: Raster, p: CfParams = CfParams()) -> Raster:
 
 def bf_denoise(image: Raster, p: BfParams = BfParams()) -> Raster:
     """The one-leaf kernel field: delta = h_I and psi = 1 at every pixel."""
-    field = KernelField(np.zeros(image.data.shape, np.int64), [0], [p.h_I],
-                        [1.0])
+    field = KernelField(np.zeros(image.data.shape, np.int64), [p.h_I], [1.0])
     return weighted_mean_filter(image, field, p.radius, p.h_x)
 
 

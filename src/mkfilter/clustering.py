@@ -529,22 +529,21 @@ def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:
                     np.cumsum(iterations)[:-1])
 
 
-def em_similarity_cluster(hist: Histogram, init: np.ndarray, *,
-                          max_iterations: int = EM_MAX_ITERATIONS) -> EmResult:
+def em_similarity_cluster(hist: Histogram, init: np.ndarray) -> EmResult:
     """Fit a two-component mixture to the histogram and hard-label each bin.
 
     This is the segmented EM that :func:`build_cluster_tree` runs over a
     whole level; ``init`` is the (3, 2) start of a one-segment histogram
     (see :func:`initial_gauss_pair`), or has a segment axis. As in the
-    tree, a fit stops when no parameter moves by ``EM_TOL``, and the start
-    and every M-step clamp each deviation at ``BIN_WIDTH``; because the
-    clamp is the constrained maximizer of the expected complete-data
-    log-likelihood, the recorded log-likelihood sequence is
-    non-decreasing. Ties in the posterior go to the first component. A
-    single-bin histogram cannot be split and yields a degenerate result
-    with all mass on the first component.
+    tree, a fit stops when no parameter moves by ``EM_TOL`` or at
+    ``EM_MAX_ITERATIONS``, and the start and every M-step clamp each
+    deviation at ``BIN_WIDTH``; because the clamp is the constrained
+    maximizer of the expected complete-data log-likelihood, the recorded
+    log-likelihood sequence is non-decreasing. Ties in the posterior go
+    to the first component. A single-bin histogram cannot be split and
+    yields a degenerate result with all mass on the first component.
     """
-    return _segmented_em(hist, init, EM_TOL, BIN_WIDTH, max_iterations,
+    return _segmented_em(hist, init, EM_TOL, BIN_WIDTH, EM_MAX_ITERATIONS,
                          trace=True)
 
 
@@ -708,7 +707,7 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     segmented EM over the splittable clusters that no earlier fit left
     whole, one connectivity pass over the image, one statistics pass.
     From the first level with no such cluster on, every level is a copy
-    of the one before (see :func:`_repeat_last_level`).
+    of the one before, written into the node table in place.
     Each fit's iteration count goes into its cluster's ``em_iterations``.
     Node ids are issued level by level, in row-major order of each
     cluster's first pixel.
@@ -760,40 +759,24 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         size = add_level(level, label, parent)
         level += 1
 
-    # the last built level's labels, moved to their copy at the last level
-    label += first_id + (cfg.max_depth + 1 - level) * size.size
-    nodes = _repeat_last_level(tables, cfg.max_depth + 1 - level)
+    # Every level's table is joined into the node table once, and dropped.
+    # A level with no cluster to fit splits none, so each later level has
+    # the same clusters, pixel order and statistics: its copy rows take the
+    # next ids and name their originals as parents.
+    count, kept = size.size, sum(map(len, tables))
+    repeats = cfg.max_depth + 1 - level
+    nodes = np.empty(kept + repeats * count, dtype=NODE_DTYPE)
+    np.concatenate(tables, out=nodes[:kept])
+    tables.clear()
+    copies = nodes[kept:].reshape(repeats, count)
+    copies[:] = nodes[kept - count:kept]
+    copies["level"] += np.arange(1, repeats + 1)[:, None]
+    nodes["parent"][kept:] = np.arange(kept - count, len(nodes) - count)
+    # the leaves are the table's last rows, in the last built level's order
+    label += len(nodes) - count
     nodes.flags.writeable = label.flags.writeable = False
     return ClusterTree(nodes=nodes, leaf_map=label.reshape(height, width),
                        config=cfg)
-
-
-def _repeat_last_level(tables: list[np.ndarray], repeats: int) -> np.ndarray:
-    """The node table of the levels in ``tables``, one table each,
-    followed by ``repeats`` copies of the last of them.
-
-    Each table is written into the result once and dropped from
-    ``tables``, so that no second copy of the rows is held.
-    A level with no cluster to fit splits none, so each later level has the
-    same clusters, pixel order and statistics, and nothing to fit either:
-    a copy takes the next ids, one per cluster of the last table, and
-    names its original as parent.
-    """
-    count = len(tables[-1])
-    kept = sum(map(len, tables))
-    out = np.empty(kept + repeats * count, dtype=NODE_DTYPE)
-    start = 0
-    for i in range(len(tables)):
-        end = start + len(tables[i])
-        out[start:end] = tables[i]
-        tables[i] = None
-        start = end
-    if repeats:
-        copies = out[kept:]
-        copies.reshape(repeats, count)[:] = out[kept - count:kept]
-        copies["level"] += np.repeat(np.arange(1, repeats + 1), count)
-        copies["parent"] = np.arange(kept - count, out.size - count)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,28 +58,28 @@ class BfParams:
 class KernelField:
     """Range-kernel parameters in leaf columns, plus the pixel->leaf map.
 
-    Row k of ``delta``/``psi`` belongs to leaf ``ids[k]``; ``rows`` gives
-    each pixel of ``leaf_map`` its row, ``leaf_map - ids[0]``. The ids are
-    one range of consecutive non-negative integers, ascending, and exactly
-    those of the leaf map (a tree's leaves are the ids of its last level);
-    delta and psi are positive and finite.
+    Row k of ``delta``/``psi`` belongs to leaf ``ids[k]``. The ids come
+    from the leaf map: one per row of ``delta``, consecutive from the map's
+    smallest id, which must be non-negative (a tree's leaves are the last
+    rows of its node table). The map, of integers that int64 holds, must
+    use every id and no other; ``rows`` gives each of its pixels its row,
+    ``leaf_map - ids[0]``. delta and psi are positive and finite.
     """
 
-    def __init__(self, leaf_map, ids, delta, psi):
-        self.leaf_map, self.ids = np.asarray(leaf_map), np.asarray(ids, np.int64)
+    def __init__(self, leaf_map, delta, psi):
+        self.leaf_map = np.asarray(leaf_map)
         self.delta, self.psi = np.asarray(delta, float), np.asarray(psi, float)
-        if not (self.ids.size and self.ids[0] >= 0
-                and np.all(np.diff(self.ids) == 1)):
-            raise ConfigError("leaf ids must be consecutive, non-negative "
-                              "and ascending")
         if not np.all((self.delta > 0, self.delta < np.inf,
                        self.psi > 0, self.psi < np.inf)):
             raise ConfigError("delta and psi must be positive and finite")
-        self.rows = self.leaf_map - self.ids[0]
-        if not (self.rows.dtype.kind == "i" and self.rows.size
-                and self.rows.min() >= 0
-                and (uses := np.bincount(self.rows.ravel())).size == self.ids.size
-                and uses.all()):
+        # the map's kind first: a float map's minimum is no leaf id
+        ints = (self.leaf_map.size
+                and np.can_cast(self.leaf_map.dtype, np.int64))
+        first = int(self.leaf_map.min()) if ints else -1
+        self.ids = np.arange(first, first + self.delta.size, dtype=np.int64)
+        self.rows = self.leaf_map - np.int64(first)
+        if not (ints and first >= 0 and self.rows.max() == self.ids.size - 1
+                and np.bincount(self.rows.ravel()).all()):
             raise ConfigError("the leaf map must use every leaf id and no other")
 
 
@@ -202,7 +202,7 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
     its parent at level 1 or 2 (1 at the root).
     """
     nodes, parent, size = tree.nodes, tree.nodes["parent"], tree.nodes["size"]
-    leaves = node = tree.leaves()
+    node = tree.leaves()
     for _ in range(tree.depth):  # one gather per level climbed
         up = (size[node] <= tree.config.min_cluster) & (parent[node] >= 0)
         if not up.any():
@@ -214,8 +214,7 @@ def build_kernel_field(tree: ClusterTree) -> KernelField:
     triple = level > 2
     psi = contextual_gain(np.where(triple, deviation[above], deviation[node]),
                           deviation[np.where(triple, parent[above], above)])
-    return KernelField(tree.leaf_map, ids=leaves,
-                       delta=deviation[node], psi=psi)
+    return KernelField(tree.leaf_map, deviation[node], psi)
 
 
 def mkf_denoise(image: Raster, cfg: ClusterConfig, h_x: float = BfParams.h_x,

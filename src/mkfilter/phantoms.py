@@ -17,9 +17,8 @@ __all__ = ["piecewise_mosaic", "bsd_style", "brain_slice"]
 
 
 def piecewise_mosaic(width: int = 128, height: int = 128, regions: int = 24,
-                     low: float = 20.0, high: float = 235.0,
                      seed: int = 0) -> Raster:
-    """Voronoi mosaic: `regions` flat cells with random 8-bit-range values.
+    """Voronoi mosaic: `regions` flat cells with random values in 20..235.
 
     Cells are convex, so every region is connected; region size scales
     with width*height/regions.
@@ -27,7 +26,7 @@ def piecewise_mosaic(width: int = 128, height: int = 128, regions: int = 24,
     rng = np.random.default_rng(seed)
     sx = rng.uniform(0, width, regions)
     sy = rng.uniform(0, height, regions)
-    values = rng.uniform(low, high, regions)
+    values = rng.uniform(20.0, 235.0, regions)
     xs = np.arange(width)[None, :, None]
     ys = np.arange(height)[:, None, None]
     dist = (xs - sx[None, None, :]) ** 2 + (ys - sy[None, None, :]) ** 2

@@ -45,13 +45,13 @@ def settable_values() -> dict[str, int]:
 
 def test_settable_values_are_pinned():
     counts = settable_values()
-    assert sum(counts.values()) == 168
+    assert sum(counts.values()) == 164
     # the one-cluster calls read the tree's constants
     assert {name: counts[f"clustering.{name}"] for name in (
         "Histogram", "ClusterConfig", "build_histogram", "initial_gauss_pair",
         "em_similarity_cluster", "proximity_cluster")} == {
         "Histogram": 3, "ClusterConfig": 3, "build_histogram": 1,
-        "initial_gauss_pair": 1, "em_similarity_cluster": 3,
+        "initial_gauss_pair": 1, "em_similarity_cluster": 2,
         "proximity_cluster": 2}
 
 

@@ -106,10 +106,15 @@ def reference_window_mean(values, h_x, radius, delta, psi):
 
 
 def records_field(records, leaf_map):
-    """The KernelField whose columns hold {leaf id: (delta, psi)} by id."""
+    """The KernelField whose columns hold {leaf id: (delta, psi)} by id;
+    ConfigError unless the field reads those ids from its leaf map."""
     ids = sorted(records)
     delta, psi = np.reshape([records[i] for i in ids], (len(ids), 2)).T
-    return KernelField(leaf_map, ids, delta, psi)
+    field = KernelField(leaf_map, delta, psi)
+    if field.ids.tolist() != ids:
+        raise ConfigError(f"the leaf map gives ids {field.ids.tolist()}, "
+                          f"not {ids}")
+    return field
 
 
 def uniform_field(shape, delta, psi):
@@ -266,7 +271,7 @@ def strip_cases():
                                    2, leaf_map[lower])
         ids = np.unique(leaf_map)
         delta = np.where(ids == 2, 1e200, rng.uniform(2, 60, ids.size))
-        yield values, h_x, radius, KernelField(leaf_map, ids, delta,
+        yield values, h_x, radius, KernelField(leaf_map, delta,
                                                rng.uniform(0.1, 2.0, ids.size))
 
 
@@ -429,11 +434,11 @@ def test_param_validation():
             ({-1: (1.0, 1.0), 0: (2.0, 1.0)}, np.array([[-1, 0]])),
             ({0: (1.0, 1.0), 2: (1.0, 1.0)}, np.array([[0, 2]])),  # a gap
             ({0: (1.0, 1.0)}, zeros + 0.0),         # a float leaf map
+            ({0: (1.0, 1.0)}, zeros + math.nan),    # a map of nan
+            ({0: (1.0, 1.0)}, zeros.astype(np.uint64)),  # a uint64 map
             ({}, zeros)]:
         with pytest.raises(ConfigError):
             records_field(records, leaf_map)
-    with pytest.raises(ConfigError):  # every id used, but out of order
-        KernelField(np.array([[0, 1, 2]]), [0, 2, 1], [1.0] * 3, [1.0] * 3)
     with pytest.raises(ConfigError):
         weighted_mean_filter(Raster(np.zeros((3, 3))),
                              uniform_field((3, 3), 57.0, 1.0), 0, 3.0)
@@ -463,6 +468,10 @@ def test_kernel_field_rows_start_at_the_first_id():
     assert field.rows.tolist() == [[0, 1, 1], [2, 2, 0]]
     assert field.delta[field.rows].tolist() == [[1.0, 2.0, 2.0],
                                                 [3.0, 3.0, 1.0]]
+    leaf_map = np.array([[6, 5], [7, 5]])
+    field = KernelField(leaf_map, [1.0, 2.0, 3.0], [1.0, 1.0, 0.5])
+    assert field.ids.tolist() == [5, 6, 7]
+    assert field.rows.tolist() == (leaf_map - 5).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -440,13 +440,21 @@ def test_levels_after_the_last_fit_are_copied(monkeypatch):
     # it left whole; the first level with no split has no fit to copy
     (apply_noise(bsd_style(16, 16, seed=3), NoiseSpec("integral", 10.0, 3)),
      (12, 4), (12, 9, 8)),
-], ids=["deep", "whole-fit"])
+    # this phantom's last fit builds level 4: the build copies no level
+    (bsd_style(16, 16, seed=0), (4, 10), (3, 40, 9)),
+], ids=["deep", "whole-fit", "fit-to-last-level"])
 def test_cut_copies_the_levels_after_the_last_split(image, source, cfg):
     """A cut by size holds clusters that this tree splits, and copies the
     levels below the first with no split, as a build does. It filters the
-    node table and derives no level map of this tree."""
+    node table and derives no level map of this tree. In the tree and in
+    its cut the leaves are the node table's last rows, and the kernel
+    field reads the same ids from the leaf map."""
     tree = build_cluster_tree(image, ClusterConfig(*source, min_cluster=1))
     cfg = ClusterConfig(*cfg)
     cut = tree.cut(cfg)
     assert "levels" not in tree.__dict__
     assert_same_cut(cut, build_cluster_tree(image, cfg))
+    for t in (tree, cut):
+        last_rows = range(len(t.nodes) - len(t.leaves()), len(t.nodes))
+        assert (build_kernel_field(t).ids.tolist() == t.leaves().tolist()
+                == list(last_rows))
