@@ -37,7 +37,6 @@ __all__ = [
     "filter_spec",
     "parse_filter_spec",
     "derive_seed",
-    "run_case",
     "sweep_depth",
     "bench_integral",
     "bench_complex_slices",
@@ -171,14 +170,6 @@ def derive_seed(master: int, *key) -> int:
             entropy.append(int(part))
     state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
-
-
-def run_case(image_id: str, clean: Raster, filter_spec: FilterSpec,
-             noise_spec: NoiseSpec, dynamic_range: float,
-             component: str = "gray") -> ResultRow:
-    """Noise the clean raster, filter it, and score against the clean one."""
-    return _run_cell(image_id, clean, noise_spec, [filter_spec],
-                     dynamic_range, component)[0]
 
 
 def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,

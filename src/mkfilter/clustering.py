@@ -17,12 +17,12 @@ drive the range kernels in :mod:`mkfilter.filters`.
 
 A level is built in whole-array numpy steps, not one cluster at a time:
 one histogram pass that counts the pixels by a single (cluster, bin) key,
-one segmented EM over the histograms of all splittable clusters, one
+one segmented EM over the histograms of the clusters to fit, one
 connectivity pass, a union-find over the image's horizontal runs of equal
-labels, and one ``np.bincount`` pass for the node statistics. A
-splittable cluster that its fit left whole reaches the next level with the
-same pixels and keeps that fit there instead of being fitted again; once
-a level has no cluster left to fit, the levels below it are copies of it.
+labels, and one ``np.bincount`` pass for the node statistics. A cluster
+is fitted where it first appears (its parent's only child has its pixels
+and its fit); once a level has no cluster left to fit, the levels below
+it are copies of it.
 The EM keeps the bins' centres and counts as one row per component and
 reaches each per-bin parameter as two component rows, so that no per-bin
 call takes a broadcast operand, and it reuses the M step's ``x - mu`` in
@@ -128,8 +128,8 @@ A cluster is eligible for its own kernel when ``size`` exceeds its tree's
 ``config.min_cluster``; that is read, not stored.
 ``em_iterations`` counts the iterations of the EM fit run on the cluster to
 split it at the next level (0 for a single bin, ``EM_MAX_ITERATIONS`` at the
-cap); it is -1 where no fit ran: on a cluster that is not splittable, or
-that carries the fit that left its parent whole (same pixels, same fit)."""
+cap). A cluster is fitted where it first appears; a row whose cluster is its
+parent's only child, or that has at most ``max_cluster`` pixels, reads -1."""
 
 
 @dataclass
@@ -361,8 +361,8 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
     bin_seg = np.repeat(np.arange(n_seg), n_bins)
     labels = np.zeros(x.size, dtype=np.int64)
     iterations = np.zeros(n_seg, dtype=np.int64)
-    trace_seg: list[np.ndarray] = []
-    trace_ll: list[np.ndarray] = []
+    # log-likelihood by segment and iteration
+    traces = np.empty((n_seg, max_iterations)) if trace else None
 
     # 0-d operands: a Python float is converted again on every call
     half, half_log_2pi, floor = map(np.array, (0.5, _HALF_LOG_2PI,
@@ -456,8 +456,8 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
                 subtract(log_p1, log_norm, out=log_p1)
                 resp = exp(log_p, out=log_p)
                 if trace:
-                    trace_seg.append(active)
-                    trace_ll.append(reduceat(na[0] * log_norm, local_starts))
+                    traces[active, iteration - 1] = reduceat(
+                        na[0] * log_norm, local_starts)
 
                 # M step, the deviation clamped at the floor
                 new, mu, sigma, weight, _, (mu0, mu1), _ = views[1 - current]
@@ -511,22 +511,13 @@ def _segmented_em(hist: Histogram, theta, tol: float, sigma_floor: float,
             is_active[left] = False
             active = active[~done]
 
-    traces = _split_traces(trace_seg, trace_ll, iterations) if trace else None
+    if trace:
+        traces = [row[:k] for row, k in zip(traces, iterations.tolist())]
     if one:
         return EmResult(theta[:, :, 0], labels, bool(degenerate[0]),
                         None if traces is None else traces[0],
                         int(iterations[0]))
     return EmResult(theta, labels, degenerate, traces, iterations)
-
-
-def _split_traces(trace_seg, trace_ll, iterations) -> list[np.ndarray]:
-    """Regroup per-iteration log-likelihood rows into one trace per
-    segment, of its iteration count."""
-    if not trace_seg:
-        return [np.empty(0) for _ in iterations]
-    order = np.argsort(np.concatenate(trace_seg), kind="stable")
-    return np.split(np.concatenate(trace_ll)[order],
-                    np.cumsum(iterations)[:-1])
 
 
 def em_similarity_cluster(hist: Histogram, init: np.ndarray) -> EmResult:
@@ -661,19 +652,17 @@ def _node_stats(values: np.ndarray, label: np.ndarray, count: int):
 
 
 def _split_sides(values: np.ndarray, label: np.ndarray,
-                 fit: np.ndarray) -> tuple[np.ndarray, list[int]]:
+                 fit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """EM component (0/1) of every pixel within its cluster, for all
-    clusters marked in ``fit`` in one histogram pass and one segmented EM;
-    0 for pixels of every other cluster. Also returns each fit's iteration
-    count, by cluster.
+    clusters marked in ``fit`` (at least one) in one histogram pass and one
+    segmented EM; 0 for pixels of every other cluster. Also returns each
+    fit's iteration count, by cluster.
 
-    A splittable cluster that an earlier fit left whole is not marked: its
-    pixels, histogram and EM start are those of that fit, so the tree
-    keeps that fit's single side instead.
+    A cluster is marked only where it first appears: a row whose cluster
+    is its parent's only child has the pixels, histogram and EM start of
+    its parent's fit, so the tree keeps that fit's single side instead.
     """
     members = np.flatnonzero(fit[label])
-    if members.size == 0:
-        return np.zeros(values.size, dtype=np.int64), []
     n_seg = int(np.count_nonzero(fit))
     # each member's segment: the rank of its cluster among the fitted ones
     segment = label.take(members)
@@ -704,11 +693,12 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     Node statistics are the sample mean/deviation of the node's own pixels.
 
     Each level is processed as a whole: one histogram pass and one
-    segmented EM over the splittable clusters that no earlier fit left
-    whole, one connectivity pass over the image, one statistics pass.
-    From the first level with no such cluster on, every level is a copy
-    of the one before, written into the node table in place.
-    Each fit's iteration count goes into its cluster's ``em_iterations``.
+    segmented EM over its clusters to fit, one connectivity pass over the
+    image, one statistics pass. From the first level with no cluster to
+    fit on, every level is a copy of the one before, written into the
+    node table in place. A cluster is fitted where it first appears, and
+    the fit's iteration count goes into its ``em_iterations``; a row whose
+    cluster is its parent's only child (same pixels) reads -1.
     Node ids are issued level by level, in row-major order of each
     cluster's first pixel.
     """
@@ -734,12 +724,10 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
     label = np.zeros(flat.size, dtype=np.int64)
     size = add_level(0, label, np.full(1, -1))
     first_id = 0  # of the last level built
-    # per cluster: left whole by an earlier fit, which it carries
-    carried = np.zeros(1, dtype=bool)
-    level = 1
-    while level <= cfg.max_depth:
-        splittable = size > cfg.max_cluster
-        fit = splittable & ~carried
+    # per cluster: first appears here (an only child has its parent's pixels)
+    fresh = np.ones(1, dtype=bool)
+    for level in range(1, cfg.max_depth + 1):
+        fit = fresh & (size > cfg.max_cluster)
         if not fit.any():
             break
         keys, fitted = _split_sides(flat, label, fit)
@@ -751,20 +739,17 @@ def build_cluster_tree(image: Raster, cfg: ClusterConfig) -> ClusterTree:
         label, first_pixel = _connected_regions(keys.reshape(height, width))
         parent = keys.take(first_pixel) // 2
         del keys
-        # a splittable cluster with one child was left whole by its fit
-        carried = (splittable
-                   & (np.bincount(parent, minlength=size.size) == 1))[parent]
+        fresh = (np.bincount(parent, minlength=size.size) > 1)[parent]
         parent += first_id
         first_id += size.size
         size = add_level(level, label, parent)
-        level += 1
 
     # Every level's table is joined into the node table once, and dropped.
     # A level with no cluster to fit splits none, so each later level has
     # the same clusters, pixel order and statistics: its copy rows take the
     # next ids and name their originals as parents.
     count, kept = size.size, sum(map(len, tables))
-    repeats = cfg.max_depth + 1 - level
+    repeats = cfg.max_depth + 1 - len(tables)
     nodes = np.empty(kept + repeats * count, dtype=NODE_DTYPE)
     np.concatenate(tables, out=nodes[:kept])
     tables.clear()

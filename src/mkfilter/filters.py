@@ -63,12 +63,15 @@ class KernelField:
     smallest id, which must be non-negative (a tree's leaves are the last
     rows of its node table). The map, of integers that int64 holds, must
     use every id and no other; ``rows`` gives each of its pixels its row,
-    ``leaf_map - ids[0]``. delta and psi are positive and finite.
+    ``leaf_map - ids[0]``. delta and psi are 1-D, of one length, positive
+    and finite.
     """
 
     def __init__(self, leaf_map, delta, psi):
         self.leaf_map = np.asarray(leaf_map)
         self.delta, self.psi = np.asarray(delta, float), np.asarray(psi, float)
+        if self.delta.ndim != 1 or self.psi.shape != self.delta.shape:
+            raise ConfigError("delta and psi must be 1-D and of one length")
         if not np.all((self.delta > 0, self.delta < np.inf,
                        self.psi > 0, self.psi < np.inf)):
             raise ConfigError("delta and psi must be positive and finite")

@@ -45,7 +45,7 @@ def settable_values() -> dict[str, int]:
 
 def test_settable_values_are_pinned():
     counts = settable_values()
-    assert sum(counts.values()) == 164
+    assert sum(counts.values()) == 158
     # the one-cluster calls read the tree's constants
     assert {name: counts[f"clustering.{name}"] for name in (
         "Histogram", "ClusterConfig", "build_histogram", "initial_gauss_pair",

@@ -16,7 +16,7 @@ from mkfilter import (ClusterConfig, Raster, bench, filters, load_f64_raster,
 from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
                             derive_seed,
                             parse_filter_spec, read_rows_csv,
-                            run_case, sweep_depth, write_rows_csv)
+                            sweep_depth, write_rows_csv)
 from mkfilter.charts import line_chart
 from mkfilter.cli import main
 from mkfilter.noise import NoiseSpec, parse_noise_spec
@@ -60,6 +60,12 @@ def test_derive_seed_is_stable_and_distinct():
 
 def small_image(seed=0):
     return Raster(piecewise_mosaic(24, 24, regions=6, seed=seed).data)
+
+
+def run_case(image_id, clean, spec, noise, dynamic_range, component="gray"):
+    """The row of a one-spec cell: noise, filter and score once."""
+    return bench._run_cell(image_id, clean, noise, [spec], dynamic_range,
+                           component)[0]
 
 
 def test_run_case_row_fields():

@@ -439,6 +439,14 @@ def test_param_validation():
             ({}, zeros)]:
         with pytest.raises(ConfigError):
             records_field(records, leaf_map)
+    pair = np.array([[0, 1]])
+    for leaf_map, delta, psi in [
+            (pair, [1.0, 2.0], [1.0, 1.0, 1.0]),  # lengths 2 and 3
+            (pair, [1.0, 2.0], 1.0),              # a scalar psi
+            (zeros, 1.0, 1.0),                    # 0-d columns
+            (zeros, [[1.0]], [[1.0]])]:           # 2-D columns
+        with pytest.raises(ConfigError):
+            KernelField(leaf_map, delta, psi)
     with pytest.raises(ConfigError):
         weighted_mean_filter(Raster(np.zeros((3, 3))),
                              uniform_field((3, 3), 57.0, 1.0), 0, 3.0)

@@ -9,9 +9,10 @@ table's ``level``, ``parent`` and ``size`` columns must be identical;
 node means and deviations are summed in another order (``np.bincount``
 instead of per-node pairwise sums), so they must agree
 within 1e-12 relative. The oracle fits every splittable cluster at every
-level; the tree fits a cluster that a fit left whole only once, so its
-``em_iterations`` must equal the oracle's where it fitted, and where it
-carried a fit the oracle's refit must count what that fit counted.
+level; the tree fits a cluster only where it first appears (the root, or
+a child among several), so its ``em_iterations`` must equal the oracle's
+where it fitted, and at an only child the oracle's refit must count
+what its parent's fit counted.
 
 Every EM call that builds the benchmark's trees must also give the
 frozen EM loop's results (``em_oracle``), byte for byte.
@@ -145,6 +146,12 @@ def assert_same_tree(tree, ref):
     want = ref.nodes["em_iterations"]
     assert np.array_equal(fit_sources(tree) >= 0, want >= 0)
     assert np.array_equal(recorded_fits(tree), want[want >= 0])
+    # fitted only where its cluster first appears: the root, or a child
+    # among several
+    parent = tree.nodes["parent"]
+    children = np.bincount(parent[parent >= 0], minlength=parent.size)
+    up = parent[tree.nodes["em_iterations"] >= 0]
+    assert np.all((up < 0) | (children[up] > 1))
     assert_kernel_field_matches_walk(tree)
 
 
