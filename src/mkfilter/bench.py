@@ -23,7 +23,7 @@ from .baselines import (CfParams, TvParams, bf_denoise, cf_gaussian_denoise,
 from .baselines import tv_denoise  # noqa: F401
 from .clustering import ClusterConfig, write_tree_dump
 from .errors import ConfigError
-from .filters import BfParams, mkf_denoise, mkf_filter, write_kernel_csv
+from .filters import BfParams, mkf_denoise, write_kernel_csv
 from .metrics import mae, ssim
 from .noise import (DEFAULT_PEAK_SIGMA, NoiseSpec, apply_noise, format_number,
                     parse_spec)
@@ -176,38 +176,84 @@ def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
               dynamic_range: float, component: str = "gray"
               ) -> list[ResultRow]:
     """Noise the clean raster once, filter the noisy one with every spec
-    and score each result against the clean one, in spec order: one cell,
-    every layout's unit, its rows tagged `image_id` and `component`.
+    and score each result against the clean one: one cell, every layout's
+    unit, its rows in spec order, tagged `image_id` and `component`.
 
     The mkf specs filter with their own cuts of one tree (see
     ``ClusterTree.cut``), built at their deepest depth and smallest
-    ``max_cluster`` with ``min_cluster`` 1. A row's ``ms`` is its own filter
-    time, cut and kernel field included; the first mkf row's also holds
-    the tree build, so a cell's ``ms`` add up to the time its filters took.
+    ``max_cluster`` with ``min_cluster`` 1. A cut's per-pixel range factor,
+    with ``h_x`` and the radius, fixes its raster: a spec whose key repeats
+    an earlier one reuses that raster's scores, and new keys of one
+    ``(h_x, radius)`` are filtered together, in engine passes of as many
+    fields as one pass takes. A row's ``ms`` is its own filter time
+    without noise and scoring, cut and kernel field included; the first
+    mkf row's also holds the tree build, and the first row of a pass the
+    pass, so a cell's ``ms`` add up to the time its filters took.
     """
+    # imported here: hashlib loads OpenSSL, about 3 ms of every import
+    # of the package
+    import hashlib
+
     noisy = apply_noise(clean, noise)
     built = [spec.build() for spec in specs]
     configs = [p[ClusterConfig] for p in built if ClusterConfig in p]
-    tree, rows = None, []
-    for spec, params in zip(specs, built):
+    per_pass = filters._fields_per_pass(noisy.data.size)
+    scores, ms = [None] * len(specs), [0.0] * len(specs)
+    # scored: every filtered key's scores; pending: the next pass's fields
+    # by key, each with its rows, all of one (h_x, radius)
+    tree, scored, pending = None, {}, {}
+
+    def score(restored):
+        return mae(clean, restored), ssim(clean, restored, dynamic_range)
+
+    def run_pass():
+        keys, entries = list(pending), list(pending.values())
+        h_x, radius, _ = keys[0]
+        started = time.perf_counter()
+        rasters = filters._filter_fields(
+            noisy, [field for field, _ in entries], radius, h_x)
+        first_row = entries[0][1][0]
+        ms[first_row] += (time.perf_counter() - started) * 1e3
+        for key, (_, indexes), restored in zip(keys, entries, rasters):
+            scored[key] = score(restored)
+            for index in indexes:
+                scores[index] = scored[key]
+        pending.clear()
+
+    for index, (spec, params) in enumerate(zip(specs, built)):
         started = time.perf_counter()
         cfg = params.get(ClusterConfig)
         if cfg is None:
             restored = FILTERS[spec.name].run(noisy, params)[0]
+            ms[index] = (time.perf_counter() - started) * 1e3
+            scores[index] = score(restored)
+            continue
+        # built at the first mkf spec, on the filters module as in
+        # mkf_denoise, so that the benchmark tracer's wrappers see it
+        tree = tree or filters.build_cluster_tree(noisy, ClusterConfig(
+            max(c.max_depth for c in configs),
+            min(c.max_cluster for c in configs), min_cluster=1))
+        field = filters.build_kernel_field(tree.cut(cfg))
+        key = (params[BfParams].h_x, params[BfParams].radius, hashlib.sha256(
+            field.range_factor()[field.rows]).digest())
+        ms[index] = (time.perf_counter() - started) * 1e3
+        if key in scored:
+            scores[index] = scored[key]
+        elif key in pending:
+            pending[key][1].append(index)
         else:
-            # built at the first mkf spec, on the filters module as in
-            # mkf_denoise, so that the benchmark tracer's wrappers see it
-            tree = tree or filters.build_cluster_tree(noisy, ClusterConfig(
-                max(c.max_depth for c in configs),
-                min(c.max_cluster for c in configs), min_cluster=1))
-            restored = mkf_filter(noisy, tree.cut(cfg), params[BfParams].h_x,
-                                  params[BfParams].radius).raster
-        rows.append(ResultRow(
-            image_id, spec.name, spec.canonical(), noise.describe(),
-            noise.seed, component, mae(clean, restored),
-            ssim(clean, restored, dynamic_range),
-            (time.perf_counter() - started) * 1e3))
-    return rows
+            if pending and key[:2] != next(iter(pending))[:2]:
+                run_pass()
+            pending[key] = (field, [index])
+            if len(pending) == per_pass:
+                run_pass()
+        # the next cut's working memory does not hold this field
+        del field
+    if pending:
+        run_pass()
+    return [ResultRow(image_id, spec.name, spec.canonical(), noise.describe(),
+                      noise.seed, component, *scores[index], ms[index])
+            for index, spec in enumerate(specs)]
 
 
 # ---------------------------------------------------------------------------

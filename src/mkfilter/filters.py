@@ -8,12 +8,15 @@ it with per-cluster bandwidths read from a context tree: a leaf cluster
 contributes its own intensity deviation, rescaled by the contextual gain
 of its ancestors, so the effective bandwidth is delta / sqrt(psi).
 
-The engine takes only a kernel field. The bilateral filter is its
+The engine takes only kernel fields. The bilateral filter is its
 one-leaf case: every pixel maps to one leaf with delta = h_I and psi = 1.
 The engine computes the range factor psi / (2 delta^2) once per leaf,
 runs every window offset whose spatial weight is not 0 over row strips
 of about ``_STRIP_ELEMENTS`` pixels, so its five work buffers stay in
-cache, and gathers the factors by each strip's center pixels.
+cache, and gathers the factors by each strip's center pixels. One pass
+takes as many fields of one image as fit one strip, at least one, and
+computes each offset's squared difference once for all of them;
+``weighted_mean_filter`` is the one-field pass.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ class KernelField:
                 and np.bincount(self.rows.ravel()).all()):
             raise ConfigError("the leaf map must use every leaf id and no other")
 
+    def range_factor(self) -> np.ndarray:
+        """Each leaf's range factor psi / (2 delta^2), the engine's
+        multiplier of a squared intensity step."""
+        with np.errstate(over="ignore"):  # a huge delta gives a zero factor
+            return self.psi / (2.0 * self.delta ** 2)
+
 
 class MkfResult(NamedTuple):
     raster: Raster
@@ -113,17 +122,26 @@ def contextual_gain(delta_parent, delta_grandparent):
 _STRIP_ELEMENTS = 16384
 
 
-def _window_mean(values: np.ndarray, h_x: float, radius: int,
-                 factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Direct weighted-mean form, one window offset at a time over row strips.
+def _fields_per_pass(pixels: int) -> int:
+    """How many kernel fields of an image of `pixels` one engine pass
+    takes: as many as fit one strip, and at least one."""
+    return max(1, _STRIP_ELEMENTS // pixels)
 
-    `factor` holds the range factor psi / (2 delta^2) of each leaf, which
-    `rows` gathers by the center pixel. Each strip of about
-    ``_STRIP_ELEMENTS`` pixels runs every offset into five strip buffers,
-    so each output pixel sums the same terms in the same order as a
-    whole-image pass would. Offsets
-    whose spatial weight underflows to 0 would add only zeros and are
-    skipped, so a radius beyond that distance gives the same output.
+
+def _window_mean(values: np.ndarray, h_x: float, radius: int,
+                 factors: list, rows: list) -> np.ndarray:
+    """Direct weighted-mean form, one window offset at a time over row
+    strips, for k kernel fields of one image at once; returns the k
+    outputs stacked.
+
+    Field i's `factors[i]` holds the range factor psi / (2 delta^2) of
+    each leaf, which `rows[i]` gathers by the center pixel. Each strip of
+    about ``_STRIP_ELEMENTS`` pixels over all k fields runs every offset
+    into five (k, strip, width) buffers: an offset's squared difference
+    is computed once and scaled by each field's factors. So each output pixel sums the same terms in the same order
+    as a one-field, whole-image pass would. Offsets whose spatial weight
+    underflows to 0 would add only zeros and are skipped, so a radius
+    beyond that distance gives the same output.
     """
     height, width = values.shape
     require_addressable("the padded image", height + 2 * radius,
@@ -138,57 +156,80 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     # (row, column) of the padded image, in row-major order.
     ys, xs = np.nonzero(np.exp(space) > 0)
     offsets = list(zip(ys.tolist(), xs.tolist(), space[ys, xs].tolist()))
-    strip = max(1, _STRIP_ELEMENTS // width)
-    buffers = np.empty((5, min(strip, height), width))
-    out = np.empty_like(values)
+    k = len(factors)
+    strip = min(max(1, _STRIP_ELEMENTS // (k * width)), height)
+    # flat, so that each strip's (k, strip rows, width) buffers are
+    # contiguous, the last and shorter strip's too
+    buffers = np.empty((5, k * strip * width))
+    out = np.empty((k, height, width))
     # a huge step overflows to a zero weight; a sum that overflows leaves
     # a non-finite output, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(0, height, strip):
             bottom = min(top + strip, height)
-            ranged, w, num, den, gathered = buffers[:, :bottom - top]
+            ranged, w, num, den, scale = buffers[
+                :, :k * (bottom - top) * width].reshape(5, k, -1, width)
             center = values[top:bottom]
             # rows are in range by construction; "clip" lets take write into
             # the buffer directly, where "raise" would buffer the output
-            scale = np.take(factor, rows[top:bottom], mode="clip",
-                            out=gathered)
+            for factor, field_rows, gathered in zip(factors, rows, scale):
+                np.take(factor, field_rows[top:bottom], mode="clip",
+                        out=gathered)
             # a zero factor stays a zero range term even where the squared
             # step overflows to inf (inf * 0 is nan)
             zero_range = scale == 0
             any_zero_range = bool(np.any(zero_range))
             num.fill(0.0)
             den.fill(0.0)
+            # several fields scale one squared step, so it waits in the
+            # weight buffer; one field squares in place in its range
+            # buffer, which measured 5 to 10% faster from 128 px up
+            squared = (ranged if k == 1 else w)[:1]
             for y, x, space in offsets:
                 shifted = padded[top + y:bottom + y, x:x + width]
-                np.subtract(center, shifted, out=ranged)
-                np.square(ranged, out=ranged)
-                np.multiply(ranged, scale, out=ranged)
+                np.subtract(center, shifted, out=squared)
+                np.square(squared, out=squared)
+                np.multiply(squared, scale, out=ranged)
                 if any_zero_range:
                     ranged[zero_range] = 0.0
                 np.subtract(space, ranged, out=ranged)
                 np.exp(ranged, out=w)
                 num += np.multiply(w, shifted, out=ranged)
                 den += w
-            np.divide(num, den, out=out[top:bottom])
+            np.divide(num, den, out=out[:, top:bottom])
     if not np.isfinite(out).all():
         raise ConfigError("filtered values overflow the float64 range")
     return out
+
+
+def _filter_fields(image: Raster, fields: list, radius: int,
+                   h_x: float) -> list[Raster]:
+    """`image` filtered with each kernel field of `fields`, in order, in
+    engine passes of ``_fields_per_pass`` fields; a pass's rasters are
+    views of one stacked array."""
+    require_bandwidth(h_x=h_x)
+    if radius < 1:
+        raise ConfigError(f"radius must be >= 1, got {radius}")
+    if any(field.leaf_map.shape != image.data.shape for field in fields):
+        raise ConfigError("kernel field was built for a different image size")
+    per_pass = _fields_per_pass(image.data.size)
+    rasters = []
+    for start in range(0, len(fields), per_pass):
+        group = fields[start:start + per_pass]
+        stacked = _window_mean(image.data, h_x, radius,
+                               [field.range_factor() for field in group],
+                               [field.rows for field in group])
+        rasters += [image.with_data(data) for data in stacked]
+    return rasters
 
 
 def weighted_mean_filter(image: Raster, field: KernelField, radius: int,
                          h_x: float) -> Raster:
     """Run the filter engine over `image` with the range kernels of
     `field` (each leaf's range factor is computed once and looked up by
-    the center pixel's leaf) and the spatial bandwidth `h_x`."""
-    require_bandwidth(h_x=h_x)
-    if radius < 1:
-        raise ConfigError(f"radius must be >= 1, got {radius}")
-    if field.leaf_map.shape != image.data.shape:
-        raise ConfigError("kernel field was built for a different image size")
-    with np.errstate(over="ignore"):  # a huge delta gives a zero factor
-        factor = field.psi / (2.0 * field.delta ** 2)
-    return image.with_data(_window_mean(image.data, h_x, radius, factor,
-                                        field.rows))
+    the center pixel's leaf) and the spatial bandwidth `h_x`: the
+    one-field pass."""
+    return _filter_fields(image, [field], radius, h_x)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import dataclasses
 import subprocess
 import sys
+import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -11,7 +13,8 @@ import pytest
 
 from tree_oracle import reference_tree
 
-from mkfilter import (ClusterConfig, Raster, bench, filters, load_f64_raster,
+from mkfilter import (ClusterConfig, Raster, bench, build_cluster_tree,
+                      build_kernel_field, filters, load_f64_raster,
                       load_pgm, save_f64_raster, save_pgm)
 from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
                             derive_seed,
@@ -19,8 +22,8 @@ from mkfilter.bench import (CSV_HEADER, bench_complex_slices, bench_integral,
                             sweep_depth, write_rows_csv)
 from mkfilter.charts import line_chart
 from mkfilter.cli import main
-from mkfilter.noise import NoiseSpec, parse_noise_spec
-from mkfilter.phantoms import brain_slice, piecewise_mosaic
+from mkfilter.noise import NoiseSpec, apply_noise, parse_noise_spec
+from mkfilter.phantoms import brain_slice, bsd_style, piecewise_mosaic
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,104 @@ def test_each_cell_is_noised_once_with_one_tree(monkeypatch, layout):
                            seed=1, radius=2)
     cells = len({(row.image, row.component, row.noise) for row in rows})
     assert calls == {"apply_noise": cells, "build_cluster_tree": cells}
+
+
+def record_passes(monkeypatch) -> list:
+    """Record each engine pass as (radius, fields) from now on."""
+    passes = []
+    window_mean = filters._window_mean
+
+    def recorded(values, h_x, radius, factors, rows):
+        passes.append((radius, len(factors)))
+        return window_mean(values, h_x, radius, factors, rows)
+    monkeypatch.setattr(filters, "_window_mean", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("per_pass", [28, 3])
+def test_a_cell_filters_each_distinct_factor_map_once(monkeypatch, per_pass):
+    # 24 px: the default strip budget takes 28 fields a pass, a budget of
+    # three images' pixels 3
+    if per_pass == 3:
+        monkeypatch.setattr(filters, "_STRIP_ELEMENTS", 3 * 24 * 24)
+    assert filters._fields_per_pass(24 * 24) == per_pass
+    clean, depths, sizes = small_image(), range(2, 8), (20, 100)
+    noise = NoiseSpec(kind="integral", level=10.0,
+                      seed=derive_seed(5, "fix", 10))
+    noisy = apply_noise(clean, noise)
+    maps = set()
+    for depth in depths:
+        for size in sizes:
+            field = build_kernel_field(build_cluster_tree(
+                noisy, ClusterConfig(max_depth=depth, max_cluster=size)))
+            maps.add(field.range_factor()[field.rows].tobytes())
+    passes = record_passes(monkeypatch)
+    rows = sweep_depth("fix", clean, depths=depths, sizes=sizes,
+                       levels=(10.0,), seed=5, radius=2)
+    # 10 distinct maps of 12: a repeated map runs no pass
+    assert len(maps) == 10 and len(rows) == 12
+    assert [fields for _, fields in passes] == [
+        min(per_pass, len(maps) - start)
+        for start in range(0, len(maps), per_pass)]
+    expected = [run_case("fix", clean, parse_filter_spec(
+        f"mkf:depth={depth},max_cluster={size},radius=2"), noise, 255.0)
+        for depth in depths for size in sizes]
+    assert _without_ms(rows) == _without_ms(expected)
+
+
+def test_mkf_specs_at_two_radii_run_separate_passes(monkeypatch):
+    clean = small_image(1)
+    noise = NoiseSpec(kind="integral", level=100.0, seed=3)
+    specs = [parse_filter_spec(text) for text in (
+        "mkf:depth=2", "mkf:depth=3", "bf:radius=2", "mkf:depth=2,radius=2",
+        "mkf:depth=4,radius=2", "mkf:depth=4")]
+    passes = record_passes(monkeypatch)
+    rows = bench._run_cell("a", clean, noise, specs, 255.0)
+    # the bf row's own pass; then a pass per run of one radius, at the
+    # first mkf spec of another radius and at the end of the cell
+    assert passes == [(2, 1), (5, 2), (2, 2), (5, 1)]
+    expected = [run_case("a", clean, spec, noise, 255.0) for spec in specs]
+    assert _without_ms(rows) == _without_ms(expected)
+
+
+def test_ms_holds_filter_time_and_no_scoring(monkeypatch):
+    slow = 0.2
+    ssim, window_mean = bench.ssim, filters._window_mean
+
+    def slowed_ssim(*args):
+        time.sleep(slow)
+        return ssim(*args)
+
+    def slowed_pass(*args):
+        time.sleep(slow)
+        return window_mean(*args)
+    monkeypatch.setattr(bench, "ssim", slowed_ssim)
+    monkeypatch.setattr(filters, "_window_mean", slowed_pass)
+    specs = [parse_filter_spec(text) for text in (
+        "bf:radius=2", "mkf:depth=2,radius=2", "mkf:depth=3,radius=2",
+        "mkf:depth=3,max_cluster=60,radius=2")]
+    ms = [row.ms / 1e3 for row in bench._run_cell(
+        "a", small_image(1), NoiseSpec(kind="integral", level=100.0, seed=3),
+        specs, 255.0)]
+    # the bf row's pass, and the one shared mkf pass on its first row;
+    # each scored row's slowed SSIM shows in no row
+    assert slow <= ms[0] < 2 * slow and slow <= ms[1] < 2 * slow
+    assert max(ms[2:]) < slow
+
+
+def test_a_cell_peak_memory_stays_within_its_budget():
+    # 24 mkf specs at one level on a 128 px phantom, one field a pass: a
+    # field kept past its pass, or across the next cut, raised the peak
+    # to 35.9 image sizes; a cell filtered one spec at a time took 34.6
+    clean = bsd_style(128, 128, seed=3)
+    tracemalloc.start()
+    try:
+        sweep_depth("p", clean, depths=range(2, 8), sizes=(20, 60, 100, 140),
+                    levels=(1000.0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 34 * clean.data.nbytes
 
 
 def test_bench_integral_row_count():

@@ -296,6 +296,52 @@ def test_strip_engine_matches_whole_image_reference(monkeypatch, budget):
         assert np.array_equal(got, want), (values.shape, radius, kernel)
 
 
+def pass_sizes(fields: int, per_pass: int) -> list[int]:
+    """The field count of each engine pass over `fields` fields."""
+    return [min(per_pass, fields - start)
+            for start in range(0, fields, per_pass)]
+
+
+@pytest.mark.parametrize("budget", ["one-row", "partial", "default"])
+def test_multi_field_pass_matches_the_reference_field_by_field(monkeypatch,
+                                                               budget):
+    # each case's bilateral field, its leaf field whose zero range factor
+    # covers only the lower rows, and two fields with no zero factor, in
+    # one call: passes of several fields, and passes that split
+    passes = []
+    window_mean = filters._window_mean
+
+    def counted(values, h_x, radius, factors, rows):
+        passes.append(len(factors))
+        return window_mean(values, h_x, radius, factors, rows)
+    monkeypatch.setattr(filters, "_window_mean", counted)
+    rng = np.random.default_rng(45)
+    cases = strip_cases()
+    batched = split = 0
+    for (values, h_x, radius, bf), (_, _, _, zeroed) in zip(cases, cases):
+        width = values.shape[1]
+        strip = {"one-row": 1, "partial": 5 * width + 2,
+                 "default": filters._STRIP_ELEMENTS}[budget]
+        monkeypatch.setattr(filters, "_STRIP_ELEMENTS", strip)
+        fields = [uniform_field(values.shape, bf.h_I, 1.0), zeroed,
+                  KernelField(zeroed.leaf_map,
+                              rng.uniform(2, 60, zeroed.ids.size), zeroed.psi),
+                  uniform_field(values.shape, float(rng.uniform(5, 80)),
+                                float(rng.uniform(0.1, 2.0)))]
+        del passes[:]
+        got = filters._filter_fields(Raster(values), fields, radius, h_x)
+        assert passes == pass_sizes(
+            len(fields), filters._fields_per_pass(values.size))
+        batched += max(passes) > 1
+        split += len(passes) > 1
+        for field, raster in zip(fields, got, strict=True):
+            want = reference_window_mean(values, h_x, radius,
+                                         field.delta[field.rows],
+                                         field.psi[field.rows])
+            assert np.array_equal(raster.data, want), (values.shape, radius)
+    assert split and (batched or budget == "one-row")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_engine_sum_overflow_is_a_config_error(monkeypatch):
     # the last row's values near the float64 maximum weigh about 14 times
