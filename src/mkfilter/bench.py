@@ -181,12 +181,13 @@ def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
 
     The mkf specs filter with their own cuts of one tree (see
     ``ClusterTree.cut``), built at their deepest depth and smallest
-    ``max_cluster`` with ``min_cluster`` 1. A cut's per-pixel range factor,
-    with ``h_x`` and the radius, fixes its raster: a spec whose key repeats
-    an earlier one reuses that raster's scores, and new keys of one
-    ``(h_x, radius)`` are filtered together, in engine passes of as many
-    fields as one pass takes. A row's ``ms`` is its own filter time
-    without noise and scoring, cut and kernel field included; the first
+    ``max_cluster`` with ``min_cluster`` 1. A cut's factor map (see
+    ``KernelField.factor_map``), with ``h_x`` and the radius, fixes its
+    raster: a spec whose key repeats an earlier one reuses that raster's
+    scores, and new maps of one ``(h_x, radius)`` are stacked and
+    filtered together, in engine passes of as many maps as one pass
+    takes. A row's ``ms`` is its own filter time without noise and
+    scoring, cut and factor map included; the first
     mkf row's also holds the tree build, and the first row of a pass the
     pass, so a cell's ``ms`` add up to the time its filters took.
     """
@@ -199,26 +200,27 @@ def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
     configs = [p[ClusterConfig] for p in built if ClusterConfig in p]
     per_pass = filters._fields_per_pass(noisy.data.size)
     scores, ms = [None] * len(specs), [0.0] * len(specs)
-    # scored: every filtered key's scores; pending: the next pass's fields
-    # by key, each with its rows, all of one (h_x, radius)
+    # scored: every filtered key's scores; pending: the next pass's factor
+    # maps by key, each with its rows, all of one (h_x, radius)
     tree, scored, pending = None, {}, {}
 
     def score(restored):
         return mae(clean, restored), ssim(clean, restored, dynamic_range)
 
     def run_pass():
-        keys, entries = list(pending), list(pending.values())
+        # BfParams checked h_x and the radius, and the maps come from the
+        # tree built on `noisy`, so the engine takes them as they are
+        keys, indexes = list(pending), [rows for _, rows in pending.values()]
+        maps = np.stack([factor_map for factor_map, _ in pending.values()])
+        pending.clear()
         h_x, radius, _ = keys[0]
         started = time.perf_counter()
-        rasters = filters._filter_fields(
-            noisy, [field for field, _ in entries], radius, h_x)
-        first_row = entries[0][1][0]
-        ms[first_row] += (time.perf_counter() - started) * 1e3
-        for key, (_, indexes), restored in zip(keys, entries, rasters):
-            scored[key] = score(restored)
-            for index in indexes:
+        stacked = filters._window_mean(noisy.data, h_x, radius, maps)
+        ms[indexes[0][0]] += (time.perf_counter() - started) * 1e3
+        for key, rows, data in zip(keys, indexes, stacked):
+            scored[key] = score(noisy.with_data(data))
+            for index in rows:
                 scores[index] = scored[key]
-        pending.clear()
 
     for index, (spec, params) in enumerate(zip(specs, built)):
         started = time.perf_counter()
@@ -233,9 +235,9 @@ def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
         tree = tree or filters.build_cluster_tree(noisy, ClusterConfig(
             max(c.max_depth for c in configs),
             min(c.max_cluster for c in configs), min_cluster=1))
-        field = filters.build_kernel_field(tree.cut(cfg))
-        key = (params[BfParams].h_x, params[BfParams].radius, hashlib.sha256(
-            field.range_factor()[field.rows]).digest())
+        factor_map = filters.build_kernel_field(tree.cut(cfg)).factor_map()
+        key = (params[BfParams].h_x, params[BfParams].radius,
+               hashlib.sha256(factor_map).digest())
         ms[index] = (time.perf_counter() - started) * 1e3
         if key in scored:
             scores[index] = scored[key]
@@ -244,11 +246,11 @@ def _run_cell(image_id: str, clean: Raster, noise: NoiseSpec, specs: list,
         else:
             if pending and key[:2] != next(iter(pending))[:2]:
                 run_pass()
-            pending[key] = (field, [index])
+            pending[key] = (factor_map, [index])
             if len(pending) == per_pass:
                 run_pass()
-        # the next cut's working memory does not hold this field
-        del field
+        # the next cut's working memory does not hold this map
+        del factor_map
     if pending:
         run_pass()
     return [ResultRow(image_id, spec.name, spec.canonical(), noise.describe(),

@@ -10,11 +10,11 @@ of its ancestors, so the effective bandwidth is delta / sqrt(psi).
 
 The engine takes only kernel fields. The bilateral filter is its
 one-leaf case: every pixel maps to one leaf with delta = h_I and psi = 1.
-The engine computes the range factor psi / (2 delta^2) once per leaf,
-runs every window offset whose spatial weight is not 0 over row strips
-of about ``_STRIP_ELEMENTS`` pixels, so its five work buffers stay in
-cache, and gathers the factors by each strip's center pixels. One pass
-takes as many fields of one image as fit one strip, at least one, and
+A field gives the engine one per-pixel map of its range factor
+psi / (2 delta^2). The engine runs every window offset whose spatial
+weight is not 0 over row strips of about ``_STRIP_ELEMENTS`` pixels, so
+its four work buffers stay in cache, and reads each strip's factors as a
+view of the maps. One pass takes a stack of factor maps of one image and
 computes each offset's squared difference once for all of them;
 ``weighted_mean_filter`` is the one-field pass.
 """
@@ -65,9 +65,9 @@ class KernelField:
     from the leaf map: one per row of ``delta``, consecutive from the map's
     smallest id, which must be non-negative (a tree's leaves are the last
     rows of its node table). The map, of integers that int64 holds, must
-    use every id and no other; ``rows`` gives each of its pixels its row,
-    ``leaf_map - ids[0]``. delta and psi are 1-D, of one length, positive
-    and finite.
+    use every id and no other, and be 2-D; ``rows`` gives each of its
+    pixels its row, ``leaf_map - ids[0]``. delta and psi are 1-D, of one
+    length, positive and finite.
     """
 
     def __init__(self, leaf_map, delta, psi):
@@ -79,20 +79,27 @@ class KernelField:
                        self.psi > 0, self.psi < np.inf)):
             raise ConfigError("delta and psi must be positive and finite")
         # the map's kind first: a float map's minimum is no leaf id
-        ints = (self.leaf_map.size
+        ints = (self.leaf_map.ndim == 2 and self.leaf_map.size
                 and np.can_cast(self.leaf_map.dtype, np.int64))
         first = int(self.leaf_map.min()) if ints else -1
         self.ids = np.arange(first, first + self.delta.size, dtype=np.int64)
-        self.rows = self.leaf_map - np.int64(first)
-        if not (ints and first >= 0 and self.rows.max() == self.ids.size - 1
-                and np.bincount(self.rows.ravel()).all()):
-            raise ConfigError("the leaf map must use every leaf id and no other")
+        rows = self.leaf_map - np.int64(first)
+        if not (ints and first >= 0 and rows.max() == self.ids.size - 1
+                and np.bincount(rows.ravel()).all()):
+            raise ConfigError("the leaf map must be 2-D and use every leaf id "
+                              "and no other")
 
-    def range_factor(self) -> np.ndarray:
-        """Each leaf's range factor psi / (2 delta^2), the engine's
-        multiplier of a squared intensity step."""
+    @property
+    def rows(self) -> np.ndarray:
+        """Each pixel's row of ``delta``/``psi``: ``leaf_map - ids[0]``,
+        derived on each read, so that a field holds one map per pixel."""
+        return self.leaf_map - self.ids[0]
+
+    def factor_map(self) -> np.ndarray:
+        """Each pixel's range factor psi / (2 delta^2), the engine's
+        multiplier of a squared intensity step at that center pixel."""
         with np.errstate(over="ignore"):  # a huge delta gives a zero factor
-            return self.psi / (2.0 * self.delta ** 2)
+            return (self.psi / (2.0 * self.delta ** 2))[self.rows]
 
 
 class MkfResult(NamedTuple):
@@ -117,31 +124,32 @@ def contextual_gain(delta_parent, delta_grandparent):
 # engine
 
 
-# Pixels per row strip of the window engine: each of its five float64
+# Pixels per row strip of the window engine: each of its four float64
 # strip buffers is 128 KiB, so a strip's working set stays in L2.
 _STRIP_ELEMENTS = 16384
 
 
 def _fields_per_pass(pixels: int) -> int:
-    """How many kernel fields of an image of `pixels` one engine pass
-    takes: as many as fit one strip, and at least one."""
+    """How many factor maps of an image of `pixels` a bench cell stacks
+    into one engine pass: as many as fit one strip, and at least one."""
     return max(1, _STRIP_ELEMENTS // pixels)
 
 
 def _window_mean(values: np.ndarray, h_x: float, radius: int,
-                 factors: list, rows: list) -> np.ndarray:
+                 factors: np.ndarray) -> np.ndarray:
     """Direct weighted-mean form, one window offset at a time over row
     strips, for k kernel fields of one image at once; returns the k
     outputs stacked.
 
-    Field i's `factors[i]` holds the range factor psi / (2 delta^2) of
-    each leaf, which `rows[i]` gathers by the center pixel. Each strip of
-    about ``_STRIP_ELEMENTS`` pixels over all k fields runs every offset
-    into five (k, strip, width) buffers: an offset's squared difference
-    is computed once and scaled by each field's factors. So each output pixel sums the same terms in the same order
-    as a one-field, whole-image pass would. Offsets whose spatial weight
-    underflows to 0 would add only zeros and are skipped, so a radius
-    beyond that distance gives the same output.
+    `factors` is the (k, height, width) stack of the fields' factor maps:
+    each pixel's range factor psi / (2 delta^2). Each strip of about
+    ``_STRIP_ELEMENTS`` pixels over all k fields reads its factors as a
+    view and runs every offset into four (k, strip, width) buffers: an
+    offset's squared difference is computed once and scaled by each
+    field's factors. So each output pixel sums the same terms in the same
+    order as a one-field, whole-image pass would. Offsets whose spatial
+    weight underflows to 0 would add only zeros and are skipped, so a
+    radius beyond that distance gives the same output.
     """
     height, width = values.shape
     require_addressable("the padded image", height + 2 * radius,
@@ -160,21 +168,16 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     strip = min(max(1, _STRIP_ELEMENTS // (k * width)), height)
     # flat, so that each strip's (k, strip rows, width) buffers are
     # contiguous, the last and shorter strip's too
-    buffers = np.empty((5, k * strip * width))
+    buffers = np.empty((4, k * strip * width))
     out = np.empty((k, height, width))
     # a huge step overflows to a zero weight; a sum that overflows leaves
     # a non-finite output, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(0, height, strip):
             bottom = min(top + strip, height)
-            ranged, w, num, den, scale = buffers[
-                :, :k * (bottom - top) * width].reshape(5, k, -1, width)
-            center = values[top:bottom]
-            # rows are in range by construction; "clip" lets take write into
-            # the buffer directly, where "raise" would buffer the output
-            for factor, field_rows, gathered in zip(factors, rows, scale):
-                np.take(factor, field_rows[top:bottom], mode="clip",
-                        out=gathered)
+            ranged, w, num, den = buffers[
+                :, :k * (bottom - top) * width].reshape(4, k, -1, width)
+            center, scale = values[top:bottom], factors[:, top:bottom]
             # a zero factor stays a zero range term even where the squared
             # step overflows to inf (inf * 0 is nan)
             zero_range = scale == 0
@@ -202,34 +205,18 @@ def _window_mean(values: np.ndarray, h_x: float, radius: int,
     return out
 
 
-def _filter_fields(image: Raster, fields: list, radius: int,
-                   h_x: float) -> list[Raster]:
-    """`image` filtered with each kernel field of `fields`, in order, in
-    engine passes of ``_fields_per_pass`` fields; a pass's rasters are
-    views of one stacked array."""
-    require_bandwidth(h_x=h_x)
-    if radius < 1:
-        raise ConfigError(f"radius must be >= 1, got {radius}")
-    if any(field.leaf_map.shape != image.data.shape for field in fields):
-        raise ConfigError("kernel field was built for a different image size")
-    per_pass = _fields_per_pass(image.data.size)
-    rasters = []
-    for start in range(0, len(fields), per_pass):
-        group = fields[start:start + per_pass]
-        stacked = _window_mean(image.data, h_x, radius,
-                               [field.range_factor() for field in group],
-                               [field.rows for field in group])
-        rasters += [image.with_data(data) for data in stacked]
-    return rasters
-
-
 def weighted_mean_filter(image: Raster, field: KernelField, radius: int,
                          h_x: float) -> Raster:
     """Run the filter engine over `image` with the range kernels of
-    `field` (each leaf's range factor is computed once and looked up by
-    the center pixel's leaf) and the spatial bandwidth `h_x`: the
-    one-field pass."""
-    return _filter_fields(image, [field], radius, h_x)[0]
+    `field`, read from its per-pixel factor map, and the spatial
+    bandwidth `h_x`: the one-field pass."""
+    require_bandwidth(h_x=h_x)
+    if radius < 1:
+        raise ConfigError(f"radius must be >= 1, got {radius}")
+    if field.leaf_map.shape != image.data.shape:
+        raise ConfigError("kernel field was built for a different image size")
+    return image.with_data(_window_mean(image.data, h_x, radius,
+                                        field.factor_map()[None])[0])
 
 
 # ---------------------------------------------------------------------------

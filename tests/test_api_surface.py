@@ -16,7 +16,7 @@ import numpy as np
 
 import mkfilter
 from mkfilter.clustering import NODE_DTYPE
-from mkfilter.filters import weighted_mean_filter
+from mkfilter.filters import _window_mean, weighted_mean_filter
 
 
 def settable_values() -> dict[str, int]:
@@ -67,6 +67,11 @@ def test_engine_call_form_is_pinned():
     # positional argument or the `radius` keyword to count the window taps
     assert tuple(inspect.signature(weighted_mean_filter).parameters) == (
         "image", "field", "radius", "h_x")
+    # a bench cell's passes call the engine itself, one stack of factor
+    # maps a call: a tracer of every pass wraps it and counts its taps
+    # from the stack's shape
+    assert tuple(inspect.signature(_window_mean).parameters) == (
+        "values", "h_x", "radius", "factors")
 
 
 def test_node_table_columns_are_pinned():

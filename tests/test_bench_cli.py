@@ -216,9 +216,9 @@ def record_passes(monkeypatch) -> list:
     passes = []
     window_mean = filters._window_mean
 
-    def recorded(values, h_x, radius, factors, rows):
+    def recorded(values, h_x, radius, factors):
         passes.append((radius, len(factors)))
-        return window_mean(values, h_x, radius, factors, rows)
+        return window_mean(values, h_x, radius, factors)
     monkeypatch.setattr(filters, "_window_mean", recorded)
     return passes
 
@@ -239,7 +239,7 @@ def test_a_cell_filters_each_distinct_factor_map_once(monkeypatch, per_pass):
         for size in sizes:
             field = build_kernel_field(build_cluster_tree(
                 noisy, ClusterConfig(max_depth=depth, max_cluster=size)))
-            maps.add(field.range_factor()[field.rows].tobytes())
+            maps.add(field.factor_map().tobytes())
     passes = record_passes(monkeypatch)
     rows = sweep_depth("fix", clean, depths=depths, sizes=sizes,
                        levels=(10.0,), seed=5, radius=2)

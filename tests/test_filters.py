@@ -296,28 +296,14 @@ def test_strip_engine_matches_whole_image_reference(monkeypatch, budget):
         assert np.array_equal(got, want), (values.shape, radius, kernel)
 
 
-def pass_sizes(fields: int, per_pass: int) -> list[int]:
-    """The field count of each engine pass over `fields` fields."""
-    return [min(per_pass, fields - start)
-            for start in range(0, fields, per_pass)]
-
-
 @pytest.mark.parametrize("budget", ["one-row", "partial", "default"])
 def test_multi_field_pass_matches_the_reference_field_by_field(monkeypatch,
                                                                budget):
     # each case's bilateral field, its leaf field whose zero range factor
     # covers only the lower rows, and two fields with no zero factor, in
-    # one call: passes of several fields, and passes that split
-    passes = []
-    window_mean = filters._window_mean
-
-    def counted(values, h_x, radius, factors, rows):
-        passes.append(len(factors))
-        return window_mean(values, h_x, radius, factors, rows)
-    monkeypatch.setattr(filters, "_window_mean", counted)
+    # one engine call on their stacked factor maps
     rng = np.random.default_rng(45)
     cases = strip_cases()
-    batched = split = 0
     for (values, h_x, radius, bf), (_, _, _, zeroed) in zip(cases, cases):
         width = values.shape[1]
         strip = {"one-row": 1, "partial": 5 * width + 2,
@@ -328,18 +314,14 @@ def test_multi_field_pass_matches_the_reference_field_by_field(monkeypatch,
                               rng.uniform(2, 60, zeroed.ids.size), zeroed.psi),
                   uniform_field(values.shape, float(rng.uniform(5, 80)),
                                 float(rng.uniform(0.1, 2.0)))]
-        del passes[:]
-        got = filters._filter_fields(Raster(values), fields, radius, h_x)
-        assert passes == pass_sizes(
-            len(fields), filters._fields_per_pass(values.size))
-        batched += max(passes) > 1
-        split += len(passes) > 1
-        for field, raster in zip(fields, got, strict=True):
+        got = filters._window_mean(values, h_x, radius, np.stack(
+            [field.factor_map() for field in fields]))
+        assert got.shape == (len(fields),) + values.shape
+        for field, data in zip(fields, got, strict=True):
             want = reference_window_mean(values, h_x, radius,
                                          field.delta[field.rows],
                                          field.psi[field.rows])
-            assert np.array_equal(raster.data, want), (values.shape, radius)
-    assert split and (batched or budget == "one-row")
+            assert np.array_equal(data, want), (values.shape, radius)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -490,7 +472,10 @@ def test_param_validation():
             (pair, [1.0, 2.0], [1.0, 1.0, 1.0]),  # lengths 2 and 3
             (pair, [1.0, 2.0], 1.0),              # a scalar psi
             (zeros, 1.0, 1.0),                    # 0-d columns
-            (zeros, [[1.0]], [[1.0]])]:           # 2-D columns
+            (zeros, [[1.0]], [[1.0]]),            # 2-D columns
+            (np.int64(0), [1.0], [1.0]),          # a 0-d leaf map
+            (np.array([0, 1]), [1.0, 2.0], [1.0, 1.0]),  # a 1-D leaf map
+            (zeros[None], [1.0], [1.0])]:         # a 3-D leaf map
         with pytest.raises(ConfigError):
             KernelField(leaf_map, delta, psi)
     with pytest.raises(ConfigError):
@@ -513,6 +498,7 @@ def test_spatial_bandwidth_is_checked_before_filtering(h_x):
             run()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_kernel_field_rows_start_at_the_first_id():
     """A leaf-id range need not start at 0: the last level of a tree
     starts after every shallower level's ids."""
@@ -525,7 +511,14 @@ def test_kernel_field_rows_start_at_the_first_id():
     leaf_map = np.array([[6, 5], [7, 5]])
     field = KernelField(leaf_map, [1.0, 2.0, 3.0], [1.0, 1.0, 0.5])
     assert field.ids.tolist() == [5, 6, 7]
-    assert field.rows.tolist() == (leaf_map - 5).tolist()
+    rows = leaf_map - 5
+    assert field.rows.tolist() == rows.tolist()
+    assert np.array_equal(field.factor_map(),
+                          (field.psi / (2.0 * field.delta ** 2))[rows])
+    # a huge delta's factor is an exact 0, with no overflow warning
+    field = KernelField(leaf_map, [1.0, 1e200, 3.0], [1.0, 1.0, 0.5])
+    assert field.factor_map().tolist() == [[0.0, 0.5], [0.5 / 18.0, 0.5]]
+    assert field.rows.tolist() == rows.tolist()
 
 
 # ---------------------------------------------------------------------------
